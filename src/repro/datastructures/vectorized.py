@@ -52,7 +52,7 @@ from collections.abc import Iterable, Iterator
 from repro.datastructures.mmapped import MmapSortedArrayStore
 from repro.datastructures.store import PrefixStore
 from repro.exceptions import DataStructureError
-from repro.hashing.prefix import Prefix
+from repro.hashing.prefix import Prefix, PrefixRun
 
 try:
     import numpy as _np
@@ -214,9 +214,20 @@ class NumpyPrefixStore(PrefixStore):
                         f"store holds {self._bits}-bit prefixes, got a "
                         f"{len(raw_value) * 8}-bit one"
                     )
+        return self._from_packed(raw)
+
+    def _from_packed(self, raw: bytes):
+        """Concatenated big-endian values as a vector of the value dtype."""
         if self._is_int:
             return _np.frombuffer(raw, dtype=f">u{self._width}").astype(self._dtype)
         return _np.frombuffer(raw, dtype=self._dtype)
+
+    def _bulk_operand(self, prefixes: Iterable[Prefix]):
+        """A bulk update's prefixes as a vector; a same-width run is read in place."""
+        if isinstance(prefixes, PrefixRun) and (
+                prefixes.bits == self._bits or not prefixes):
+            return self._from_packed(prefixes.packed)
+        return self._probe_array([self._check(p).value for p in prefixes])
 
     # -- PrefixStore interface -------------------------------------------------
 
@@ -239,14 +250,14 @@ class NumpyPrefixStore(PrefixStore):
 
     def update(self, prefixes: Iterable[Prefix]) -> None:
         """Bulk insert: one sorted-set union instead of per-prefix inserts."""
-        incoming = self._probe_array([self._check(p).value for p in prefixes])
+        incoming = self._bulk_operand(prefixes)
         if incoming.size:
             self._values = _np.union1d(self._values, incoming)
             self._index_stale = True
 
     def discard_many(self, prefixes: Iterable[Prefix]) -> None:
         """Bulk remove: one sorted-set difference."""
-        incoming = self._probe_array([self._check(p).value for p in prefixes])
+        incoming = self._bulk_operand(prefixes)
         if incoming.size:
             self._values = _np.setdiff1d(self._values, incoming)
             self._index_stale = True

@@ -9,6 +9,8 @@ a hit.  This package provides:
   canonicalized URL expression.
 * :class:`Prefix` -- an immutable value object representing an ``n``-bit
   prefix of a digest, together with parsing/formatting helpers.
+* :class:`PrefixRun` -- many same-width prefixes packed into one ``bytes``:
+  the form update chunks take on the wire, in SQLite and in snapshots.
 * :func:`url_prefix` -- the one-call helper used throughout the library:
   canonical expression in, 32-bit (or custom-width) prefix out.
 * :class:`PrefixSet` -- a small set algebra over prefixes used by the
@@ -25,13 +27,14 @@ from repro.hashing.digests import (
     truncate_digest,
     url_prefix,
 )
-from repro.hashing.prefix import Prefix
+from repro.hashing.prefix import Prefix, PrefixRun
 from repro.hashing.prefix_set import PrefixSet
 
 __all__ = [
     "DEFAULT_PREFIX_BITS",
     "FullHash",
     "Prefix",
+    "PrefixRun",
     "PrefixSet",
     "digests_of",
     "full_digest",

@@ -8,10 +8,15 @@ supports any multiple of 8 between 8 and 256 bits.
 Prefixes compare and hash by value, sort in lexicographic (equivalently
 numeric big-endian) order, and render as the ``0x``-prefixed hexadecimal
 strings used in the paper (e.g. ``0xe70ee6d1`` for the PETS CFP URL).
+
+:class:`PrefixRun` is the packed form of many same-width prefixes: the
+"raw data" layout of the paper's Table 2 (``n * bits / 8`` bytes), which is
+how update chunks cross the wire and reach SQLite and snapshot files.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import total_ordering
 
@@ -19,6 +24,14 @@ from repro.exceptions import PrefixError
 
 _MIN_BITS = 8
 _MAX_BITS = 256
+_DEFAULT_BITS = 32
+
+
+def _check_bits(bits: int) -> None:
+    if bits % 8 != 0 or not (_MIN_BITS <= bits <= _MAX_BITS):
+        raise PrefixError(
+            f"prefix width must be a multiple of 8 in [{_MIN_BITS}, {_MAX_BITS}], got {bits}"
+        )
 
 
 @total_ordering
@@ -40,10 +53,7 @@ class Prefix:
     def __post_init__(self) -> None:
         if not isinstance(self.value, (bytes, bytearray)):
             raise PrefixError(f"prefix value must be bytes, got {type(self.value).__name__}")
-        if self.bits % 8 != 0 or not (_MIN_BITS <= self.bits <= _MAX_BITS):
-            raise PrefixError(
-                f"prefix width must be a multiple of 8 in [{_MIN_BITS}, {_MAX_BITS}], got {self.bits}"
-            )
+        _check_bits(self.bits)
         if len(self.value) != self.bits // 8:
             raise PrefixError(
                 f"prefix of {self.bits} bits requires {self.bits // 8} bytes, "
@@ -149,3 +159,105 @@ class Prefix:
         if not self.matches_digest(digest):
             raise PrefixError("digest does not extend this prefix")
         return Prefix.from_digest(digest, bits)
+
+
+def _valid_prefix(value: bytes, bits: int) -> Prefix:
+    """A :class:`Prefix` of a value already checked to be ``bits`` wide.
+
+    Skips ``__post_init__``: a run validates its width and length once, so
+    re-checking every prefix it yields would be the dominant cost of
+    iterating it.
+    """
+    prefix = object.__new__(Prefix)
+    object.__setattr__(prefix, "value", value)
+    object.__setattr__(prefix, "bits", bits)
+    return prefix
+
+
+class PrefixRun(Sequence[Prefix]):
+    """An immutable run of same-width prefixes packed into one ``bytes``.
+
+    The run stores its width and the concatenated big-endian values — the
+    raw layout of Table 2 — and is a read-only ``Sequence[Prefix]`` that
+    creates :class:`Prefix` objects only when indexed or iterated.  Runs
+    compare and hash by (width, values, order); empty runs are equal
+    whatever their width, since no width survives an empty chunk.
+
+    Build one from prefixes (``PrefixRun(prefixes, bits=None)``; the width is
+    taken from the prefixes, mixed widths raise :class:`PrefixError`) or
+    from already-packed values (:meth:`from_packed`).
+    """
+
+    __slots__ = ("_bits", "_width", "_packed")
+
+    def __init__(self, prefixes: Iterable[Prefix] = (),
+                 bits: int | None = None) -> None:
+        prefixes = tuple(prefixes)
+        packed = b"".join([prefix.value for prefix in prefixes])
+        widths = {prefix.bits for prefix in prefixes}
+        if len(widths) > 1:
+            raise PrefixError(
+                f"a prefix run holds one width, got {sorted(widths)}-bit prefixes")
+        if widths:
+            (found,) = widths
+            if bits is not None and bits != found:
+                raise PrefixError(
+                    f"a {bits}-bit prefix run cannot hold {found}-bit prefixes")
+            bits = found
+        elif bits is None:
+            bits = _DEFAULT_BITS
+        _check_bits(bits)
+        self._bits, self._width, self._packed = bits, bits // 8, packed
+
+    @classmethod
+    def from_packed(cls, packed: bytes, bits: int = _DEFAULT_BITS) -> "PrefixRun":
+        """Wrap already-packed ``bits``-bit values (no per-prefix work)."""
+        _check_bits(bits)
+        packed = bytes(packed)
+        if len(packed) % (bits // 8):
+            raise PrefixError(
+                f"{len(packed)} packed bytes is not a whole number of "
+                f"{bits}-bit prefixes")
+        run = cls.__new__(cls)
+        run._bits, run._width, run._packed = bits, bits // 8, packed
+        return run
+
+    @property
+    def bits(self) -> int:
+        """Width, in bits, of every prefix in the run."""
+        return self._bits
+
+    @property
+    def packed(self) -> bytes:
+        """The concatenated big-endian prefix values."""
+        return self._packed
+
+    def __len__(self) -> int:
+        return len(self._packed) // self._width
+
+    def __iter__(self) -> Iterator[Prefix]:
+        packed, width, bits = self._packed, self._width, self._bits
+        return (_valid_prefix(packed[start:start + width], bits)
+                for start in range(0, len(packed), width))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PrefixRun([self[at] for at in range(len(self))[index]],
+                             self._bits)
+        try:
+            start = range(len(self))[index] * self._width
+        except IndexError:
+            raise IndexError("prefix run index out of range") from None
+        return _valid_prefix(self._packed[start:start + self._width], self._bits)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PrefixRun):
+            return NotImplemented
+        return self._packed == other._packed and (
+            self._bits == other._bits or not self._packed)
+
+    def __hash__(self) -> int:
+        return hash(self._packed)
+
+    def __repr__(self) -> str:
+        return f"PrefixRun({[str(prefix) for prefix in self]}, bits={self._bits})"

@@ -15,8 +15,8 @@ import enum
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from repro.exceptions import ProtocolError
-from repro.hashing.prefix import Prefix
+from repro.exceptions import PrefixError, ProtocolError
+from repro.hashing.prefix import PrefixRun
 
 
 class ChunkKind(enum.Enum):
@@ -37,7 +37,9 @@ class Chunk:
     kind:
         :attr:`ChunkKind.ADD` or :attr:`ChunkKind.SUB`.
     prefixes:
-        The prefixes added or removed by this chunk.
+        The prefixes added or removed by this chunk, normalised to one
+        packed :class:`PrefixRun` (a list database has exactly one width,
+        so a chunk of mixed widths is a :class:`ProtocolError`).
     referenced_add_chunk:
         For sub chunks, the add chunk whose entries are being retracted
         (informational; the client removes by prefix value).
@@ -45,7 +47,7 @@ class Chunk:
 
     number: int
     kind: ChunkKind
-    prefixes: tuple[Prefix, ...]
+    prefixes: PrefixRun
     referenced_add_chunk: int | None = None
 
     def __post_init__(self) -> None:
@@ -53,6 +55,12 @@ class Chunk:
             raise ProtocolError(f"chunk numbers start at 1, got {self.number}")
         if self.kind is ChunkKind.ADD and self.referenced_add_chunk is not None:
             raise ProtocolError("add chunks do not reference other chunks")
+        if not isinstance(self.prefixes, PrefixRun):
+            try:
+                run = PrefixRun(self.prefixes)
+            except PrefixError as exc:
+                raise ProtocolError(f"invalid chunk {self.number}: {exc}") from exc
+            object.__setattr__(self, "prefixes", run)
 
     def __len__(self) -> int:
         return len(self.prefixes)

@@ -39,7 +39,7 @@ try:
 except ImportError:  # pragma: no cover - exercised by the numpy-absent CI leg
     _np = None
 from repro.hashing.digests import DEFAULT_PREFIX_BITS, FullHash
-from repro.hashing.prefix import Prefix
+from repro.hashing.prefix import Prefix, PrefixRun
 from repro.hashing.prefix_set import PrefixSet
 from repro.safebrowsing.chunks import Chunk, ChunkKind
 from repro.safebrowsing.lists import ListDescriptor
@@ -224,7 +224,8 @@ class ListDatabase:
             add_chunk = Chunk(
                 number=len(self._add_chunks) + 1,
                 kind=ChunkKind.ADD,
-                prefixes=tuple(dict.fromkeys(self._pending_additions)),
+                prefixes=PrefixRun(dict.fromkeys(self._pending_additions),
+                                   self.prefix_bits),
             )
             self._add_chunks.append(add_chunk)
             self._pending_additions.clear()
@@ -233,7 +234,8 @@ class ListDatabase:
             sub_chunk = Chunk(
                 number=len(self._sub_chunks) + 1,
                 kind=ChunkKind.SUB,
-                prefixes=tuple(dict.fromkeys(self._pending_removals)),
+                prefixes=PrefixRun(dict.fromkeys(self._pending_removals),
+                                   self.prefix_bits),
                 referenced_add_chunk=len(self._add_chunks) or None,
             )
             self._sub_chunks.append(sub_chunk)
@@ -246,7 +248,7 @@ class ListDatabase:
             return
         self._record(OP_CHUNK, CHUNK_KIND_CODES[chunk.kind], chunk.number,
                      chunk.referenced_add_chunk or 0,
-                     b"".join(prefix.value for prefix in chunk.prefixes))
+                     chunk.prefixes.packed)
         self._record(OP_PENDING_CLEAR, pending_kind)
 
     @property
@@ -271,7 +273,10 @@ class ListDatabase:
 
     def full_hashes_for(self, prefix: Prefix) -> tuple[FullHash, ...]:
         """Full digests stored under ``prefix`` (empty for orphans)."""
-        return tuple(sorted(self._full_hashes.get(prefix, set()), key=lambda fh: fh.digest))
+        bucket = self._full_hashes.get(prefix)
+        if not bucket:
+            return ()
+        return tuple(sorted(bucket, key=lambda fh: fh.digest))
 
     def full_hashes_matching(self, prefix: Prefix) -> tuple[FullHash, ...]:
         """Full digests whose own prefix is compatible with ``prefix``.

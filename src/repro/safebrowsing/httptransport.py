@@ -294,13 +294,22 @@ class HttpTransport(Transport):
                 "response carries no usable Content-Length") from exc
 
         body = rest
-        while len(body) < length:
-            chunk = sock.recv(min(65536, length - len(body)))
-            if not chunk:
-                raise ConnectionError(
-                    f"server closed the connection after {len(body)} of "
-                    f"{length} body bytes")
-            body += chunk
+        if len(body) < length:
+            # Fill one preallocated buffer: appending each recv to a bytes
+            # body recopies it every time, quadratic in multi-MB frames.
+            buffer = bytearray(length)
+            buffer[:len(body)] = body
+            view = memoryview(buffer)
+            received = len(body)
+            while received < length:
+                count = sock.recv_into(view[received:],
+                                       min(65536, length - received))
+                if not count:
+                    raise ConnectionError(
+                        f"server closed the connection after {received} of "
+                        f"{length} body bytes")
+                received += count
+            body = bytes(buffer)
         self.stats.bytes_received += len(body)
         if len(body) > length:
             raise ConnectionError(

@@ -38,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import mmap
 import struct
-from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -49,7 +48,7 @@ from repro.datastructures.store import PrefixStore
 from repro.datastructures.vectorized import NumpyMmapStore
 from repro.exceptions import SnapshotError
 from repro.hashing.digests import FullHash
-from repro.hashing.prefix import Prefix
+from repro.hashing.prefix import PrefixRun
 from repro.safebrowsing.chunks import Chunk, ChunkKind
 from repro.safebrowsing.database import ListDatabase, ServerDatabase
 from repro.safebrowsing.lists import ListDescriptor, ListProvider, ThreatCategory
@@ -325,13 +324,11 @@ def _read_store(reader: _Reader, bits: int
 
 
 def _packed_prefixes(payload: bytes, section: _PackedSection,
-                     bits: int) -> list[Prefix]:
-    """Materialize the prefixes of a packed section (non-mmap restores)."""
-    width = bits // 8
+                     bits: int) -> PrefixRun:
+    """The prefixes of a packed section as one run (non-mmap restores)."""
     start = section.payload_offset
-    return [Prefix(payload[start + index * width:start + (index + 1) * width],
-                   bits)
-            for index in range(section.count)]
+    return PrefixRun.from_packed(
+        payload[start:start + section.count * (bits // 8)], bits)
 
 
 # ---------------------------------------------------------------------------
@@ -485,18 +482,14 @@ def restore_client_snapshot(client: "SafeBrowsingClient",
 # ---------------------------------------------------------------------------
 
 
-def _write_prefixes(writer: _Writer, prefixes: Iterable[Prefix]) -> None:
-    values = [prefix.value for prefix in prefixes]
-    writer.u32(len(values))
-    writer.raw(b"".join(values))
+def _write_run(writer: _Writer, run: PrefixRun) -> None:
+    writer.u32(len(run))
+    writer.raw(run.packed)
 
 
-def _read_prefixes(reader: _Reader, bits: int) -> list[Prefix]:
+def _read_run(reader: _Reader, bits: int) -> PrefixRun:
     count = reader.u32()
-    width = bits // 8
-    raw = reader.raw(count * width)
-    return [Prefix(raw[index * width:(index + 1) * width], bits)
-            for index in range(count)]
+    return PrefixRun.from_packed(reader.raw(count * (bits // 8)), bits)
 
 
 def _write_descriptor(writer: _Writer, descriptor: ListDescriptor) -> None:
@@ -530,14 +523,13 @@ def _read_descriptor(reader: _Reader) -> ListDescriptor:
 def _write_chunk(writer: _Writer, chunk: Chunk) -> None:
     writer.u32(chunk.number)
     writer.u32(chunk.referenced_add_chunk or 0)
-    _write_prefixes(writer, chunk.prefixes)
+    _write_run(writer, chunk.prefixes)
 
 
 def _read_chunk(reader: _Reader, kind: ChunkKind, bits: int) -> Chunk:
     number = reader.u32()
     referenced = reader.u32()
-    prefixes = tuple(_read_prefixes(reader, bits))
-    return Chunk(number=number, kind=kind, prefixes=prefixes,
+    return Chunk(number=number, kind=kind, prefixes=_read_run(reader, bits),
                  referenced_add_chunk=referenced or None)
 
 
@@ -551,8 +543,9 @@ def server_snapshot_bytes(database: ServerDatabase) -> bytes:
     the shard count and index backend of the membership indexes, which are
     rebuilt on load.
     """
+    bits = database.prefix_bits
     writer = _Writer()
-    writer.u16(database.prefix_bits)
+    writer.u16(bits)
     writer.u16(database.shard_count)
     writer.string(database.index_backend)
     writer.u32(len(database))
@@ -573,15 +566,15 @@ def server_snapshot_bytes(database: ServerDatabase) -> bytes:
         )
         writer.u32(len(extras))
         writer.raw(b"".join(extras))
-        _write_prefixes(writer, sorted(list_db._orphans))
+        _write_run(writer, PrefixRun(sorted(list_db._orphans), bits))
         writer.u32(len(list_db.add_chunks))
         for chunk in list_db.add_chunks:
             _write_chunk(writer, chunk)
         writer.u32(len(list_db.sub_chunks))
         for chunk in list_db.sub_chunks:
             _write_chunk(writer, chunk)
-        _write_prefixes(writer, list_db._pending_additions)
-        _write_prefixes(writer, list_db._pending_removals)
+        _write_run(writer, PrefixRun(list_db._pending_additions, bits))
+        _write_run(writer, PrefixRun(list_db._pending_removals, bits))
     return _frame(KIND_SERVER, writer.getvalue())
 
 
@@ -674,13 +667,13 @@ def load_server_database(path: str | Path, *,
         extra_raw = reader.raw(extra_count * 32)
         extras = [extra_raw[index * 32:(index + 1) * 32]
                   for index in range(extra_count)]
-        orphans = _read_prefixes(reader, bits)
+        orphans = _read_run(reader, bits)
         add_chunks = [_read_chunk(reader, ChunkKind.ADD, bits)
                       for _ in range(reader.u32())]
         sub_chunks = [_read_chunk(reader, ChunkKind.SUB, bits)
                       for _ in range(reader.u32())]
-        pending_additions = _read_prefixes(reader, bits)
-        pending_removals = _read_prefixes(reader, bits)
+        pending_additions = _read_run(reader, bits)
+        pending_removals = _read_run(reader, bits)
 
         restored[descriptor.name] = materialize_list_database(
             descriptor, bits, shard_count=shard_count,

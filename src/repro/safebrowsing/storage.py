@@ -58,9 +58,9 @@ from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.exceptions import StorageError
+from repro.exceptions import PrefixError, StorageError
 from repro.hashing.digests import FullHash
-from repro.hashing.prefix import Prefix
+from repro.hashing.prefix import Prefix, PrefixRun
 from repro.safebrowsing.chunks import Chunk, ChunkKind
 from repro.safebrowsing.lists import ListDescriptor, ListProvider, ThreatCategory
 
@@ -150,21 +150,6 @@ CREATE TABLE IF NOT EXISTS pending (
     PRIMARY KEY (list_name, kind, position)
 ) WITHOUT ROWID;
 """
-
-
-def _pack_prefixes(prefixes: Iterable[Prefix]) -> bytes:
-    return b"".join(prefix.value for prefix in prefixes)
-
-
-def _unpack_prefixes(blob: bytes, bits: int) -> tuple[Prefix, ...]:
-    width = bits // 8
-    if len(blob) % width:
-        raise StorageError(
-            f"corrupt prefix blob: {len(blob)} bytes is not a multiple of "
-            f"the {width}-byte prefix width"
-        )
-    return tuple(Prefix(blob[offset:offset + width], bits)
-                 for offset in range(0, len(blob), width))
 
 
 class ServerStorage:
@@ -541,10 +526,17 @@ class SQLiteServerStorage(ServerStorage):
             "SELECT number, referenced_add, prefixes FROM chunks "
             "WHERE list_name = ? AND kind = ? ORDER BY number",
             (list_name, CHUNK_KIND_CODES[kind]))
-        return [Chunk(number=number, kind=kind,
-                      prefixes=_unpack_prefixes(blob, bits),
-                      referenced_add_chunk=referenced or None)
-                for number, referenced, blob in rows]
+        chunks = []
+        for number, referenced, blob in rows:
+            try:
+                prefixes = PrefixRun.from_packed(blob, bits)
+            except PrefixError as exc:
+                raise StorageError(
+                    f"corrupt prefix blob in {kind.name.lower()} chunk "
+                    f"{number} of {list_name!r}: {exc}") from exc
+            chunks.append(Chunk(number=number, kind=kind, prefixes=prefixes,
+                                referenced_add_chunk=referenced or None))
+        return chunks
 
     def _load_pending(self, list_name: str, kind: int,
                       bits: int) -> list[Prefix]:
@@ -688,7 +680,7 @@ def dump_database_to_sqlite(database: "ServerDatabase",
                 storage.record(name, (OP_CHUNK, CHUNK_KIND_CODES[chunk.kind],
                                       chunk.number,
                                       chunk.referenced_add_chunk or 0,
-                                      _pack_prefixes(chunk.prefixes)))
+                                      chunk.prefixes.packed))
             for prefix in list_db._pending_additions:
                 storage.record(name, (OP_PENDING_ADD, PENDING_ADDITION,
                                       prefix.value))

@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 
 from repro.exceptions import WireError
 from repro.hashing.digests import FullHash
-from repro.hashing.prefix import Prefix
+from repro.hashing.prefix import Prefix, PrefixRun
 from repro.safebrowsing.chunks import Chunk, ChunkKind, ChunkRange
 from repro.safebrowsing.cookie import SafeBrowsingCookie
 from repro.safebrowsing.protocol import (
@@ -207,6 +208,50 @@ def _decode_chunk_range(reader: _Reader, what: str) -> ChunkRange:
         raise WireError(f"invalid {what} {text!r}: {exc}") from exc
 
 
+def _encode_prefix_run(run: PrefixRun) -> bytes:
+    """A chunk's prefix block: ``u16 width + value`` per prefix, interleaved.
+
+    Written column by column from ``run.packed`` — the same bytes as
+    encoding each prefix in turn, without creating a :class:`Prefix`.
+    """
+    count, width = len(run), run.bits // 8
+    stride = 2 + width
+    block = bytearray(count * stride)
+    width_field = _U16.pack(run.bits)
+    block[0::stride] = width_field[:1] * count
+    block[1::stride] = width_field[1:] * count
+    for column in range(width):
+        block[2 + column::stride] = run.packed[column::width]
+    return bytes(block)
+
+
+def _decode_prefix_run(reader: _Reader, count: int) -> Sequence[Prefix]:
+    """Read a chunk's ``count``-prefix block as one run.
+
+    When the first width field is valid, the block fits in the payload and
+    every width field equals the first (two stepped slice compares), the
+    values are sliced out column by column.  Anything irregular goes through
+    the per-prefix decoder, so malformed input raises exactly the
+    :class:`WireError` it raises prefix by prefix.
+    """
+    data, start = reader._data, reader._pos
+    if count and len(data) - start >= 2:
+        (bits,) = _U16.unpack_from(data, start)
+        width = bits // 8
+        stride = 2 + width
+        end = start + count * stride
+        if bits % 8 == 0 and 8 <= bits <= 256 and end <= len(data):
+            block = data[start:end]
+            if (block[0::stride] == block[0:1] * count
+                    and block[1::stride] == block[1:2] * count):
+                packed = bytearray(count * width)
+                for column in range(width):
+                    packed[column::width] = block[2 + column::stride]
+                reader._pos = end
+                return PrefixRun.from_packed(packed, bits)
+    return tuple(_decode_prefix(reader) for _ in range(count))
+
+
 _CHUNK_KIND_BYTES = {ChunkKind.ADD: 0, ChunkKind.SUB: 1}
 _CHUNK_KINDS = {code: kind for kind, code in _CHUNK_KIND_BYTES.items()}
 
@@ -222,7 +267,7 @@ def _encode_chunk(chunk: Chunk) -> bytes:
         parts.append(_U8.pack(1))
         parts.append(_U32.pack(chunk.referenced_add_chunk))
     parts.append(_U32.pack(len(chunk.prefixes)))
-    parts.extend(_encode_prefix(prefix) for prefix in chunk.prefixes)
+    parts.append(_encode_prefix_run(chunk.prefixes))
     return b"".join(parts)
 
 
@@ -244,7 +289,7 @@ def _decode_chunk(reader: _Reader) -> Chunk:
     if has_reference:
         referenced = reader.u32("referenced add chunk")
     count = reader.u32("chunk prefix count")
-    prefixes = tuple(_decode_prefix(reader) for _ in range(count))
+    prefixes = _decode_prefix_run(reader, count)
     try:
         return Chunk(number=number, kind=kind, prefixes=prefixes,
                      referenced_add_chunk=referenced)

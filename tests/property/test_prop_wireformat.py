@@ -20,7 +20,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import WireError
+from repro.exceptions import ProtocolError, WireError
 from repro.hashing.digests import FullHash
 from repro.hashing.prefix import Prefix
 from repro.safebrowsing.chunks import Chunk, ChunkKind, ChunkRange
@@ -52,9 +52,14 @@ from repro.safebrowsing.wireformat import (
 # -- strategies --------------------------------------------------------------
 
 _prefix_bits = st.sampled_from((8, 16, 32, 64, 128, 256))
-_prefixes = _prefix_bits.flatmap(
-    lambda bits: st.binary(min_size=bits // 8, max_size=bits // 8)
-    .map(lambda value: Prefix(value, bits)))
+
+
+def _prefixes_of_width(bits: int):
+    return st.binary(min_size=bits // 8, max_size=bits // 8).map(
+        lambda value: Prefix(value, bits))
+
+
+_prefixes = _prefix_bits.flatmap(_prefixes_of_width)
 _timestamps = st.floats(min_value=0.0, max_value=2**48,
                         allow_nan=False, allow_infinity=False)
 _cookies = st.text(min_size=1, max_size=40).map(SafeBrowsingCookie)
@@ -68,11 +73,15 @@ _chunk_ranges = st.frozensets(_chunk_numbers, max_size=12).map(
 
 @st.composite
 def _chunks(draw):
+    # A list database has one width, so a chunk draws one width for all
+    # of its prefixes (mixed widths are a protocol error).
     kind = draw(st.sampled_from((ChunkKind.ADD, ChunkKind.SUB)))
     referenced = (draw(st.one_of(st.none(), _chunk_numbers))
                   if kind is ChunkKind.SUB else None)
+    bits = draw(_prefix_bits)
     return Chunk(number=draw(_chunk_numbers), kind=kind,
-                 prefixes=tuple(draw(st.lists(_prefixes, max_size=6))),
+                 prefixes=tuple(draw(st.lists(_prefixes_of_width(bits),
+                                              max_size=6))),
                  referenced_add_chunk=referenced)
 
 
@@ -131,6 +140,13 @@ class TestRoundTrip:
     @given(_messages)
     def test_encoding_is_deterministic(self, message):
         assert encode_message(message) == encode_message(message)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_prefixes, min_size=2, max_size=8).filter(
+        lambda prefixes: len({prefix.bits for prefix in prefixes}) > 1))
+    def test_mixed_width_chunk_is_a_protocol_error(self, prefixes):
+        with pytest.raises(ProtocolError, match="one width"):
+            Chunk(number=1, kind=ChunkKind.ADD, prefixes=tuple(prefixes))
 
     def test_every_registered_message_type_round_trips(self):
         samples = {

@@ -181,6 +181,31 @@ class TestConnectionFaults:
         finally:
             server.close()
 
+    def test_multi_megabyte_body_arrives_in_small_pieces(self):
+        body = bytes(range(256)) * (3 * 4096)  # 3 MiB
+        head = (f"HTTP/1.1 200 X\r\nContent-Length: {len(body)}\r\n\r\n"
+                ).encode("ascii")
+        client_end, server_end = socket.socketpair()
+
+        def trickle():
+            with server_end:
+                server_end.sendall(head + body[:1000])
+                for start in range(1000, len(body), 50_000):
+                    server_end.sendall(body[start:start + 50_000])
+
+        writer = threading.Thread(target=trickle, daemon=True)
+        writer.start()
+        try:
+            transport = _transport(("127.0.0.1", 1))
+            client_end.settimeout(5.0)
+            status, headers, received = transport._read_response(client_end)
+        finally:
+            writer.join(5.0)
+            client_end.close()
+        assert status == 200 and headers["content-length"] == str(len(body))
+        assert received == body and isinstance(received, bytes)
+        assert transport.stats.bytes_received == len(head) + len(body)
+
     def test_slow_loris_stall_hits_the_client_timeout(self):
         release = threading.Event()
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.clock import ManualClock
@@ -21,7 +23,6 @@ from repro.safebrowsing.storage import (
     MemoryServerStorage,
     SQLiteServerStorage,
     ServerStorage,
-    _unpack_prefixes,
     build_server_storage,
     dump_database_to_sqlite,
     is_sqlite_file,
@@ -296,9 +297,17 @@ class TestDumpAndSummary:
         assert by_name[LIST]["version"] == database[LIST].version
         assert by_name[LIST]["full_hashes"] == len(EXPRESSIONS)
 
-    def test_corrupt_prefix_blob_rejected(self):
+    def test_corrupt_prefix_blob_rejected(self, tmp_path):
+        path = tmp_path / "s.sqlite"
+        database = _sqlite_database(path)
+        _populate(database)
+        database.commit()
+        database.storage.close()
+        with sqlite3.connect(path) as connection:
+            connection.execute("UPDATE chunks SET prefixes = ?",
+                               (b"\x00\x01\x02",))
         with pytest.raises(StorageError, match="corrupt prefix blob"):
-            _unpack_prefixes(b"\x00\x01\x02", 32)
+            load_sqlite_server_database(path)
 
 
 class TestSnapshotIntegration:

@@ -7,19 +7,23 @@ direct test so a regression points at the exact check that broke.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import zlib
 
 import pytest
 
 from repro.exceptions import ProtocolError, WireError
-from repro.hashing.prefix import Prefix
-from repro.safebrowsing.chunks import ChunkRange
+from repro.hashing.prefix import Prefix, PrefixRun
+from repro.safebrowsing import wireformat
+from repro.safebrowsing.chunks import Chunk, ChunkKind, ChunkRange
 from repro.safebrowsing.cookie import SafeBrowsingCookie
 from repro.safebrowsing.protocol import (
     FullHashRequest,
     ListState,
+    ListUpdate,
     UpdateRequest,
+    UpdateResponse,
 )
 from repro.safebrowsing.wireformat import (
     ERR_INTERNAL,
@@ -152,3 +156,144 @@ class TestPayloadValidation:
                 cookie=SafeBrowsingCookie("c"),
                 prefixes=(Prefix(bytes(bits // 8), bits),))
             assert decode_message(encode_message(request)) == request
+
+
+# -- chunk prefix blocks -------------------------------------------------------
+
+
+def _prefixes(count: int, bits: int, seed: str) -> tuple[Prefix, ...]:
+    return tuple(
+        Prefix(hashlib.sha256(f"{seed}/{index}".encode()).digest()[:bits // 8],
+               bits)
+        for index in range(count))
+
+
+def _golden_update_response() -> UpdateResponse:
+    """Several lists and chunks: widths 8-256, an empty chunk, an empty list."""
+    return UpdateResponse(
+        updates=(
+            ListUpdate("goog-malware-shavar",
+                       add_chunks=(Chunk(1, ChunkKind.ADD, _prefixes(300, 32, "a1")),
+                                   Chunk(2, ChunkKind.ADD, _prefixes(1, 32, "a2")),
+                                   Chunk(3, ChunkKind.ADD, ())),
+                       sub_chunks=(Chunk(1, ChunkKind.SUB, _prefixes(17, 32, "s1"),
+                                         referenced_add_chunk=2),)),
+            ListUpdate("googpub-phish-shavar",
+                       add_chunks=(Chunk(7, ChunkKind.ADD, _prefixes(40, 8, "b7")),
+                                   Chunk(8, ChunkKind.ADD, _prefixes(5, 256, "b8"))),
+                       sub_chunks=(Chunk(2, ChunkKind.SUB, _prefixes(3, 80, "t2")),)),
+            ListUpdate("ydx-porno-hosts-top"),
+        ),
+        next_poll_seconds=1800.0, timestamp=1234.5)
+
+
+def _chunk_frame(prefixes) -> tuple[bytes, int]:
+    """An update-response frame around one add chunk; also its block offset."""
+    frame = encode_message(UpdateResponse(updates=(
+        ListUpdate("l", add_chunks=(Chunk(1, ChunkKind.ADD, prefixes),)),)))
+    # payload: u16 update count, text "l", u32 add count, u32 number,
+    # u8 kind, u8 reference flag, u32 prefix count, then the block.
+    block_start = FRAME_HEADER_SIZE + 2 + (4 + 1) + 4 + 4 + 1 + 1 + 4
+    return frame, block_start
+
+
+def _reseal(frame: bytes | bytearray) -> bytes:
+    """Recompute the CRC so a payload edit reaches the payload decoder."""
+    body = bytes(frame[4:-FRAME_TRAILER_SIZE])
+    return bytes(frame[:4]) + body + struct.pack(">I", zlib.crc32(body))
+
+
+def _per_prefix_run(reader, count):
+    return tuple(wireformat._decode_prefix(reader) for _ in range(count))
+
+
+def _outcome(frame: bytes):
+    try:
+        return decode_message(frame)
+    except WireError as error:
+        return f"WireError: {error}"
+
+
+class TestChunkPrefixBlock:
+    def test_golden_update_response_bytes(self):
+        # Pinned from the per-prefix encoder: packed runs must not move a byte.
+        frame = encode_message(_golden_update_response())
+        assert len(frame) == 2434
+        assert hashlib.sha256(frame).hexdigest() == (
+            "e8e0ebbaac19e9eed4677242e421215111d4637762fb30210d345a2509340482")
+        assert decode_message(frame) == _golden_update_response()
+
+    def test_decoded_chunks_hold_runs(self):
+        update = decode_message(encode_message(_golden_update_response()))
+        for list_update in update.updates:
+            for chunk in list_update.add_chunks + list_update.sub_chunks:
+                assert isinstance(chunk.prefixes, PrefixRun)
+
+    def test_mixed_width_chunk_on_the_wire_is_refused(self):
+        payload = (struct.pack(">H", 1)                   # one list update
+                   + struct.pack(">I", 1) + b"l"          # list name "l"
+                   + struct.pack(">I", 1)                 # one add chunk
+                   + struct.pack(">I", 1) + bytes([0, 0])  # number 1, add, no ref
+                   + struct.pack(">I", 2)                 # two prefixes
+                   + struct.pack(">H", 32) + b"\x01\x02\x03\x04"
+                   + struct.pack(">H", 16) + b"\x05\x06"
+                   + struct.pack(">I", 0)                 # no sub chunks
+                   + struct.pack(">dd", 1800.0, 0.0))
+        frame = _frame_with_payload(MessageKind.UPDATE_RESPONSE, payload)
+        with pytest.raises(WireError, match="invalid chunk.*one width"):
+            decode_message(frame)
+
+    def test_every_byte_of_a_large_prefix_block_is_protected(self):
+        prefixes = _prefixes(1000, 32, "big")
+        frame, start = _chunk_frame(prefixes)
+        end = start + 1000 * 6
+        assert frame[start:start + 2] == struct.pack(">H", 32)
+        for offset in range(start, end):
+            for flip in (0x01, 0xFF):
+                corrupted = bytearray(frame)
+                corrupted[offset] ^= flip
+                with pytest.raises(WireError):
+                    decode_message(bytes(corrupted))
+
+    def test_resealed_width_corruption_is_refused_at_every_prefix(self):
+        # With the CRC recomputed, a flipped width field must still be
+        # refused — the run fast path may not accept what the per-prefix
+        # decoder rejects.  Both flips of either byte of 0x0020 give an
+        # invalid width (0x0021, 0x00df, 0x0120, 0xff20).
+        prefixes = _prefixes(1000, 32, "big")
+        frame, start = _chunk_frame(prefixes)
+        for index in range(1000):
+            for offset in (start + 6 * index, start + 6 * index + 1):
+                corrupted = bytearray(frame)
+                corrupted[offset] ^= 0xFF
+                with pytest.raises(WireError, match="prefix width"):
+                    decode_message(_reseal(corrupted))
+
+    def test_resealed_value_corruption_decodes_to_that_value(self):
+        prefixes = _prefixes(1000, 32, "big")
+        frame, start = _chunk_frame(prefixes)
+        packed = PrefixRun(prefixes).packed
+        for index in range(1000):
+            for column in range(4):
+                corrupted = bytearray(frame)
+                corrupted[start + 6 * index + 2 + column] ^= 0x01
+                expected = bytearray(packed)
+                expected[4 * index + column] ^= 0x01
+                (update,) = decode_message(_reseal(corrupted)).updates
+                assert update.add_chunks[0].prefixes == PrefixRun.from_packed(
+                    expected, 32)
+
+    @pytest.mark.parametrize("bits", (8, 32, 256))
+    def test_fast_path_agrees_with_the_per_prefix_decoder(self, bits,
+                                                          monkeypatch):
+        frame, start = _chunk_frame(_prefixes(24, bits, f"w{bits}"))
+        cases = []
+        for offset in range(start, len(frame) - FRAME_TRAILER_SIZE):
+            for flip in (0x01, 0x80, 0xFF):
+                corrupted = bytearray(frame)
+                corrupted[offset] ^= flip
+                cases.append(_reseal(corrupted))
+        fast = [_outcome(case) for case in cases]
+        monkeypatch.setattr(wireformat, "_decode_prefix_run", _per_prefix_run)
+        reference = [_outcome(case) for case in cases]
+        assert fast == reference
