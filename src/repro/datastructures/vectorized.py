@@ -131,11 +131,13 @@ class _BucketIndex:
         top = min(bits, _BUCKET_MAX_TOP,
                   (values.size // _BUCKET_TARGET_LOAD).bit_length())
         shift = bits - top
-        starts = (_np.arange(1 << top, dtype=_np.uint64) << shift)
-        offsets = _np.empty((1 << top) + 1, dtype=_np.intp)
-        offsets[:-1] = _np.searchsorted(values, starts.astype(values.dtype))
-        offsets[-1] = values.size
-        widest = int(_np.diff(offsets).max())
+        # Bucket sizes by counting top bits, then their running sum: one
+        # linear pass.  bincount rejects uint64 input, hence the intp cast.
+        counts = _np.bincount((values >> shift).astype(_np.intp),
+                              minlength=1 << top)
+        offsets = _np.zeros((1 << top) + 1, dtype=_np.intp)
+        _np.cumsum(counts, out=offsets[1:])
+        widest = int(counts.max())
         if widest > _BUCKET_MAX_ROW:
             return None
         padded = _np.concatenate(
@@ -248,18 +250,41 @@ class NumpyPrefixStore(PrefixStore):
             self._values = _np.delete(self._values, index)
             self._index_stale = True
 
+    def _positions(self, incoming):
+        """Each value's ``searchsorted`` position, and whether it is stored.
+
+        Side ``left`` returns ``size`` only for values greater than every
+        stored one, so clipping the positions and testing equality gives
+        the exact membership vector without a bounds mask.
+        """
+        values = self._values
+        index = _np.searchsorted(values, incoming)
+        if not values.size:
+            return index, _np.zeros(index.size, dtype=bool)
+        return index, values[_np.minimum(index, values.size - 1)] == incoming
+
     def update(self, prefixes: Iterable[Prefix]) -> None:
-        """Bulk insert: one sorted-set union instead of per-prefix inserts."""
-        incoming = self._bulk_operand(prefixes)
-        if incoming.size:
-            self._values = _np.union1d(self._values, incoming)
+        """Bulk insert: O(chunk) search plus one ``np.insert`` memmove.
+
+        The chunk is deduplicated and sorted on its own; only values the
+        store lacks are inserted, each at its ``searchsorted`` position
+        (equal positions keep the chunk's order, so the result stays
+        sorted).
+        """
+        incoming = _np.unique(self._bulk_operand(prefixes))
+        index, present = self._positions(incoming)
+        if not present.all():
+            fresh = ~present
+            self._values = _np.insert(self._values, index[fresh],
+                                      incoming[fresh])
             self._index_stale = True
 
     def discard_many(self, prefixes: Iterable[Prefix]) -> None:
-        """Bulk remove: one sorted-set difference."""
+        """Bulk remove: O(chunk) search plus one ``np.delete`` memmove."""
         incoming = self._bulk_operand(prefixes)
-        if incoming.size:
-            self._values = _np.setdiff1d(self._values, incoming)
+        index, present = self._positions(incoming)
+        if present.any():
+            self._values = _np.delete(self._values, index[present])
             self._index_stale = True
 
     def __contains__(self, prefix: Prefix) -> bool:
@@ -298,9 +323,7 @@ class NumpyPrefixStore(PrefixStore):
 
         Large integer-width stores answer through the :class:`_BucketIndex`
         (rebuilt lazily after mutations).  The fallback is one vectorized
-        ``searchsorted``: side ``left`` returns ``size`` only for probes
-        greater than every stored value, so clipping the indices and testing
-        equality yields the exact hit vector without a bounds mask.
+        ``searchsorted`` (:meth:`_positions`).
         """
         raws = [prefix.value for prefix in prefixes]
         if not raws:
@@ -314,9 +337,7 @@ class NumpyPrefixStore(PrefixStore):
             self._index_stale = False
         if self._index is not None:
             return _pack_bitmask(self._index.hits(probes))
-        index = _np.searchsorted(values, probes)
-        _np.minimum(index, values.size - 1, out=index)
-        return _pack_bitmask(values[index] == probes)
+        return _pack_bitmask(self._positions(probes)[1])
 
 
 class NumpyMmapStore(MmapSortedArrayStore):

@@ -21,9 +21,9 @@ must therefore support — go beyond a plain "insert malicious URL" API:
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 from time import perf_counter
 
 from repro.datastructures.sharded import DEFAULT_SHARD_COUNT, ShardedPrefixIndex
@@ -72,13 +72,18 @@ class ListDatabase:
     while the full-digest buckets stay a plain mapping.  Every mutation bumps
     :attr:`version`, which the server core uses to invalidate its full-hash
     response cache.
+
+    A bucket is a tuple of the prefix's full digests, sorted by digest and
+    rebuilt whenever it changes (buckets hold one or two digests, and a
+    1-tuple costs a fraction of a set).  Only populated prefixes have a
+    bucket: removing the last digest deletes the key.
     """
 
     descriptor: ListDescriptor
     prefix_bits: int = DEFAULT_PREFIX_BITS
     shard_count: int = DEFAULT_SHARD_COUNT
     index_backend: str = "sorted-array"
-    _full_hashes: dict[Prefix, set[FullHash]] = field(default_factory=lambda: defaultdict(set))
+    _full_hashes: dict[Prefix, tuple[FullHash, ...]] = field(default_factory=dict)
     _orphans: set[Prefix] = field(default_factory=set)
     _expressions: dict[str, FullHash] = field(default_factory=dict)
     _add_chunks: list[Chunk] = field(default_factory=list)
@@ -114,6 +119,18 @@ class ListDatabase:
         if self._storage is not None:
             self._storage.record(self.descriptor.name, op)
 
+    def _add_to_bucket(self, prefix: Prefix, full_hash: FullHash) -> bool:
+        """Insert ``full_hash`` into its digest-sorted bucket.
+
+        Returns False (and changes nothing) when the bucket already holds it.
+        """
+        bucket = self._full_hashes.get(prefix, ())
+        if full_hash in bucket:
+            return False
+        self._full_hashes[prefix] = tuple(
+            sorted((*bucket, full_hash), key=attrgetter("digest")))
+        return True
+
     # -- content management ---------------------------------------------------
 
     def add_expression(self, expression: str) -> Prefix:
@@ -128,8 +145,7 @@ class ListDatabase:
         if expression not in self._expressions:
             self._expressions[expression] = full_hash
             self._record(OP_EXPR_ADD, expression)
-        if full_hash not in self._full_hashes[prefix]:
-            self._full_hashes[prefix].add(full_hash)
+        if self._add_to_bucket(prefix, full_hash):
             self._pending_additions.append(prefix)
             self._prefix_index.add(prefix)
             self.version += 1
@@ -147,8 +163,7 @@ class ListDatabase:
     def add_full_hash(self, full_hash: FullHash) -> Prefix:
         """Blacklist a full digest directly (no known cleartext expression)."""
         prefix = full_hash.prefix(self.prefix_bits)
-        if full_hash not in self._full_hashes[prefix]:
-            self._full_hashes[prefix].add(full_hash)
+        if self._add_to_bucket(prefix, full_hash):
             self._pending_additions.append(prefix)
             self._prefix_index.add(prefix)
             self.version += 1
@@ -170,7 +185,7 @@ class ListDatabase:
             raise ProtocolError(
                 f"list {self.descriptor.name} stores {self.prefix_bits}-bit prefixes"
             )
-        if prefix not in self._full_hashes or not self._full_hashes[prefix]:
+        if prefix not in self._full_hashes:
             if prefix not in self._orphans:
                 self._orphans.add(prefix)
                 self._pending_additions.append(prefix)
@@ -187,12 +202,14 @@ class ListDatabase:
         else:
             self._record(OP_EXPR_REMOVE, expression)
         prefix = full_hash.prefix(self.prefix_bits)
-        bucket = self._full_hashes.get(prefix)
-        if bucket and full_hash in bucket:
-            bucket.remove(full_hash)
+        bucket = self._full_hashes.get(prefix, ())
+        if full_hash in bucket:
+            remaining = tuple(entry for entry in bucket if entry != full_hash)
             self.version += 1
             self._record(OP_HASH_REMOVE, full_hash.digest)
-            if not bucket:
+            if remaining:
+                self._full_hashes[prefix] = remaining
+            else:
                 del self._full_hashes[prefix]
                 self._pending_removals.append(prefix)
                 self._record(OP_PENDING_ADD, PENDING_REMOVAL, prefix.value)
@@ -207,7 +224,7 @@ class ListDatabase:
             self.version += 1
             self._record(OP_ORPHAN_REMOVE, prefix.value)
             self._record(OP_PENDING_ADD, PENDING_REMOVAL, prefix.value)
-            if not self._full_hashes.get(prefix):
+            if prefix not in self._full_hashes:
                 self._prefix_index.discard(prefix)
 
     # -- chunk management -----------------------------------------------------
@@ -272,11 +289,8 @@ class ListDatabase:
     # -- queries --------------------------------------------------------------
 
     def full_hashes_for(self, prefix: Prefix) -> tuple[FullHash, ...]:
-        """Full digests stored under ``prefix`` (empty for orphans)."""
-        bucket = self._full_hashes.get(prefix)
-        if not bucket:
-            return ()
-        return tuple(sorted(bucket, key=lambda fh: fh.digest))
+        """Full digests stored under ``prefix``, digest-sorted (empty for orphans)."""
+        return self._full_hashes.get(prefix, ())
 
     def full_hashes_matching(self, prefix: Prefix) -> tuple[FullHash, ...]:
         """Full digests whose own prefix is compatible with ``prefix``.
@@ -326,14 +340,16 @@ class ListDatabase:
                 matches[prefix] = ()  # placeholder, filled below
                 wide.append(prefix)
         if wide:
+            # Buckets of a sorted view range are disjoint and each digest
+            # starts with its bucket's prefix, so concatenating them in view
+            # order is already digest-sorted.
             view = self._populated_values()
+            buckets = self._full_hashes
+            bits = self.prefix_bits
             for prefix, (low, high) in zip(wide, self._wide_ranges(wide)):
-                matched: set[FullHash] = set()
-                for value in view[low:high]:
-                    matched.update(
-                        self._full_hashes[Prefix(value, self.prefix_bits)])
                 matches[prefix] = tuple(
-                    sorted(matched, key=lambda fh: fh.digest))
+                    full_hash for value in view[low:high]
+                    for full_hash in buckets[Prefix(value, bits)])
         return matches
 
     def _wide_ranges(self, prefixes: Sequence[Prefix]) -> list[tuple[int, int]]:
@@ -381,9 +397,7 @@ class ListDatabase:
         """Sorted byte values of the populated buckets (wide-query view)."""
         if self._wide_view_version != self.version:
             self._wide_view = sorted(
-                stored.value for stored, bucket in self._full_hashes.items()
-                if bucket
-            )
+                stored.value for stored in self._full_hashes)
             self._wide_view_version = self.version
             self._wide_np = None  # companion array rebuilt on demand
         return self._wide_view
@@ -400,8 +414,8 @@ class ListDatabase:
 
     def prefixes(self) -> PrefixSet:
         """Every prefix in the list (including orphans)."""
-        populated = {prefix for prefix, bucket in self._full_hashes.items() if bucket}
-        return PrefixSet(populated | self._orphans, bits=self.prefix_bits)
+        return PrefixSet(self._full_hashes.keys() | self._orphans,
+                         bits=self.prefix_bits)
 
     def orphan_prefixes(self) -> PrefixSet:
         """Prefixes with no corresponding full digest."""
@@ -434,8 +448,7 @@ class ListDatabase:
 
     def prefix_count(self) -> int:
         """Number of prefixes in the list (the paper's Table 1/3 metric)."""
-        populated = sum(1 for bucket in self._full_hashes.values() if bucket)
-        return populated + len(self._orphans)
+        return len(self._full_hashes) + len(self._orphans)
 
     def full_hash_count(self) -> int:
         """Number of full digests in the list."""

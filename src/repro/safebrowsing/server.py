@@ -126,7 +126,6 @@ class _CachedResponse:
 
     matches_by_prefix: dict[Prefix, tuple[FullHashMatch, ...]]
     expires_at: float
-    database_version: int
 
 
 class ServerCore:
@@ -139,8 +138,9 @@ class ServerCore:
     response_cache_seconds:
         TTL of the full-hash response cache; ``0`` disables caching.
     response_cache_entries:
-        Upper bound on cached batches; inserts past it first purge dead
-        (expired or version-stale) entries, then evict oldest-first.
+        Upper bound on cached batches; inserts past it first purge expired
+        entries, then evict oldest-first.  A database mutation empties the
+        cache on the next full-hash request.
     max_log_entries:
         Upper bound on the request log (``None`` = unbounded).  When the
         bound is hit the oldest entries rotate out and
@@ -184,6 +184,8 @@ class ServerCore:
         self.stats = ServerStats()
         self._request_log: deque[RequestLogEntry] = deque()
         self._response_cache: dict[tuple[Prefix, ...], _CachedResponse] = {}
+        # The database version every cached entry was computed against.
+        self._response_cache_version = self.database.version
         self._log_observers: list[Callable[[RequestLogEntry], None]] = []
         self.set_metrics(metrics)
 
@@ -336,7 +338,9 @@ class ServerCore:
 
         A cached entry is valid only while its TTL holds *and* the database
         has not been mutated since it was computed, so caching can never
-        change an answer — only skip recomputing it.
+        change an answer — only skip recomputing it.  Once the database
+        version moves every entry is dead, so the whole cache is dropped
+        then rather than left to be pruned entry by entry.
 
         The key is the *sorted* unique prefixes, so two batches carrying the
         same prefixes in different orders share one entry: the cached value
@@ -346,9 +350,12 @@ class ServerCore:
         key = tuple(sorted(set(prefixes), key=lambda p: (p.bits, p.value)))
         ttl = self.response_cache_seconds
         if ttl > 0:
+            version = self.database.version
+            if version != self._response_cache_version:
+                self._response_cache.clear()
+                self._response_cache_version = version
             entry = self._response_cache.get(key)
-            if (entry is not None and entry.expires_at > now
-                    and entry.database_version == self.database.version):
+            if entry is not None and entry.expires_at > now:
                 self.stats.response_cache_hits += 1
                 self._m_cache_hits.inc()
                 return entry.matches_by_prefix
@@ -382,21 +389,18 @@ class ServerCore:
             self._response_cache[key] = _CachedResponse(
                 matches_by_prefix=matches_by_prefix,
                 expires_at=now + ttl,
-                database_version=self.database.version,
             )
         return matches_by_prefix
 
     def _prune_response_cache(self, now: float) -> None:
-        """Purge dead entries; evict oldest-first if the cache is still full.
+        """Purge expired entries; evict oldest-first if the cache is still full.
 
         Called before an insert would exceed the bound, so the cache never
         grows past ``response_cache_entries`` no matter how diverse the
         traffic is.
         """
-        version = self.database.version
         cache = self._response_cache
-        dead = [key for key, entry in cache.items()
-                if entry.expires_at <= now or entry.database_version != version]
+        dead = [key for key, entry in cache.items() if entry.expires_at <= now]
         for key in dead:
             del cache[key]
         overflow = len(cache) - self.response_cache_entries + 1

@@ -127,8 +127,6 @@ CREATE TABLE IF NOT EXISTS full_hashes (
     digest    BLOB NOT NULL,
     PRIMARY KEY (list_name, digest)
 ) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS full_hashes_by_prefix
-    ON full_hashes (list_name, prefix);
 CREATE TABLE IF NOT EXISTS orphans (
     list_name TEXT NOT NULL,
     prefix    BLOB NOT NULL,
@@ -670,8 +668,7 @@ def dump_database_to_sqlite(database: "ServerDatabase",
                 storage.record(name, (OP_EXPR_ADD, expression))
             for prefix in sorted(list_db._full_hashes,
                                  key=lambda p: p.value):
-                for full_hash in sorted(list_db._full_hashes[prefix],
-                                        key=lambda fh: fh.digest):
+                for full_hash in list_db._full_hashes[prefix]:
                     storage.record(name, (OP_HASH_ADD, prefix.value,
                                           full_hash.digest))
             for prefix in sorted(list_db._orphans, key=lambda p: p.value):
@@ -700,8 +697,8 @@ def sqlite_storage_summary(path: str | Path) -> tuple[dict, list[dict]]:
     dict per stored list — ``name``, ``version``, ``prefixes`` (distinct
     populated buckets + orphans, matching
     :meth:`ListDatabase.prefix_count`), and ``full_hashes``.  All counting
-    runs as SQL aggregates; inspecting a paper-scale file costs index
-    scans, not a restore.
+    runs as SQL aggregates; inspecting a paper-scale file costs one scan
+    of each list's primary-key range, not a restore.
     """
     storage = SQLiteServerStorage(path, readonly=True)
     try:
@@ -755,18 +752,17 @@ def materialize_list_database(
     seen = set()
     for full_hash in known.values():
         seen.add(full_hash.digest)
-        list_db._full_hashes[full_hash.prefix(bits)].add(full_hash)
+        list_db._add_to_bucket(full_hash.prefix(bits), full_hash)
     for digest in digests:
         if digest not in seen:
             full_hash = FullHash(digest)
-            list_db._full_hashes[full_hash.prefix(bits)].add(full_hash)
+            list_db._add_to_bucket(full_hash.prefix(bits), full_hash)
     list_db._orphans = set(orphans)
     list_db._add_chunks = list(add_chunks)
     list_db._sub_chunks = list(sub_chunks)
     list_db._pending_additions = list(pending_additions)
     list_db._pending_removals = list(pending_removals)
-    populated = {prefix for prefix, bucket in list_db._full_hashes.items()
-                 if bucket}
-    list_db._prefix_index.update(populated | list_db._orphans)
+    list_db._prefix_index.update(
+        list_db._full_hashes.keys() | list_db._orphans)
     list_db.version = version
     return list_db

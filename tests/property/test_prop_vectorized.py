@@ -4,7 +4,8 @@ The generic store sweep in ``test_prop_stores.py`` already covers the
 registry-constructed path for every registered backend; this module pins the
 paths only the vectorized backends have — the zero-copy ``from_buffer``
 restore (all three materialize modes) with an overlay of post-restore adds
-and tombstones, and the batched ``contains_many`` bitmask at several widths.
+and tombstones, the batched ``contains_many`` bitmask at several widths, and
+the sorted-merge bulk ``update``/``discard_many`` over chunk sequences.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ pytest.importorskip("numpy")
 
 from repro.datastructures.sorted_array import SortedArrayPrefixStore
 from repro.datastructures.vectorized import NumpyMmapStore, NumpyPrefixStore
-from repro.hashing.prefix import Prefix
+from repro.hashing.prefix import Prefix, PrefixRun
 
 WIDTHS = (8, 24, 32, 64)
 
@@ -87,3 +88,56 @@ class TestInMemoryEquivalence:
         assert store.contains_many(probe_prefixes) == \
             reference.contains_many(probe_prefixes)
         assert list(store) == list(reference)
+
+
+#: Widths for the bulk-merge sweep: native integer dtypes plus the S{width}
+#: path at 24 and 256 bits.
+MERGE_WIDTHS = (8, 24, 32, 64, 256)
+
+
+@st.composite
+def chunk_sequence(draw, bits: int):
+    """A baseline and a sequence of add/sub chunks against it.
+
+    Chunk values are drawn from the baseline and a small pool as often as
+    from the whole range, so chunks carry internal duplicates, values the
+    store already holds and values a later chunk removes; low-zero-byte
+    values exercise the NUL-stripping of the ``S`` dtype.
+    """
+    fresh = st.one_of(_values(bits), _values(bits - 8).map(lambda v: v << 8))
+    pool = draw(st.lists(fresh, min_size=1, max_size=12))
+    baseline = draw(st.lists(fresh, max_size=30))
+    value = st.one_of(fresh, st.sampled_from(pool),
+                      st.sampled_from(baseline) if baseline else fresh)
+    chunks = draw(st.lists(
+        st.tuples(st.sampled_from(("add", "sub")),
+                  st.lists(value, max_size=15), st.booleans()),
+        min_size=1, max_size=8))
+    return baseline, chunks
+
+
+class TestBulkMergeEquivalence:
+    @pytest.mark.parametrize("bits", MERGE_WIDTHS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_chunk_sequence_matches_sorted_array(self, bits, data):
+        baseline, chunks = data.draw(chunk_sequence(bits))
+        store = NumpyPrefixStore(
+            (Prefix.from_int(value, bits) for value in baseline), bits)
+        reference = SortedArrayPrefixStore(
+            (Prefix.from_int(value, bits) for value in baseline), bits)
+        for kind, values, as_run in chunks:
+            prefixes = [Prefix.from_int(value, bits) for value in values]
+            # Server chunks arrive as packed runs; other callers pass lists.
+            operand = PrefixRun(prefixes, bits) if as_run else prefixes
+            if kind == "add":
+                store.update(operand)
+                reference.update(prefixes)
+            else:
+                store.discard_many(operand)
+                reference.discard_many(prefixes)
+            assert list(store) == list(reference)
+        probes = [Prefix.from_int(value, bits)
+                  for value in (*baseline, *(v for _, vs, _ in chunks
+                                             for v in vs))]
+        assert store.contains_many(probes) == reference.contains_many(probes)

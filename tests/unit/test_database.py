@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import itertools
+import tracemalloc
+
 import pytest
 
 from repro.exceptions import ListNotFoundError, ProtocolError
@@ -82,6 +86,82 @@ class TestListDatabase:
         prefixes = database.prefixes()
         assert len(prefixes) == 2
         assert url_prefix("a.example.com/") in prefixes
+
+
+class TestBuckets:
+    """Buckets are digest-sorted tuples and only populated prefixes have one."""
+
+    @staticmethod
+    def _colliding(prefix: Prefix, count: int) -> list[FullHash]:
+        """Distinct digests that all truncate to ``prefix``."""
+        return [FullHash(prefix.value + bytes([tail]) * 28)
+                for tail in range(count)]
+
+    def test_full_hashes_for_is_digest_sorted_in_any_order(self):
+        prefix = url_prefix("evil.example.com/")
+        expression_hash = FullHash.of("evil.example.com/")
+        colliding = self._colliding(prefix, 3)
+        for order in itertools.permutations(range(4)):
+            database = ListDatabase(
+                get_list("goog-malware-shavar", ListProvider.GOOGLE))
+            for position in order:
+                if position == 3:
+                    database.add_expression("evil.example.com/")
+                else:
+                    database.add_full_hash(colliding[position])
+            stored = database.full_hashes_for(prefix)
+            assert stored == tuple(sorted(
+                (*colliding, expression_hash), key=lambda fh: fh.digest))
+            database.remove_expression("evil.example.com/")
+            assert database.full_hashes_for(prefix) == tuple(colliding)
+            assert database.full_hash_count() == 3
+
+    def test_removing_last_digest_drops_the_bucket(self, database: ListDatabase):
+        prefix = database.add_expression("evil.example.com/")
+        database.remove_expression("evil.example.com/")
+        assert prefix not in database._full_hashes
+        assert database.full_hashes_for(prefix) == ()
+        assert not database.contains_prefix(prefix)
+
+    def test_prefix_count_matches_dict_with_orphans(self, database: ListDatabase):
+        def derived() -> int:
+            populated = {prefix for prefix, bucket
+                         in database._full_hashes.items() if bucket}
+            return len(populated | database._orphans)
+
+        orphan = Prefix(b"\x00\x00\x00\x01", 32)
+        steps = [
+            lambda: database.add_expression("evil.example.com/"),
+            lambda: database.add_expression("bad.example.org/x"),
+            lambda: database.add_orphan_prefix(orphan),
+            lambda: database.add_orphan_prefix(url_prefix("evil.example.com/")),
+            lambda: database.add_orphan_prefix(url_prefix("gone.example.net/")),
+            lambda: database.add_expression("gone.example.net/"),
+            lambda: database.remove_expression("bad.example.org/x"),
+            lambda: database.remove_orphan_prefix(orphan),
+        ]
+        for step in steps:
+            step()
+            assert database.prefix_count() == derived()
+            assert database.prefix_count() == len(database.prefixes())
+        assert database.prefix_count() == 2
+
+    def test_memory_per_entry_is_bounded(self):
+        """20k expressions cost at most 360 traced bytes each (set buckets: ~470)."""
+        database = ListDatabase(
+            get_list("goog-malware-shavar", ListProvider.GOOGLE))
+        expressions = [f"host{i}.example.com/path/{i}" for i in range(20_000)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for expression in expressions:
+                database.add_expression(expression)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert database.prefix_count() == len(expressions)
+        assert (after - before) / len(expressions) <= 360
 
 
 class TestBatchedFullHashMatching:

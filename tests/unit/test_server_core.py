@@ -124,6 +124,35 @@ class TestResponseCache:
         assert server.stats.response_cache_hits == 1
         assert [match.prefix for match in response.matches] == [p2, p1]
 
+    def test_scripted_counters_across_a_commit(self):
+        """A version move drops every entry; hit/miss counting is unchanged."""
+        server = make_server()
+        a = request_for("evil.example.com/")
+        b = request_for("bad.example.org/x")
+        c = request_for("evil.example.com/", "bad.example.org/x")
+        script = [(a, "miss"), (a, "hit"), (b, "miss"), (c, "miss"),
+                  (b, "hit"), "commit", (a, "miss"), (b, "miss"), (a, "hit"),
+                  "commit-nothing", (b, "hit")]
+        for step in script:
+            if step == "commit":
+                server.blacklist("goog-malware-shavar", ["new.example.net/"])
+                server.database.commit()
+                continue
+            if step == "commit-nothing":
+                server.database.commit()
+                continue
+            request, outcome = step
+            hits = server.stats.response_cache_hits
+            misses = server.stats.response_cache_misses
+            server.handle_full_hash(request)
+            assert (server.stats.response_cache_hits - hits,
+                    server.stats.response_cache_misses - misses) == \
+                ((1, 0) if outcome == "hit" else (0, 1))
+        assert server.stats.response_cache_hits == 4
+        assert server.stats.response_cache_misses == 5
+        # The pre-commit entries (c included) are gone, not waiting for pruning.
+        assert len(server._response_cache) == 2
+
     def test_duplicate_prefixes_expand_in_request_order(self):
         server = make_server()
         prefix = url_prefix("evil.example.com/")

@@ -25,6 +25,7 @@ from repro.datastructures.vectorized import (
     NUMPY_AVAILABLE,
     NumpyMmapStore,
     NumpyPrefixStore,
+    _BucketIndex,
 )
 from repro.exceptions import DataStructureError
 from repro.hashing.prefix import Prefix
@@ -119,6 +120,30 @@ class TestNumpyPrefixStore:
 
     def test_memory_bytes_matches_raw_layout(self):
         assert NumpyPrefixStore(_prefixes([1, 2, 3])).memory_bytes() == 12
+
+
+@needs_numpy
+class TestBucketIndexBuild:
+    """The bincount construction equals a binary search per bucket start."""
+
+    @pytest.mark.parametrize("bits", [16, 32, 64])
+    def test_offsets_match_searchsorted_construction(self, bits):
+        import numpy as np
+
+        rng = np.random.default_rng(bits)
+        dtype = np.dtype(f"u{bits // 8}")
+        values = np.unique(rng.integers(0, 1 << bits, size=6000,
+                                        dtype=np.uint64).astype(dtype))
+        assert values.size >= 4096
+        index = _BucketIndex.build(values, bits)
+        assert index is not None
+        top = (index._offsets.size - 1).bit_length() - 1
+        starts = np.arange(1 << top, dtype=np.uint64) << (bits - top)
+        expected = np.append(np.searchsorted(values, starts.astype(dtype)),
+                             values.size)
+        assert np.array_equal(index._offsets, expected)
+        probes = np.concatenate([values[::7], values[::11] + dtype.type(1)])
+        assert np.array_equal(index.hits(probes), np.isin(probes, values))
 
 
 @needs_numpy
