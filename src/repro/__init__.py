@@ -88,8 +88,6 @@ from repro.analysis import (
     BallsIntoBinsModel,
     BlacklistAuditor,
     CollisionType,
-    DummyQueryClient,
-    OnePrefixAtATimeClient,
     PrefixInvertedIndex,
     ReidentificationEngine,
     TemporalCorrelator,
@@ -116,7 +114,6 @@ __all__ = [
     "DataStructureError",
     "DecompositionError",
     "DeltaCodedPrefixStore",
-    "DummyQueryClient",
     "ExperimentError",
     "FullHash",
     "GOOGLE_LISTS",
@@ -124,7 +121,6 @@ __all__ = [
     "ListNotFoundError",
     "ListProvider",
     "ManualClock",
-    "OnePrefixAtATimeClient",
     "ParsedURL",
     "Prefix",
     "PrefixError",

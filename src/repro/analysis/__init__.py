@@ -22,8 +22,9 @@ This package quantifies what a Safe Browsing provider can learn from the
   time (the CFP-then-submission example);
 * :mod:`repro.analysis.audit` — blacklist auditing: orphan prefixes,
   dictionary inversion, multi-prefix URLs (Section 7, Tables 10-12);
-* :mod:`repro.analysis.mitigations` — the countermeasures discussed in
-  Section 8 (dummy queries, one-prefix-at-a-time).
+* :mod:`repro.analysis.mitigations` — scoring of the countermeasures
+  discussed in Section 8 (dummy queries, one-prefix-at-a-time), which are
+  installed as client privacy policies (:mod:`repro.safebrowsing.privacy`).
 """
 
 from repro.analysis.ballsbins import (
@@ -63,8 +64,6 @@ from repro.analysis.audit import (
     OrphanReport,
 )
 from repro.analysis.mitigations import (
-    DummyQueryClient,
-    OnePrefixAtATimeClient,
     MitigationComparison,
     compare_mitigations,
 )
@@ -77,11 +76,9 @@ __all__ = [
     "CollisionType",
     "CorrelatedVisit",
     "DOMAIN_COUNT_HISTORY",
-    "DummyQueryClient",
     "InversionReport",
     "MitigationComparison",
     "MultiPrefixReport",
-    "OnePrefixAtATimeClient",
     "OrphanReport",
     "PrefixInvertedIndex",
     "ReidentificationEngine",

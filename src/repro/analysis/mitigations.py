@@ -1,29 +1,19 @@
-"""Deprecation shims and scoring for the Section 8 countermeasures.
+"""Scoring for the Section 8 countermeasures.
 
 The mitigations themselves — dummy queries, one-prefix-at-a-time, prefix
 widening, query mixing — live in the first-class policy layer
-(:mod:`repro.safebrowsing.privacy`, PR 4), installed directly on
-:class:`SafeBrowsingClient` so *both* lookup paths (scalar ``lookup`` and
-batched ``check_urls``) are defended.  This module keeps two things:
-
-* **Deprecation shims** — :class:`DummyQueryClient` and
-  :class:`OnePrefixAtATimeClient` preserve the historical wrapper API
-  (same constructors, same ``lookup`` surface) by installing the
-  corresponding policy on the wrapped client.  Unlike the wrappers they
-  replaced, the installed policy also covers ``check_urls``, which the
-  wrapper era silently let bypass the mitigation.  The Section 8
-  re-identification numbers were pinned across the port by a regression
-  test (``tests/unit/test_mitigations.py``); new code should pass
-  ``privacy_policy="dummy"`` / ``"one-prefix"`` (or a policy instance) to
-  :class:`SafeBrowsingClient` directly.
-* **Scoring** — :func:`compare_mitigations` turns two lookup traces
-  (baseline vs. mitigated) into a :class:`MitigationComparison` of
-  re-identification rates, using the same
-  :class:`~repro.analysis.reidentification.ReidentificationEngine` that
-  attacks the unprotected client.  The harness that drives it is
-  :mod:`repro.experiments.mitigation_comparison`; the fleet-scale
-  arms race (:mod:`repro.experiments.armsrace`) supersedes it for the
-  full policy × adversary sweep.
+(:mod:`repro.safebrowsing.privacy`), installed directly on
+:class:`~repro.safebrowsing.client.SafeBrowsingClient` with
+``privacy_policy=`` so *both* lookup paths (scalar ``lookup`` and batched
+``check_urls``) are defended.  This module scores them:
+:func:`compare_mitigations` turns two lookup traces (baseline vs.
+mitigated) into a :class:`MitigationComparison` of re-identification
+rates, using the same
+:class:`~repro.analysis.reidentification.ReidentificationEngine` that
+attacks the unprotected client.  The harness that drives it is
+:mod:`repro.experiments.mitigation_comparison`; the fleet-scale arms race
+(:mod:`repro.experiments.armsrace`) supersedes it for the full policy ×
+adversary sweep.
 """
 
 from __future__ import annotations
@@ -32,70 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.analysis.reidentification import ReidentificationEngine
-from repro.exceptions import AnalysisError
-from repro.hashing.prefix import Prefix
-from repro.safebrowsing.client import SafeBrowsingClient
-from repro.safebrowsing.privacy import DummyQueryPolicy, OnePrefixAtATimePolicy
 from repro.safebrowsing.protocol import LookupResult
-
-
-# ---------------------------------------------------------------------------
-# deprecation shims over the policy layer
-# ---------------------------------------------------------------------------
-
-
-class DummyQueryClient:
-    """Deprecated shim: install a :class:`DummyQueryPolicy` on a client.
-
-    Kept for the historical wrapper API.  Unlike the wrapper it replaces,
-    the installed policy also covers the batched ``check_urls`` path — the
-    wrapper silently let batches bypass the mitigation.  New code should
-    pass ``privacy_policy="dummy"`` (or a policy instance) to
-    :class:`SafeBrowsingClient` directly.
-    """
-
-    def __init__(self, client: SafeBrowsingClient, *, dummies_per_query: int = 4) -> None:
-        """Install a dummy-query policy (``dummies_per_query`` per prefix)
-        on ``client`` and keep the historical wrapper surface."""
-        if dummies_per_query < 0:
-            raise AnalysisError("dummies_per_query must be non-negative")
-        self.client = client
-        self.dummies_per_query = dummies_per_query
-        self.policy = DummyQueryPolicy(dummies_per_query=dummies_per_query)
-        client.privacy_policy = self.policy
-
-    def dummy_prefixes(self, prefix: Prefix) -> list[Prefix]:
-        """The deterministic dummies attached to one real prefix."""
-        return self.policy.dummy_prefixes(prefix)
-
-    def lookup(self, url: str) -> LookupResult:
-        """Check a URL, padding any real request with dummies."""
-        return self.client.lookup(url)
-
-
-class OnePrefixAtATimeClient:
-    """Deprecated shim: install a :class:`OnePrefixAtATimePolicy` on a client.
-
-    Kept for the historical wrapper API; the installed policy also covers
-    the batched ``check_urls`` path, which the wrapper it replaces silently
-    let through undefended.  New code should pass
-    ``privacy_policy="one-prefix"`` to :class:`SafeBrowsingClient` directly.
-    """
-
-    def __init__(self, client: SafeBrowsingClient) -> None:
-        """Install a one-prefix-at-a-time policy on ``client``."""
-        self.client = client
-        self.policy = OnePrefixAtATimePolicy()
-        client.privacy_policy = self.policy
-
-    def lookup(self, url: str) -> LookupResult:
-        """Check a URL revealing as few prefixes as possible."""
-        return self.client.lookup(url)
-
-
-# ---------------------------------------------------------------------------
-# comparison harness
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)

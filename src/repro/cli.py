@@ -34,10 +34,10 @@ often, without writing Python:
     Prometheus metrics on ``/metrics``.  ``repro fleet --transport http``
     drives the same service co-hosted in a background thread.
 ``python -m repro snapshot save|load PATH``
-    Persist a provisioned server database to the versioned snapshot format
-    (``save --storage sqlite`` writes a SQLite database instead), or verify
-    and summarize an existing snapshot of either container; ``load
-    --summary`` adds per-list versions and full-hash counts.
+    Persist a provisioned server database to a SQLite file, or verify and
+    summarize an existing snapshot (a SQLite server file or a client
+    snapshot); ``load --summary`` adds per-list versions and full-hash
+    counts.
 ``python -m repro metrics [--format prometheus|json]``
     Run a small fully-instrumented fleet and print its metrics registry in
     Prometheus text exposition format (or JSON) — the quickest way to see
@@ -130,7 +130,7 @@ _FLEET_PROFILES = ("desktop", "global-mix", "mobile", "regional", "uniform")
 #: process-parallel tiers (~10^5/10^6 clients) — pair them with --workers.
 _FLEET_SCALES = ("small", "medium", "large", "xlarge")
 
-#: Server storage backends offered by ``repro fleet`` / ``repro ingest``.
+#: Server storage backends offered by ``repro fleet`` / ``ingest`` / ``serve``.
 #: Mirrors ``repro.safebrowsing.storage.STORAGE_KINDS`` (kept in sync by a
 #: unit test) for the same lazy-import reason as the tuples above.
 _SERVER_STORAGE_KINDS = ("memory", "sqlite")
@@ -345,21 +345,18 @@ def build_parser() -> argparse.ArgumentParser:
     snapshot_commands = snapshot.add_subparsers(dest="snapshot_command",
                                                 required=True)
     snapshot_save = snapshot_commands.add_parser(
-        "save", help="provision a server at scale and snapshot its database")
-    snapshot_save.add_argument("path", help="file to write the snapshot to")
+        "save", help="provision a server at scale and save its database "
+                     "as a SQLite file")
+    snapshot_save.add_argument("path", help="SQLite file to write")
     snapshot_save.add_argument("--provider", choices=["google", "yandex"],
                                default="google",
                                help="whose lists to provision (default google)")
     snapshot_save.add_argument("--scale", choices=["small", "medium"],
                                default="small",
                                help="workload size (default small)")
-    snapshot_save.add_argument("--storage", choices=["binary", "sqlite"],
-                               default="binary",
-                               help="snapshot container: the versioned "
-                                    "binary format or a SQLite database "
-                                    "(default binary)")
     snapshot_load = snapshot_commands.add_parser(
-        "load", help="verify a snapshot (checksum, version) and summarize it")
+        "load", help="verify a snapshot (version; checksum for client "
+                     "snapshots) and summarize it")
     snapshot_load.add_argument("path", help="snapshot file to inspect")
     snapshot_load.add_argument("--summary", action="store_true",
                                help="print a per-list table: version, "
@@ -660,7 +657,7 @@ def _command_snapshot(args: argparse.Namespace) -> int:
                     else ListProvider.YANDEX)
         scale = SMALL if args.scale == "small" else MEDIUM
         server = get_context(scale).provision_server(provider)
-        path = save_server_snapshot(server, args.path, kind=args.storage)
+        path = save_server_snapshot(server, args.path)
         info = inspect_snapshot(path)
         print(f"wrote {path} ({info.payload_bytes} payload bytes, "
               f"{info.container} container)")
@@ -672,7 +669,9 @@ def _command_snapshot(args: argparse.Namespace) -> int:
     print(f"kind            : {info.kind}")
     print(f"container       : {info.container}")
     print(f"format version  : {info.format_version}")
-    print(f"checksum        : OK")
+    if info.kind == "client":
+        # Only the client format carries a checksum, verified by inspect.
+        print("checksum        : OK")
     print(f"prefix bits     : {info.prefix_bits}")
     print(f"backend         : {info.backend}")
     if info.kind == "server":

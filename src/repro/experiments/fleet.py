@@ -237,9 +237,9 @@ class FleetConfig:
         Durable storage backend of the server database — a name from
         :data:`repro.safebrowsing.storage.STORAGE_KINDS`.  ``"memory"``
         (default) keeps the dict-only state; ``"sqlite"`` journals every
-        list mutation to a SQLite database, which the process-parallel
-        engine hands to workers as a read-only attach instead of a
-        restore-everything snapshot.
+        list mutation to a SQLite database.  Either way the
+        process-parallel engine hands workers the server as one SQLite
+        file to attach read-only.
     profile:
         Name of the population profile
         (:data:`repro.experiments.profiles.PROFILE_FACTORIES`) that assigns
@@ -717,17 +717,14 @@ class FleetSimulator:
             raise ExperimentError("snapshot has no blacklisted expressions")
         return urls
 
-    def build_server(self, clock: ManualClock, *,
-                     storage_path=None) -> SafeBrowsingServer:
+    def build_server(self, clock: ManualClock) -> SafeBrowsingServer:
         """A fresh provisioned server on ``clock``.
 
         The context's cached snapshot server keeps its own clock and is
         shared by other experiments, so the fleet provisions its own server
         (via :meth:`ExperimentContext.provision_server`) instead of
         mutating shared state.  The storage backend comes from
-        ``config.server_storage``; ``storage_path`` places the SQLite
-        database at a caller-chosen file (the parallel engine's handoff
-        file) instead of in memory.
+        ``config.server_storage``; a SQLite backend lives in memory.
         """
         config = self.config
         return self._context.provision_server(
@@ -736,7 +733,6 @@ class FleetSimulator:
             response_cache_seconds=config.server_cache_seconds,
             max_log_entries=config.max_log_entries,
             storage=config.server_storage,
-            storage_path=storage_path,
         )
 
     def _build_client(self, server: SafeBrowsingServer, clock: ManualClock,

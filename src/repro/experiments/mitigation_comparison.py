@@ -22,12 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.mitigations import (
-    DummyQueryClient,
-    MitigationComparison,
-    OnePrefixAtATimeClient,
-    compare_mitigations,
-)
+from repro.analysis.mitigations import MitigationComparison, compare_mitigations
 from repro.analysis.reidentification import ReidentificationEngine
 from repro.analysis.tracking import TrackingSystem
 from repro.clock import ManualClock
@@ -35,6 +30,11 @@ from repro.experiments.scale import Scale, SMALL, get_context
 from repro.reporting.tables import Table
 from repro.safebrowsing.client import SafeBrowsingClient
 from repro.safebrowsing.lists import GOOGLE_LISTS
+from repro.safebrowsing.privacy import (
+    DummyQueryPolicy,
+    OnePrefixAtATimePolicy,
+    PrivacyPolicy,
+)
 from repro.safebrowsing.protocol import LookupResult
 from repro.safebrowsing.server import SafeBrowsingServer
 
@@ -91,20 +91,17 @@ def run_mitigation_experiment(scale: Scale = SMALL, *,
     server = _tracked_server(context, targets)
     engine = ReidentificationEngine(context.inverted_index("alexa"))
 
-    def fresh_client(name: str) -> SafeBrowsingClient:
-        client = SafeBrowsingClient(server, name=name, clock=server.clock)
+    def visit(name: str, policy: PrivacyPolicy | None = None
+              ) -> tuple[LookupResult, ...]:
+        client = SafeBrowsingClient(server, name=name, clock=server.clock,
+                                    privacy_policy=policy)
         client.update()
-        return client
+        return tuple(client.lookup(url) for url in targets)
 
-    baseline_client = fresh_client("baseline")
-    baseline = tuple(baseline_client.lookup(url) for url in targets)
-
-    dummy_wrapper = DummyQueryClient(fresh_client("dummy"),
-                                     dummies_per_query=dummies_per_query)
-    dummy = tuple(dummy_wrapper.lookup(url) for url in targets)
-
-    one_prefix_wrapper = OnePrefixAtATimeClient(fresh_client("one-prefix"))
-    one_prefix = tuple(one_prefix_wrapper.lookup(url) for url in targets)
+    baseline = visit("baseline")
+    dummy = visit("dummy",
+                  DummyQueryPolicy(dummies_per_query=dummies_per_query))
+    one_prefix = visit("one-prefix", OnePrefixAtATimePolicy())
 
     return MitigationExperiment(
         targets=tuple(targets),

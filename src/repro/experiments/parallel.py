@@ -9,25 +9,20 @@ client index space against one logical server, and merges the per-shard
 exact :meth:`FleetReport.merge`.
 
 **The server replica handoff.**  The parent process provisions the logical
-server once — blacklists *and* the adversary's Algorithm 1 prefixes — and
-hands it to the workers as a file.  With the default ``memory`` storage
-that file is the PR 5 versioned snapshot
-(:func:`~repro.safebrowsing.snapshot.save_server_snapshot`): a
-serialize-everything write, O(list) however little changed.  With
-``server_storage="sqlite"`` the parent provisions *directly onto* the
-handoff file — every blacklist mutation journals through the durable
-storage layer — and the handoff is one
-:meth:`~repro.safebrowsing.database.ServerDatabase.commit`: a single
-transaction flushing the still-pending journal, O(changed).  Either way
-every worker restores an observationally identical replica
-(:func:`~repro.safebrowsing.snapshot.load_server` sniffs the container:
-SQLite files are attached read-only and materialized, binary snapshots are
-deserialized) onto its own :class:`~repro.clock.ManualClock` and drives
-its shard against it.  Because
-every per-client seed (stream RNG, transport, policy, cookie, profile
-assignment) is keyed by the *global* client index, a shard behaves
+server once — blacklists *and* the adversary's Algorithm 1 prefixes — on
+the storage ``config.server_storage`` names, and hands it to the workers
+as one SQLite file written by
+:func:`~repro.safebrowsing.snapshot.save_server_snapshot` (a memory-backed
+server is exported whole; a SQLite-backed one flushes its journal and
+backs up).  Every worker attaches that file read-only, rebuilds an
+observationally identical in-memory replica
+(:func:`~repro.safebrowsing.snapshot.load_server`) onto its own
+:class:`~repro.clock.ManualClock` and drives its shard against it.
+Because every per-client seed (stream RNG, transport, policy, cookie,
+profile assignment) is keyed by the *global* client index, a shard behaves
 bit-for-bit as it would inside a monolithic run — the property suite pins
-merged shard reports equal to the monolithic run on every counter.
+merged shard reports equal to the monolithic run on every counter, in
+both storage modes.
 
 **What is shard-local.**  Each worker owns a replica, so its response cache
 and request log are shard-local: a monolithic run can serve client B from a
@@ -202,22 +197,12 @@ def run_parallel_fleet(scale: Scale = SMALL,
         # provisioning clock is throwaway: replicas restore onto their own
         # clocks.
         provisioner = FleetSimulator(scale, config, context=context)
-        if config.server_storage == "sqlite":
-            # Provision straight onto the handoff file; the handoff itself
-            # is one commit flushing the journal (O(changed), not O(list)).
-            # Close the parent's connection before any worker forks so no
-            # SQLite file descriptor is shared across processes.
-            snapshot_path = Path(tmp) / "server.sqlite"
-            server = provisioner.build_server(ManualClock(),
-                                              storage_path=snapshot_path)
-            provisioner.provision_adversary(server)
-            server.database.commit()
-            server.database.storage.close()
-        else:
-            snapshot_path = Path(tmp) / "server.snap"
-            server = provisioner.build_server(ManualClock())
-            provisioner.provision_adversary(server)
-            save_server_snapshot(server, snapshot_path)
+        server = provisioner.build_server(ManualClock())
+        provisioner.provision_adversary(server)
+        snapshot_path = save_server_snapshot(server,
+                                             Path(tmp) / "server.sqlite")
+        # No SQLite file descriptor may be shared across the worker forks.
+        server.database.storage.close()
 
         tasks = [_ShardTask(scale=scale, config=config,
                             snapshot_path=str(snapshot_path),

@@ -581,9 +581,8 @@ class ServerDatabase:
     def _adopt_lists(self, lists: dict[str, ListDatabase]) -> None:
         """Replace the (empty) freshly-built lists with materialized ones.
 
-        The restore half of the storage layer: both the SQLite loader and
-        the binary snapshot loader construct the shell database first, then
-        swap in the lists they rebuilt.  The adopted lists take over this
+        The restore half of the storage layer: the SQLite loader constructs
+        the shell database first, then swaps in the lists it rebuilt.  The adopted lists take over this
         database's storage as their journal sink.
         """
         self._lists = lists

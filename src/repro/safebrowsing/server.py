@@ -466,20 +466,6 @@ class ServerCore:
         """Names of the lists this server serves."""
         return self.database.list_names
 
-    # -- persistence -----------------------------------------------------------
-
-    def save_snapshot(self, path: str | Path) -> Path:
-        """Persist the served database to a snapshot file; returns the path.
-
-        Captures the durable content (lists, full-hash buckets, orphans,
-        chunk history, versions) — not the volatile serving state (request
-        log, response cache, counters).  Restore with
-        :func:`repro.safebrowsing.snapshot.load_server`.
-        """
-        from repro.safebrowsing.snapshot import save_server_snapshot
-
-        return save_server_snapshot(self, path)
-
 
 class SafeBrowsingServer(ServerCore):
     """In-memory Safe Browsing provider (Google- or Yandex-shaped).

@@ -4,13 +4,16 @@ The paper's privacy analysis only makes sense because Safe Browsing clients
 keep their prefix database *across sessions* — the deployed clients persist
 the delta-coded table on disk and resync with incremental add/sub chunks
 instead of re-downloading the lists on every start.  This module gives the
-reproduction the same property end to end:
+reproduction the same property end to end, with one format per side:
 
-* a **versioned binary snapshot format** (magic, kind, format version,
-  payload length, SHA-256 checksum) that serializes any client database
-  (every registered store backend, chunk ranges) and any
-  :class:`~repro.safebrowsing.database.ServerDatabase` (full-hash buckets,
-  orphans, expressions, the whole add/sub chunk history, shard layout);
+* **client snapshots** use a **versioned binary format** (magic, kind,
+  format version, payload length, SHA-256 checksum) that serializes any
+  client database (every registered store backend, chunk ranges);
+* **server snapshots** are SQLite storage files
+  (:mod:`repro.safebrowsing.storage`) holding a whole
+  :class:`~repro.safebrowsing.database.ServerDatabase` — full-hash
+  buckets, orphans, expressions, the add/sub chunk history, pending
+  mutations, shard layout;
 * **warm start**: :func:`restore_client_snapshot` reloads a freshly
   constructed :class:`~repro.safebrowsing.client.SafeBrowsingClient` so its
   next update poll fetches only the chunks committed since the snapshot —
@@ -21,16 +24,17 @@ reproduction the same property end to end:
   vectorized subclass
   :class:`~repro.datastructures.vectorized.NumpyMmapStore`);
 * **loud failure**: every unusable snapshot — truncated, checksum mismatch,
-  unknown format version, wrong kind, or written for a different backend /
-  prefix width / list set — raises a typed
-  :class:`~repro.exceptions.SnapshotError` stating what was expected and
-  what was found.  A snapshot is never partially applied: restores stage
-  everything before mutating the target.
+  unknown format version, wrong kind, a malformed or foreign SQLite file,
+  or written for a different backend / prefix width / list set — raises a
+  typed :class:`~repro.exceptions.SnapshotError` stating what was expected
+  and what was found.  A snapshot is never partially applied: restores
+  stage everything before mutating the target.
 
 The fleet simulator builds on this for churn
-(``FleetConfig(churn_fraction=..., restart_interval=...)``), the CLI exposes
-``snapshot save|load``, and ``benchmarks/bench_warm_start.py`` measures the
-update bandwidth a warm start saves over a cold one.
+(``FleetConfig(churn_fraction=..., restart_interval=...)``) and for the
+parallel engine's server handoff, the CLI exposes ``snapshot save|load``,
+and ``benchmarks/bench_warm_start.py`` measures the update bandwidth a warm
+start saves over a cold one.
 """
 
 from __future__ import annotations
@@ -46,17 +50,13 @@ from repro.datastructures.bloom import BloomFilter, BloomPrefixStore
 from repro.datastructures.mmapped import MmapSortedArrayStore
 from repro.datastructures.store import PrefixStore
 from repro.datastructures.vectorized import NumpyMmapStore
-from repro.exceptions import SnapshotError
-from repro.hashing.digests import FullHash
+from repro.exceptions import SnapshotError, StorageError
 from repro.hashing.prefix import PrefixRun
-from repro.safebrowsing.chunks import Chunk, ChunkKind
-from repro.safebrowsing.database import ListDatabase, ServerDatabase
-from repro.safebrowsing.lists import ListDescriptor, ListProvider, ThreatCategory
+from repro.safebrowsing.database import ServerDatabase
 from repro.safebrowsing.storage import (
+    SQLITE_MAGIC,
     dump_database_to_sqlite,
-    is_sqlite_file,
     load_sqlite_server_database,
-    materialize_list_database,
     sqlite_storage_summary,
 )
 
@@ -79,11 +79,12 @@ _ZERO_COPY_BACKENDS = {
 #: Format version this build writes (and the only one it reads).
 FORMAT_VERSION = 1
 
-#: Snapshot kinds (the ``kind`` byte of the header).
+#: Snapshot kind of a client snapshot (the ``kind`` byte of the header).
 KIND_CLIENT = 1
-KIND_SERVER = 2
 
-_KIND_NAMES = {KIND_CLIENT: "client", KIND_SERVER: "server"}
+#: Kind byte of the retired binary server container; such files are
+#: recognized only to be rejected with a pointer to the SQLite format.
+_BINARY_SERVER_KIND = 2
 
 #: ``magic, kind, reserved, format_version, payload_length, sha256(payload)``.
 _HEADER = struct.Struct("<6sBBHQ32s")
@@ -103,11 +104,9 @@ class _Writer:
 
     def __init__(self) -> None:
         self._chunks: list[bytes] = []
-        self._size = 0
 
     def raw(self, data: bytes) -> None:
         self._chunks.append(data)
-        self._size += len(data)
 
     def u8(self, value: int) -> None:
         self.raw(value.to_bytes(1, "little"))
@@ -131,10 +130,6 @@ class _Writer:
 
     def getvalue(self) -> bytes:
         return b"".join(self._chunks)
-
-    @property
-    def size(self) -> int:
-        return self._size
 
 
 class _Reader:
@@ -204,20 +199,26 @@ def _write_file(path: Path, data: bytes) -> None:
         raise SnapshotError(f"cannot write snapshot {path}: {exc}") from exc
 
 
-def _frame(kind: int, payload: bytes) -> bytes:
+def _frame(payload: bytes) -> bytes:
     """Wrap a payload in the versioned, checksummed container."""
     checksum = hashlib.sha256(payload).digest()
-    header = _HEADER.pack(MAGIC, kind, 0, FORMAT_VERSION, len(payload), checksum)
+    header = _HEADER.pack(MAGIC, KIND_CLIENT, 0, FORMAT_VERSION, len(payload),
+                          checksum)
     return header + payload
 
 
-def _read_frame(data: bytes, expected_kind: int, source: str) -> bytes:
-    """Validate the container of ``data`` and return its payload.
+def _read_frame(data: bytes, source: str) -> bytes:
+    """Validate the container of a client snapshot and return its payload.
 
     Checks, in order: magic, format version, declared payload length
     (truncation), checksum, and kind — each failure raises a
     :class:`SnapshotError` naming what was expected and what was found.
     """
+    if data.startswith(SQLITE_MAGIC):
+        raise SnapshotError(
+            f"{source}: expected a client snapshot, found a server one "
+            "(a SQLite storage file)"
+        )
     if len(data) < _HEADER.size:
         raise SnapshotError(
             f"{source}: snapshot truncated — {len(data)} bytes is shorter "
@@ -253,11 +254,10 @@ def _read_frame(data: bytes, expected_kind: int, source: str) -> bytes:
             f"{source}: checksum mismatch — the snapshot payload was "
             "corrupted after it was written"
         )
-    if kind != expected_kind:
-        raise SnapshotError(
-            f"{source}: expected a {_KIND_NAMES.get(expected_kind, '?')} "
-            f"snapshot, found a {_KIND_NAMES.get(kind, f'kind-{kind}')} one"
-        )
+    if kind == _BINARY_SERVER_KIND:
+        raise _retired_server_blob(source)
+    if kind != KIND_CLIENT:
+        raise SnapshotError(f"{source}: unknown snapshot kind {kind}")
     return payload
 
 
@@ -357,7 +357,7 @@ def client_snapshot_bytes(client: "SafeBrowsingClient") -> bytes:
             for number in numbers:
                 writer.u32(number)
         _write_store(writer, state.store, client.config.prefix_bits)
-    return _frame(KIND_CLIENT, writer.getvalue())
+    return _frame(writer.getvalue())
 
 
 def save_client_snapshot(client: "SafeBrowsingClient",
@@ -390,7 +390,7 @@ def restore_client_snapshot(client: "SafeBrowsingClient",
 
     path = Path(path)
     data = _read_file(path)
-    payload = _read_frame(data, KIND_CLIENT, str(path))
+    payload = _read_frame(data, str(path))
     reader = _Reader(payload)
 
     backend = reader.string()
@@ -482,138 +482,47 @@ def restore_client_snapshot(client: "SafeBrowsingClient",
 # ---------------------------------------------------------------------------
 
 
-def _write_run(writer: _Writer, run: PrefixRun) -> None:
-    writer.u32(len(run))
-    writer.raw(run.packed)
+def _retired_server_blob(source: object) -> SnapshotError:
+    """The error for a file in the retired binary server container."""
+    return SnapshotError(
+        f"{source}: this is a binary SBSNAP server snapshot; that container "
+        "is no longer read — server state is stored as SQLite, which "
+        "`snapshot save` writes"
+    )
 
 
-def _read_run(reader: _Reader, bits: int) -> PrefixRun:
-    count = reader.u32()
-    return PrefixRun.from_packed(reader.raw(count * (bits // 8)), bits)
-
-
-def _write_descriptor(writer: _Writer, descriptor: ListDescriptor) -> None:
-    writer.string(descriptor.name)
-    writer.string(descriptor.provider.value)
-    writer.string(descriptor.category.value)
-    writer.string(descriptor.description)
-    writer.u8(0 if descriptor.paper_prefix_count is None else 1)
-    writer.u64(descriptor.paper_prefix_count or 0)
-    writer.string(descriptor.digest_format)
-
-
-def _read_descriptor(reader: _Reader) -> ListDescriptor:
-    name = reader.string()
-    provider_value = reader.string()
-    category_value = reader.string()
-    description = reader.string()
-    has_count = reader.u8()
-    count = reader.u64()
-    digest_format = reader.string()
+def _read_head(path: Path) -> bytes:
+    """The first header-sized bytes of ``path``, enough to tell the kinds
+    apart.  A retired binary server blob raises here, so no caller can
+    mistake it for a client snapshot or a foreign file."""
     try:
-        provider = ListProvider(provider_value)
-        category = ThreatCategory(category_value)
-    except ValueError as exc:
-        raise SnapshotError(f"snapshot names an unknown provider or "
-                            f"category: {exc}") from exc
-    return ListDescriptor(name, provider, category, description,
-                          count if has_count else None, digest_format)
-
-
-def _write_chunk(writer: _Writer, chunk: Chunk) -> None:
-    writer.u32(chunk.number)
-    writer.u32(chunk.referenced_add_chunk or 0)
-    _write_run(writer, chunk.prefixes)
-
-
-def _read_chunk(reader: _Reader, kind: ChunkKind, bits: int) -> Chunk:
-    number = reader.u32()
-    referenced = reader.u32()
-    return Chunk(number=number, kind=kind, prefixes=_read_run(reader, bits),
-                 referenced_add_chunk=referenced or None)
-
-
-def server_snapshot_bytes(database: ServerDatabase) -> bytes:
-    """Serialize a whole :class:`ServerDatabase` to snapshot bytes.
-
-    Everything a provider needs to resume serving is captured: per list the
-    descriptor, the mutation ``version``, the cleartext expressions, the
-    full digests with no known expression, the orphan prefixes, the entire
-    add/sub chunk history, and any pending (uncommitted) mutations — plus
-    the shard count and index backend of the membership indexes, which are
-    rebuilt on load.
-    """
-    bits = database.prefix_bits
-    writer = _Writer()
-    writer.u16(bits)
-    writer.u16(database.shard_count)
-    writer.string(database.index_backend)
-    writer.u32(len(database))
-    for list_db in database:
-        _write_descriptor(writer, list_db.descriptor)
-        writer.u64(list_db.version)
-        expressions = list_db.expressions()
-        writer.u32(len(expressions))
-        expression_digests = set()
-        for expression in expressions:
-            writer.string(expression)
-            expression_digests.add(FullHash.of(expression))
-        extras = sorted(
-            (full_hash.digest
-             for bucket in list_db._full_hashes.values()
-             for full_hash in bucket
-             if full_hash not in expression_digests),
-        )
-        writer.u32(len(extras))
-        writer.raw(b"".join(extras))
-        _write_run(writer, PrefixRun(sorted(list_db._orphans), bits))
-        writer.u32(len(list_db.add_chunks))
-        for chunk in list_db.add_chunks:
-            _write_chunk(writer, chunk)
-        writer.u32(len(list_db.sub_chunks))
-        for chunk in list_db.sub_chunks:
-            _write_chunk(writer, chunk)
-        _write_run(writer, PrefixRun(list_db._pending_additions, bits))
-        _write_run(writer, PrefixRun(list_db._pending_removals, bits))
-    return _frame(KIND_SERVER, writer.getvalue())
+        with open(path, "rb") as handle:
+            head = handle.read(_HEADER.size)
+    except OSError as exc:
+        raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
+    if head.startswith(MAGIC + bytes([_BINARY_SERVER_KIND])):
+        raise _retired_server_blob(path)
+    return head
 
 
 def save_server_snapshot(server: "ServerCore | ServerDatabase",
-                         path: str | Path, *,
-                         kind: str = "auto") -> Path:
-    """Write a server (or bare database) snapshot to ``path``.
+                         path: str | Path) -> Path:
+    """Write a server (or bare database) snapshot to ``path`` as SQLite.
 
-    ``kind`` picks the container:
-
-    * ``"binary"`` — the SBSNAP whole-state blob (the historical format);
-    * ``"sqlite"`` — a SQLite storage file.  For a SQLite-backed database
-      this is the O(changed) path: flush the journal, then reuse (or, for
-      a different target path, ``backup``) the live file — no re-serialize
-      of unchanged state.  A memory-backed database is exported whole via
-      :func:`~repro.safebrowsing.storage.dump_database_to_sqlite`.
-    * ``"auto"`` (default) — ``"sqlite"`` when the database is
-      SQLite-backed, else ``"binary"``; an existing server keeps its
-      workflow either way.
-
-    Both containers restore through the same :func:`load_server` /
-    :func:`load_server_database`, which sniff the file format.
+    For a SQLite-backed database this is the O(changed) path: flush the
+    journal, then reuse (or, for a different target path, ``backup``) the
+    live file — no re-serialize of unchanged state.  A memory-backed
+    database is exported whole via
+    :func:`~repro.safebrowsing.storage.dump_database_to_sqlite`.  Restore
+    with :func:`load_server` / :func:`load_server_database`.
     """
     database = server if isinstance(server, ServerDatabase) else server.database
     path = Path(path)
     storage = database.storage
-    if kind == "auto":
-        kind = "sqlite" if storage.kind == "sqlite" else "binary"
-    if kind == "binary":
-        _write_file(path, server_snapshot_bytes(database))
-        return path
-    if kind != "sqlite":
-        raise SnapshotError(
-            f"unknown server snapshot kind {kind!r}; expected 'auto', "
-            "'binary' or 'sqlite'")
     if storage.kind == "sqlite" and not storage.readonly:
-        # Persist exactly what the binary path captures: the journalled
-        # content including still-pending mutations, without forcing them
-        # into chunks (that is commit()'s job, not save's).
+        # Persist the journalled content including still-pending mutations,
+        # without forcing them into chunks (that is commit()'s job, not
+        # save's).
         storage.flush()
         database._committed_version = database.version
         if storage.path is not None and storage.path.resolve() == path.resolve():
@@ -626,70 +535,32 @@ def load_server_database(path: str | Path, *,
                          shard_count: int | None = None,
                          index_backend: str | None = None,
                          writable: bool = False) -> ServerDatabase:
-    """Rebuild a :class:`ServerDatabase` from the snapshot at ``path``.
+    """Rebuild a :class:`ServerDatabase` from the SQLite file at ``path``.
 
-    The file format is sniffed: a SQLite storage file routes through
+    Loads go through
     :func:`~repro.safebrowsing.storage.load_sqlite_server_database`
     (read-only attach by default; ``writable=True`` keeps the file as the
-    live storage of the result), an SBSNAP blob through the binary parser
-    below.  ``shard_count`` / ``index_backend`` override the recorded
-    membership-index layout (the indexes are rebuilt on load either way,
-    so re-sharding a restored database is free); the restored content —
-    membership, versions, chunk history — is observationally identical to
-    the database that was saved, which the property suite pins across every
-    registered backend, shard count and storage container.
+    live storage of the result).  ``shard_count`` / ``index_backend``
+    override the recorded membership-index layout (the indexes are rebuilt
+    on load either way, so re-sharding a restored database is free); the
+    restored content — membership, versions, chunk history — is
+    observationally identical to the database that was saved, which the
+    property suite pins across every registered backend and shard count.
+    Every unusable file raises :class:`SnapshotError`.
     """
     path = Path(path)
-    if is_sqlite_file(path):
+    head = _read_head(path)
+    if not head.startswith(SQLITE_MAGIC):
+        found = "a client one" if head.startswith(MAGIC) else "no SQLite file"
+        raise SnapshotError(
+            f"{path}: expected a server snapshot (a SQLite storage file), "
+            f"found {found}")
+    try:
         return load_sqlite_server_database(
             path, shard_count=shard_count, index_backend=index_backend,
             writable=writable)
-    if writable:
-        raise SnapshotError(
-            f"{path} is a binary snapshot; only SQLite storage files "
-            "support writable loads (save with kind='sqlite' first)")
-    payload = _read_frame(_read_file(path), KIND_SERVER, str(path))
-    reader = _Reader(payload)
-    bits = reader.u16()
-    snapshot_shards = reader.u16()
-    snapshot_backend = reader.string()
-    shard_count = snapshot_shards if shard_count is None else shard_count
-    index_backend = snapshot_backend if index_backend is None else index_backend
-
-    list_count = reader.u32()
-    restored: dict[str, ListDatabase] = {}
-    descriptors: list[ListDescriptor] = []
-    for _ in range(list_count):
-        descriptor = _read_descriptor(reader)
-        version = reader.u64()
-        expressions = [reader.string() for _ in range(reader.u32())]
-        extra_count = reader.u32()
-        extra_raw = reader.raw(extra_count * 32)
-        extras = [extra_raw[index * 32:(index + 1) * 32]
-                  for index in range(extra_count)]
-        orphans = _read_run(reader, bits)
-        add_chunks = [_read_chunk(reader, ChunkKind.ADD, bits)
-                      for _ in range(reader.u32())]
-        sub_chunks = [_read_chunk(reader, ChunkKind.SUB, bits)
-                      for _ in range(reader.u32())]
-        pending_additions = _read_run(reader, bits)
-        pending_removals = _read_run(reader, bits)
-
-        restored[descriptor.name] = materialize_list_database(
-            descriptor, bits, shard_count=shard_count,
-            index_backend=index_backend, version=version,
-            expressions=expressions, digests=extras, orphans=orphans,
-            add_chunks=add_chunks, sub_chunks=sub_chunks,
-            pending_additions=pending_additions,
-            pending_removals=pending_removals,
-        )
-        descriptors.append(descriptor)
-    reader.expect_end()
-
-    database = ServerDatabase(descriptors, bits, shard_count=shard_count,
-                              index_backend=index_backend)
-    database._adopt_lists(restored)
-    return database
+    except StorageError as exc:
+        raise SnapshotError(str(exc)) from exc
 
 
 def load_server(path: str | Path, *, clock: "Clock | None" = None,
@@ -699,9 +570,8 @@ def load_server(path: str | Path, *, clock: "Clock | None" = None,
                 **server_kwargs) -> "SafeBrowsingServer":
     """Build a ready-to-serve :class:`SafeBrowsingServer` from a snapshot.
 
-    Restores the database with :func:`load_server_database` (binary SBSNAP
-    blobs and SQLite storage files both work — the format is sniffed), then
-    wraps it in a fresh server (request log and caches start empty — they
+    Restores the database from the SQLite file with
+    :func:`load_server_database`, then wraps it in a fresh server (request log and caches start empty — they
     are volatile serving state, not durable content).  Extra keyword
     arguments are forwarded to the server constructor (``poll_interval``,
     ``max_log_entries``, ...).
@@ -750,9 +620,10 @@ class SnapshotInfo:
     kind:
         ``"client"`` or ``"server"``.
     container:
-        ``"binary"`` (SBSNAP blob) or ``"sqlite"`` (storage file).
+        ``"binary"`` (SBSNAP client blob) or ``"sqlite"`` (server storage
+        file).
     format_version:
-        The container format version.
+        The client snapshot format version, or the SQLite schema version.
     prefix_bits:
         Width of the stored prefixes.
     backend:
@@ -763,7 +634,7 @@ class SnapshotInfo:
         One :class:`ListSummary` per stored list — name, prefix count,
         and (server snapshots) full-hash count and mutation ``version``.
     payload_bytes:
-        Size of the checksummed payload (binary) or the file (sqlite).
+        Size of the checksummed payload (client) or the file (server).
     """
 
     kind: str
@@ -791,17 +662,20 @@ class SnapshotInfo:
 def inspect_snapshot(path: str | Path) -> SnapshotInfo:
     """Validate the snapshot at ``path`` and summarize its contents.
 
-    Both containers are sniffed and summarized without building any store,
-    membership index or database: a binary snapshot costs one payload pass
-    (full magic/version/truncation/checksum checks included), a SQLite
-    storage file a handful of SQL aggregates.  Server summaries report the
-    per-list mutation ``version`` and full-hash count alongside the prefix
-    count, so ``snapshot load --summary`` can answer "what state is this
-    file?" without a restore.
+    Both kinds are summarized without building any store, membership index
+    or database: a client snapshot costs one payload pass (full
+    magic/version/truncation/checksum checks included), a SQLite server
+    file a handful of SQL aggregates.  Server summaries report the per-list
+    mutation ``version`` and full-hash count alongside the prefix count, so
+    ``snapshot load --summary`` can answer "what state is this file?"
+    without a restore.
     """
     path = Path(path)
-    if is_sqlite_file(path):
-        meta, rows = sqlite_storage_summary(path)
+    if _read_head(path).startswith(SQLITE_MAGIC):
+        try:
+            meta, rows = sqlite_storage_summary(path)
+        except StorageError as exc:
+            raise SnapshotError(str(exc)) from exc
         return SnapshotInfo(
             kind="server",
             format_version=int(meta.get("schema_version", 0)),
@@ -814,67 +688,20 @@ def inspect_snapshot(path: str | Path) -> SnapshotInfo:
             payload_bytes=path.stat().st_size,
             container="sqlite",
         )
-    data = _read_file(path)
-    if len(data) < _HEADER.size:
-        raise SnapshotError(
-            f"{path}: snapshot truncated — {len(data)} bytes is shorter "
-            f"than the {_HEADER.size}-byte header"
-        )
-    kind = _HEADER.unpack_from(data)[1]
-    if kind not in _KIND_NAMES:
-        raise SnapshotError(f"{path}: unknown snapshot kind {kind}")
-    payload = _read_frame(data, kind, str(path))
+    payload = _read_frame(_read_file(path), str(path))
     reader = _Reader(payload)
-    if kind == KIND_CLIENT:
-        backend = reader.string()
-        bits = reader.u16()
-        lists = []
-        for _ in range(reader.u32()):
-            name = reader.string()
-            for _ in range(reader.u32()):
-                reader.u32()
-            for _ in range(reader.u32()):
-                reader.u32()
-            encoding, section, bloom_state = _read_store(reader, bits)
-            count = section.count if section is not None else bloom_state[2]  # type: ignore[index]
-            lists.append(ListSummary(name, count))
-        reader.expect_end()
-        return SnapshotInfo("client", FORMAT_VERSION, bits, backend, 1,
-                            tuple(lists), len(payload))
-
+    backend = reader.string()
     bits = reader.u16()
-    shard_count = reader.u16()
-    index_backend = reader.string()
-    width = bits // 8
     lists = []
     for _ in range(reader.u32()):
-        descriptor = _read_descriptor(reader)
-        version = reader.u64()
-        # Per-list prefix count = distinct populated buckets + orphans,
-        # matching ListDatabase.prefix_count() on a restored database;
-        # full-hash count = expressions + extra digests (the extras section
-        # excludes expression digests by construction).
-        populated = set()
-        expression_count = reader.u32()
-        for _ in range(expression_count):
-            expression = reader.string()
-            populated.add(FullHash.of(expression).digest[:width])
-        extra_count = reader.u32()
-        extra_raw = reader.raw(extra_count * 32)
-        for index in range(extra_count):
-            populated.add(extra_raw[index * 32:index * 32 + width])
-        orphan_count = reader.u32()
-        reader.skip(orphan_count * width)
-        for _ in range(2):  # add chunks, then sub chunks
-            for _ in range(reader.u32()):
-                reader.u32()  # number
-                reader.u32()  # referenced chunk
-                reader.skip(reader.u32() * width)
-        reader.skip(reader.u32() * width)  # pending additions
-        reader.skip(reader.u32() * width)  # pending removals
-        lists.append(ListSummary(descriptor.name,
-                                 len(populated) + orphan_count,
-                                 expression_count + extra_count, version))
+        name = reader.string()
+        for _ in range(reader.u32()):
+            reader.u32()
+        for _ in range(reader.u32()):
+            reader.u32()
+        encoding, section, bloom_state = _read_store(reader, bits)
+        count = section.count if section is not None else bloom_state[2]  # type: ignore[index]
+        lists.append(ListSummary(name, count))
     reader.expect_end()
-    return SnapshotInfo("server", FORMAT_VERSION, bits, index_backend,
-                        shard_count, tuple(lists), len(payload))
+    return SnapshotInfo("client", FORMAT_VERSION, bits, backend, 1,
+                        tuple(lists), len(payload))

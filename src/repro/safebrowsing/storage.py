@@ -1,11 +1,9 @@
 """Durable server storage: the layer under :class:`ServerDatabase`.
 
-Until this module existed, server state lived purely in Python dicts and the
-only persistence was the snapshot-everything binary blob of
-:mod:`repro.safebrowsing.snapshot` — workable at test scale, hopeless at the
-paper's Table 1 scale (hundreds of thousands to millions of prefixes per
-list), where re-serializing the whole state to move it between processes is
-the dominant cost.  This module splits the storage concern out behind a
+Server state lives in Python dicts for lookups; at the paper's Table 1
+scale (hundreds of thousands to millions of prefixes per list)
+re-serializing that whole state on every change would be the dominant
+cost.  This module splits the storage concern out behind a
 :class:`ServerStorage` interface, the way the Safe Browsing DNSBL-generator
 exemplar keeps its blocklists in SQLite while queries keep flowing:
 
@@ -22,15 +20,20 @@ exemplar keeps its blocklists in SQLite while queries keep flowing:
   (:meth:`SQLiteServerStorage.load_database`): buckets, orphans, chunk
   history, pending mutations and per-list versions are read back and the
   membership indexes are reconstructed, optionally under a different shard
-  count or index backend (re-sharding on load is free, exactly as it is for
-  binary snapshots).
+  count or index backend (re-sharding on load is free).
+
+A SQLite file is also the one server snapshot format:
+:func:`~repro.safebrowsing.snapshot.save_server_snapshot` flushes (or, for a
+memory-backed database, :func:`dump_database_to_sqlite` exports) into one,
+and every server load reads one back.
 
 Two backends are registered in :data:`STORAGE_KINDS`:
 
 ``"memory"``
-    :class:`MemoryServerStorage` — the historical behaviour.  Recording is
-    a no-op (the dicts *are* the state); flushing commits nothing.  Servers
-    built this way persist through the binary snapshot path, unchanged.
+    :class:`MemoryServerStorage` — the default.  Recording is a no-op (the
+    dicts *are* the state); flushing commits nothing.  Servers built this
+    way persist by exporting their whole state with
+    :func:`dump_database_to_sqlite`.
 
 ``"sqlite"``
     :class:`SQLiteServerStorage` — chunks, expressions, full hashes,
@@ -67,17 +70,17 @@ from repro.safebrowsing.lists import ListDescriptor, ListProvider, ThreatCategor
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (database imports us)
     from repro.safebrowsing.database import ListDatabase, ServerDatabase
 
-#: Storage kinds accepted by :func:`build_server_storage` (and by the
-#: ``--server-storage`` / ``--storage`` CLI options, kept in sync by a unit
-#: test).
+#: Storage kinds accepted by :func:`build_server_storage`.  The CLI keeps
+#: its own copy for ``fleet --server-storage`` and ``ingest``/``serve
+#: --storage`` (``repro.cli._SERVER_STORAGE_KINDS``); a unit test pins the
+#: two equal.
 STORAGE_KINDS = ("memory", "sqlite")
 
 #: Schema version written to (and required from) every SQLite storage file.
 SQLITE_SCHEMA_VERSION = 1
 
-#: First bytes of every SQLite database file — the sniff that routes
-#: ``snapshot load`` / ``load_server`` between the binary snapshot parser
-#: and the SQLite storage backend.
+#: First bytes of every SQLite database file.  Snapshot loads check them to
+#: tell a server database from a client snapshot before opening the file.
 SQLITE_MAGIC = b"SQLite format 3\x00"
 
 #: Journal op codes (first element of every recorded op tuple).  The
@@ -197,11 +200,10 @@ class ServerStorage:
 
 
 class MemoryServerStorage(ServerStorage):
-    """The no-op storage of a purely in-memory server (the historical mode).
+    """The no-op storage of a purely in-memory server (the default mode).
 
     The database's dicts are the only copy of the state; persistence, when
-    wanted, goes through the binary snapshot path exactly as before this
-    layer existed.
+    wanted, exports it whole with :func:`dump_database_to_sqlite`.
     """
 
     kind = "memory"
@@ -446,6 +448,32 @@ class SQLiteServerStorage(ServerStorage):
         """
         from repro.safebrowsing.database import ServerDatabase
 
+        try:
+            meta = self._read_meta()
+            bits = int(meta["prefix_bits"])
+            shard_count = (int(meta["shard_count"]) if shard_count is None
+                           else shard_count)
+            index_backend = (meta["index_backend"] if index_backend is None
+                             else index_backend)
+            lists = self._load_lists(bits, shard_count, index_backend)
+        except sqlite3.DatabaseError as exc:
+            raise self._unreadable(exc) from exc
+
+        self._loading = True
+        try:
+            database = ServerDatabase(
+                [list_db.descriptor for list_db in lists.values()], bits,
+                shard_count=shard_count, index_backend=index_backend,
+                storage=self,
+            )
+        finally:
+            self._loading = False
+        database._adopt_lists(lists)
+        return database
+
+    def _read_meta(self) -> dict[str, str]:
+        """The ``meta`` table, checked to describe a database this build
+        reads."""
         meta = dict(self._connection.execute("SELECT key, value FROM meta"))
         if not meta:
             raise StorageError(
@@ -459,12 +487,17 @@ class SQLiteServerStorage(ServerStorage):
                 f"{stored_version}; this build reads version "
                 f"{SQLITE_SCHEMA_VERSION}"
             )
-        bits = int(meta["prefix_bits"])
-        shard_count = (int(meta["shard_count"]) if shard_count is None
-                       else shard_count)
-        index_backend = (meta["index_backend"] if index_backend is None
-                         else index_backend)
+        return meta
 
+    def _unreadable(self, exc: sqlite3.DatabaseError) -> StorageError:
+        """The typed error for a file SQLite itself rejects (truncated,
+        corrupted, or a foreign database without this schema)."""
+        return StorageError(
+            f"cannot read SQLite storage at {self.path or ':memory:'}: {exc}")
+
+    def _load_lists(self, bits: int, shard_count: int,
+                    index_backend: str) -> dict[str, "ListDatabase"]:
+        """Every stored list, rebuilt in its stored order."""
         lists: dict[str, "ListDatabase"] = {}
         rows = self._connection.execute(
             "SELECT name, provider, category, description, "
@@ -505,18 +538,7 @@ class SQLiteServerStorage(ServerStorage):
                 pending_additions=pending_additions,
                 pending_removals=pending_removals,
             )
-
-        self._loading = True
-        try:
-            database = ServerDatabase(
-                [list_db.descriptor for list_db in lists.values()], bits,
-                shard_count=shard_count, index_backend=index_backend,
-                storage=self,
-            )
-        finally:
-            self._loading = False
-        database._adopt_lists(lists)
-        return database
+        return lists
 
     def _load_chunks(self, list_name: str, kind: ChunkKind,
                      bits: int) -> list[Chunk]:
@@ -610,8 +632,8 @@ def load_sqlite_server_database(path: str | Path, *,
     """Open the SQLite storage at ``path`` and rebuild its database.
 
     By default the file is attached *read-only* — the parallel fleet's
-    workers all load the one committed file concurrently this way, instead
-    of each restoring a full binary snapshot — and once the working set is
+    workers all load the one committed handoff file concurrently this
+    way — and once the working set is
     rebuilt the connection is closed and the database detaches to a
     :class:`MemoryServerStorage`: the result is a live in-memory *replica*
     of the committed state, holding no file handle across forks, whose
@@ -650,7 +672,7 @@ def dump_database_to_sqlite(database: "ServerDatabase",
     journalled as storage ops and flushed in one transaction, so the
     resulting file is indistinguishable from one written by a SQLite-backed
     twin that committed the same content.  An existing file at ``path`` is
-    replaced, matching binary-snapshot save semantics.
+    replaced.
     """
     path = Path(path)
     if path.exists():
@@ -702,12 +724,7 @@ def sqlite_storage_summary(path: str | Path) -> tuple[dict, list[dict]]:
     """
     storage = SQLiteServerStorage(path, readonly=True)
     try:
-        meta = dict(storage._connection.execute(
-            "SELECT key, value FROM meta"))
-        if not meta:
-            raise StorageError(
-                f"SQLite storage at {path} holds no server database "
-                "(empty meta table)")
+        meta = storage._read_meta()
         rows = storage._connection.execute(
             "SELECT l.name, l.version, "
             "  (SELECT COUNT(DISTINCT f.prefix) FROM full_hashes f "
@@ -717,6 +734,8 @@ def sqlite_storage_summary(path: str | Path) -> tuple[dict, list[dict]]:
             "  (SELECT COUNT(*) FROM full_hashes f "
             "     WHERE f.list_name = l.name) "
             "FROM lists l ORDER BY l.position").fetchall()
+    except sqlite3.DatabaseError as exc:
+        raise storage._unreadable(exc) from exc
     finally:
         storage.close()
     return meta, [
@@ -736,11 +755,10 @@ def materialize_list_database(
         pending_removals: Sequence[Prefix]) -> "ListDatabase":
     """Build one :class:`ListDatabase` from durable state.
 
-    The shared rebuild path of the SQLite loader and the binary snapshot
-    loader: full-hash buckets are regrouped from the digest list, the
-    expression map is re-derived (an expression's digest is a pure function
-    of the expression), and the sharded membership index is reconstructed
-    from populated-or-orphan prefixes under the requested layout.
+    Full-hash buckets are regrouped from the digest list, the expression
+    map is re-derived (an expression's digest is a pure function of the
+    expression), and the sharded membership index is reconstructed from
+    populated-or-orphan prefixes under the requested layout.
     """
     from repro.safebrowsing.database import ListDatabase
 

@@ -8,6 +8,9 @@ factory fixtures.
 
 from __future__ import annotations
 
+import hashlib
+import sqlite3
+
 import pytest
 
 from repro.clock import ManualClock
@@ -15,6 +18,12 @@ from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.safebrowsing.client import SafeBrowsingClient
 from repro.safebrowsing.lists import GOOGLE_LISTS, YANDEX_LISTS
 from repro.safebrowsing.server import SafeBrowsingServer
+from repro.safebrowsing.snapshot import (
+    _HEADER,
+    FORMAT_VERSION,
+    MAGIC,
+    save_server_snapshot,
+)
 
 #: Canonical expressions blacklisted by the default test server.
 MALICIOUS_EXPRESSIONS = (
@@ -61,6 +70,41 @@ def yandex_server(clock: ManualClock) -> SafeBrowsingServer:
     server.blacklist("ydx-malware-shavar", MALICIOUS_EXPRESSIONS[:2])
     server.blacklist("ydx-phish-shavar", MALICIOUS_EXPRESSIONS[2:])
     return server
+
+
+#: Unusable server snapshot files: SQLite files cut short, bit-flipped or
+#: foreign, and a file in the retired binary server container.
+MALFORMED_SERVER_FILES = ("truncated-half", "truncated-4096",
+                          "truncated-200", "bit-flipped", "foreign-sqlite",
+                          "retired-binary-server")
+
+
+@pytest.fixture(params=MALFORMED_SERVER_FILES)
+def malformed_server_file(request, google_server, tmp_path):
+    """A server snapshot file broken in the way the param names."""
+    path = save_server_snapshot(google_server, tmp_path / "server.sqlite")
+    data = path.read_bytes()
+    kind = request.param
+    if kind.startswith("truncated-"):
+        size = kind.removeprefix("truncated-")
+        path.write_bytes(data[:len(data) // 2 if size == "half" else int(size)])
+    elif kind == "bit-flipped":
+        flipped = bytearray(data)
+        flipped[100] ^= 0xFF  # the page-type byte of page 1's b-tree header
+        path.write_bytes(bytes(flipped))
+    elif kind == "foreign-sqlite":
+        path.unlink()
+        connection = sqlite3.connect(path)
+        with connection:
+            connection.execute("CREATE TABLE unrelated (x)")
+        connection.close()
+    else:  # a hand-built header of the binary server container (kind 2)
+        payload = b"\x00" * 16
+        path.write_bytes(_HEADER.pack(MAGIC, 2, 0, FORMAT_VERSION,
+                                      len(payload),
+                                      hashlib.sha256(payload).digest())
+                         + payload)
+    return path
 
 
 @pytest.fixture()

@@ -83,7 +83,7 @@ class TestServerDatabaseEquivalence:
         server = _build_server(shard_count, backend,
                                extra_orphans=(0xDEADBEEF, 0x00C0FFEE),
                                with_subs=backend != "bloom")
-        path = save_server_snapshot(server, tmp_path / "server.snap")
+        path = save_server_snapshot(server, tmp_path / "server.sqlite")
         restored = load_server_database(path)
         assert restored.shard_count == shard_count
         assert restored.index_backend == backend
@@ -120,7 +120,7 @@ class TestServerDatabaseEquivalence:
                                          if name != "bloom"])
     def test_resharding_on_load_keeps_membership(self, backend, tmp_path):
         server = _build_server(16, backend)
-        path = save_server_snapshot(server, tmp_path / "server.snap")
+        path = save_server_snapshot(server, tmp_path / "server.sqlite")
         for shard_count in SHARD_COUNTS:
             restored = load_server_database(path, shard_count=shard_count)
             for list_db in server.database:
@@ -131,7 +131,7 @@ class TestServerDatabaseEquivalence:
     def test_restored_server_answers_full_hash_requests_identically(
             self, tmp_path):
         server = _build_server(16, "sorted-array")
-        path = save_server_snapshot(server, tmp_path / "server.snap")
+        path = save_server_snapshot(server, tmp_path / "server.sqlite")
         restored = load_server(path, clock=ManualClock())
         client_a = SafeBrowsingClient(server, name="orig")
         client_b = SafeBrowsingClient(restored, name="copy")

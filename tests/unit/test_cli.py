@@ -371,7 +371,7 @@ class TestSnapshotCommand:
 
     @needs_numpy
     def test_save_then_load_round_trip(self, capsys, tmp_path):
-        path = tmp_path / "google.snap"
+        path = tmp_path / "google.sqlite"
         assert main(["snapshot", "save", str(path)]) == 0
         saved = capsys.readouterr().out
         assert f"wrote {path}" in saved
@@ -380,25 +380,30 @@ class TestSnapshotCommand:
         assert main(["snapshot", "load", str(path)]) == 0
         loaded = capsys.readouterr().out
         assert "kind            : server" in loaded
-        assert "checksum        : OK" in loaded
+        # A SQLite file carries no checksum, so none is claimed verified.
+        assert "checksum" not in loaded
         assert "goog-malware-shavar" in loaded
 
-    @needs_numpy
-    def test_load_reports_corruption_as_cli_error(self, capsys, tmp_path):
-        path = tmp_path / "corrupt.snap"
-        assert main(["snapshot", "save", str(path)]) == 0
-        capsys.readouterr()
-        data = bytearray(path.read_bytes())
-        data[-1] ^= 0xFF
-        path.write_bytes(bytes(data))
-        assert main(["snapshot", "load", str(path)]) == 2
-        assert "checksum" in capsys.readouterr().err
+    def test_load_reports_malformed_file_as_cli_error(
+            self, capsys, malformed_server_file):
+        assert main(["snapshot", "load", str(malformed_server_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert not captured.out
+
+    def test_load_client_snapshot_reports_its_checksum(self, capsys,
+                                                       updated_client,
+                                                       tmp_path):
+        path = updated_client.save_snapshot(tmp_path / "client.snap")
+        assert main(["snapshot", "load", str(path)]) == 0
+        loaded = capsys.readouterr().out
+        assert "kind            : client" in loaded
+        assert "checksum        : OK" in loaded
 
     @needs_numpy
     def test_save_sqlite_then_load_summary(self, capsys, tmp_path):
         path = tmp_path / "google.sqlite"
-        assert main(["snapshot", "save", str(path),
-                     "--storage", "sqlite"]) == 0
+        assert main(["snapshot", "save", str(path)]) == 0
         saved = capsys.readouterr().out
         assert "sqlite container" in saved
 
@@ -410,21 +415,11 @@ class TestSnapshotCommand:
         assert "goog-malware-shavar" in loaded
 
     @needs_numpy
-    def test_binary_load_summary_reports_versions(self, capsys, tmp_path):
-        path = tmp_path / "google.snap"
-        assert main(["snapshot", "save", str(path)]) == 0
-        capsys.readouterr()
-        assert main(["snapshot", "load", str(path), "--summary"]) == 0
-        loaded = capsys.readouterr().out
-        assert "container       : binary" in loaded
-        assert "version=" in loaded
-
-    @needs_numpy
     def test_restored_snapshot_serves_a_client(self, capsys, tmp_path):
         from repro.safebrowsing.client import SafeBrowsingClient
         from repro.safebrowsing.snapshot import load_server
 
-        path = tmp_path / "google.snap"
+        path = tmp_path / "google.sqlite"
         assert main(["snapshot", "save", str(path)]) == 0
         capsys.readouterr()
         server = load_server(path)

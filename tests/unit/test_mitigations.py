@@ -5,18 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.inverted_index import PrefixInvertedIndex
-from repro.analysis.mitigations import (
-    DummyQueryClient,
-    OnePrefixAtATimeClient,
-    compare_mitigations,
-)
+from repro.analysis.mitigations import compare_mitigations
 from repro.analysis.reidentification import ReidentificationEngine
 from repro.clock import ManualClock
 from repro.datastructures.vectorized import NUMPY_AVAILABLE
-from repro.exceptions import AnalysisError
+from repro.exceptions import PolicyError
 from repro.hashing.digests import url_prefix
 from repro.safebrowsing.client import SafeBrowsingClient
 from repro.safebrowsing.lists import GOOGLE_LISTS
+from repro.safebrowsing.privacy import DummyQueryPolicy, OnePrefixAtATimePolicy
 from repro.safebrowsing.protocol import Verdict
 from repro.safebrowsing.server import SafeBrowsingServer
 
@@ -42,29 +39,36 @@ def tracked_setup():
     return clock, server, engine
 
 
-def make_client(server, clock, name):
-    client = SafeBrowsingClient(server, name=name, clock=clock)
+def make_client(server, clock, name, policy=None):
+    client = SafeBrowsingClient(server, name=name, clock=clock,
+                                privacy_policy=policy)
     client.update()
     return client
 
 
-class TestDummyQueryClient:
-    def test_dummies_are_deterministic(self, tracked_setup):
-        clock, server, _ = tracked_setup
-        wrapper = DummyQueryClient(make_client(server, clock, "dummy"), dummies_per_query=3)
-        prefix = url_prefix("example.com/")
-        assert wrapper.dummy_prefixes(prefix) == wrapper.dummy_prefixes(prefix)
-        assert len(wrapper.dummy_prefixes(prefix)) == 3
+def dummy_client(server, clock, name="dummy", dummies_per_query=4):
+    return make_client(server, clock, name,
+                       DummyQueryPolicy(dummies_per_query=dummies_per_query))
 
-    def test_negative_dummy_count_rejected(self, tracked_setup):
-        clock, server, _ = tracked_setup
-        with pytest.raises(AnalysisError):
-            DummyQueryClient(make_client(server, clock, "dummy"), dummies_per_query=-1)
+
+def one_prefix_client(server, clock, name="careful"):
+    return make_client(server, clock, name, OnePrefixAtATimePolicy())
+
+
+class TestDummyQueryPolicy:
+    def test_dummies_are_deterministic(self):
+        policy = DummyQueryPolicy(dummies_per_query=3)
+        prefix = url_prefix("example.com/")
+        assert policy.dummy_prefixes(prefix) == policy.dummy_prefixes(prefix)
+        assert len(policy.dummy_prefixes(prefix)) == 3
+
+    def test_negative_dummy_count_rejected(self):
+        with pytest.raises(PolicyError):
+            DummyQueryPolicy(dummies_per_query=-1)
 
     def test_lookup_pads_requests(self, tracked_setup):
         clock, server, _ = tracked_setup
-        wrapper = DummyQueryClient(make_client(server, clock, "dummy"), dummies_per_query=4)
-        result = wrapper.lookup(TARGET)
+        result = dummy_client(server, clock).lookup(TARGET)
         # 2 real hits, each padded with 4 dummies.
         assert len(result.local_hits) == 2
         assert len(result.sent_prefixes) == 10
@@ -72,32 +76,28 @@ class TestDummyQueryClient:
 
     def test_safe_url_sends_nothing(self, tracked_setup):
         clock, server, _ = tracked_setup
-        wrapper = DummyQueryClient(make_client(server, clock, "dummy"))
-        result = wrapper.lookup("http://unrelated.example.org/")
+        result = dummy_client(server, clock).lookup("http://unrelated.example.org/")
         assert not result.contacted_server
 
     def test_dummy_queries_do_not_prevent_reidentification(self, tracked_setup):
         # The paper's conclusion: the two real prefixes still co-occur, so the
         # best-coverage attack recovers the visited URL despite the dummies.
         clock, server, engine = tracked_setup
-        wrapper = DummyQueryClient(make_client(server, clock, "dummy"), dummies_per_query=4)
-        result = wrapper.lookup(TARGET)
+        result = dummy_client(server, clock).lookup(TARGET)
         outcome = engine.reidentify_best_coverage(result.sent_prefixes)
         assert outcome.identified_url == TARGET
 
     def test_stats_record_dummy_prefixes(self, tracked_setup):
         clock, server, _ = tracked_setup
-        client = make_client(server, clock, "dummy")
-        wrapper = DummyQueryClient(client, dummies_per_query=4)
-        wrapper.lookup(TARGET)
+        client = dummy_client(server, clock)
+        client.lookup(TARGET)
         assert client.stats.extra_requests["dummy-prefixes"] == 8
 
 
-class TestOnePrefixAtATimeClient:
+class TestOnePrefixAtATimePolicy:
     def test_only_root_prefix_sent_when_root_is_blacklisted(self, tracked_setup):
         clock, server, _ = tracked_setup
-        wrapper = OnePrefixAtATimeClient(make_client(server, clock, "careful"))
-        result = wrapper.lookup(TARGET)
+        result = one_prefix_client(server, clock).lookup(TARGET)
         # The domain root (example.com/) is blacklisted, so the first query
         # already confirms it and the deeper prefix is never revealed.
         assert result.sent_prefixes == (url_prefix("example.com/"),)
@@ -105,16 +105,14 @@ class TestOnePrefixAtATimeClient:
 
     def test_provider_only_learns_the_domain(self, tracked_setup):
         clock, server, engine = tracked_setup
-        wrapper = OnePrefixAtATimeClient(make_client(server, clock, "careful"))
-        result = wrapper.lookup(TARGET)
+        result = one_prefix_client(server, clock).lookup(TARGET)
         outcome = engine.reidentify_best_coverage(result.sent_prefixes)
         assert outcome.identified_url is None
         assert outcome.identified_domain == "example.com"
 
     def test_safe_url_sends_nothing(self, tracked_setup):
         clock, server, _ = tracked_setup
-        wrapper = OnePrefixAtATimeClient(make_client(server, clock, "careful"))
-        result = wrapper.lookup("http://unrelated.example.org/")
+        result = one_prefix_client(server, clock).lookup("http://unrelated.example.org/")
         assert not result.contacted_server
 
     def test_deeper_prefix_revealed_when_root_not_confirmed(self, tracked_setup):
@@ -122,28 +120,26 @@ class TestOnePrefixAtATimeClient:
         # Blacklist only the deep page (no domain-root entry): the client must
         # work through the hits until the malicious one is confirmed.
         server.unblacklist("goog-malware-shavar", ["example.com/"])
-        wrapper = OnePrefixAtATimeClient(make_client(server, clock, "careful2"))
-        result = wrapper.lookup(TARGET)
+        result = one_prefix_client(server, clock, "careful2").lookup(TARGET)
         assert result.verdict is Verdict.MALICIOUS
         assert url_prefix("target.example.com/private/report.html") in result.sent_prefixes
 
 
 class TestPolicyPortRegression:
-    """The wrappers are now shims over the integrated policy layer.
+    """The Section 8 mitigations are client privacy policies.
 
-    Two guarantees must survive the port: the batched path is no longer a
-    bypass, and the Section 8 experiment's re-identification numbers are
-    bit-for-bit the wrapper era's (captured from the pre-port
-    implementation at SMALL scale).
+    Two guarantees hold since the wrapper classes were ported to the policy
+    layer: the batched path is no bypass, and the Section 8 experiment's
+    re-identification numbers are bit-for-bit the wrapper era's (captured
+    from the pre-port implementation at SMALL scale).
     """
 
     def test_batched_path_no_longer_bypasses_dummy_queries(self, tracked_setup):
         # The historical wrapper only intercepted lookup(): check_urls sent
-        # the bare prefixes.  The shim installs the policy on the client
-        # itself, so the batched request must be padded too.
+        # the bare prefixes.  The policy is installed on the client itself,
+        # so the batched request must be padded too.
         clock, server, _ = tracked_setup
-        client = make_client(server, clock, "dummy-batched")
-        DummyQueryClient(client, dummies_per_query=4)
+        client = dummy_client(server, clock, "dummy-batched")
         results = client.check_urls([TARGET])
         assert results[0].verdict is Verdict.MALICIOUS
         assert len(server.request_log[-1].prefixes) == 10
@@ -151,8 +147,7 @@ class TestPolicyPortRegression:
 
     def test_batched_path_no_longer_bypasses_one_prefix(self, tracked_setup):
         clock, server, _ = tracked_setup
-        client = make_client(server, clock, "careful-batched")
-        OnePrefixAtATimeClient(client)
+        client = one_prefix_client(server, clock, "careful-batched")
         results = client.check_urls([TARGET])
         assert results[0].verdict is Verdict.MALICIOUS
         assert server.request_log[-1].prefixes == (url_prefix("example.com/"),)
@@ -186,8 +181,7 @@ class TestComparisonHarness:
         clock, server, engine = tracked_setup
         baseline_client = make_client(server, clock, "baseline")
         baseline = [baseline_client.lookup(TARGET)]
-        mitigated_client = OnePrefixAtATimeClient(make_client(server, clock, "careful"))
-        mitigated = [mitigated_client.lookup(TARGET)]
+        mitigated = [one_prefix_client(server, clock).lookup(TARGET)]
         comparison = compare_mitigations("one-prefix", baseline, mitigated, engine)
         assert comparison.urls_evaluated == 1
         assert comparison.baseline_url_rate == 1.0

@@ -311,7 +311,7 @@ class TestDumpAndSummary:
 
 
 class TestSnapshotIntegration:
-    """The snapshot layer routes between binary and SQLite containers."""
+    """Server snapshots are SQLite files, from either storage backend."""
 
     def _server(self, path=None) -> SafeBrowsingServer:
         server = SafeBrowsingServer(GOOGLE_LISTS, clock=ManualClock(),
@@ -322,22 +322,21 @@ class TestSnapshotIntegration:
 
     def test_save_sqlite_from_memory_backed_server(self, tmp_path):
         server = self._server()
-        path = save_server_snapshot(server, tmp_path / "s.sqlite",
-                                    kind="sqlite")
+        path = save_server_snapshot(server, tmp_path / "s.sqlite")
         assert is_sqlite_file(path)
-        restored = load_server_database(path)  # sniffed
+        restored = load_server_database(path)
         assert (restored[LIST].expressions()
                 == server.database[LIST].expressions())
 
-    def test_save_auto_follows_the_storage_backend(self, tmp_path):
-        sqlite_server = self._server(tmp_path / "live.sqlite")
-        saved = save_server_snapshot(sqlite_server,
-                                     tmp_path / "copy.sqlite")
+    def test_save_from_sqlite_backed_server_backs_up_the_live_file(
+            self, tmp_path):
+        server = self._server(tmp_path / "live.sqlite")
+        server.database[LIST].add_expression("late.example/x")
+        saved = save_server_snapshot(server, tmp_path / "copy.sqlite")
         assert is_sqlite_file(saved)
-        memory_server = self._server()
-        saved = save_server_snapshot(memory_server, tmp_path / "copy.snap")
-        assert not is_sqlite_file(saved)
-        sqlite_server.database.storage.close()
+        restored = load_server_database(saved)
+        assert "late.example/x" in restored[LIST].expressions()
+        server.database.storage.close()
 
     def test_save_to_the_live_path_is_a_flush(self, tmp_path):
         path = tmp_path / "live.sqlite"
@@ -349,15 +348,17 @@ class TestSnapshotIntegration:
         restored = load_server_database(path)
         assert "late.example/x" in restored[LIST].expressions()
 
-    def test_binary_save_from_sqlite_backed_server(self, tmp_path):
-        server = self._server(tmp_path / "live.sqlite")
-        path = save_server_snapshot(server, tmp_path / "s.snap",
-                                    kind="binary")
-        assert not is_sqlite_file(path)
-        restored = load_server_database(path)
-        assert (restored[LIST].expressions()
-                == server.database[LIST].expressions())
-        server.database.storage.close()
+    def test_inspect_summary_matches_the_database(self, tmp_path):
+        server = self._server()
+        server.insert_orphan_prefixes(LIST, [Prefix.from_int(0xDEADBEEF, 32)])
+        info = inspect_snapshot(save_server_snapshot(server,
+                                                     tmp_path / "s.sqlite"))
+        assert info.container == "sqlite"
+        assert [(s.name, s.prefixes, s.full_hashes, s.version)
+                for s in info.lists] == [
+            (list_db.descriptor.name, list_db.prefix_count(),
+             list_db.full_hash_count(), list_db.version)
+            for list_db in server.database]
 
     def test_load_server_sniffs_sqlite(self, tmp_path):
         server = self._server(tmp_path / "live.sqlite")
@@ -366,23 +367,6 @@ class TestSnapshotIntegration:
         restored = load_server(tmp_path / "live.sqlite", clock=ManualClock())
         assert (restored.database[LIST].expressions()
                 == server.database[LIST].expressions())
-
-    def test_inspect_reports_both_containers_identically(self, tmp_path):
-        server = self._server()
-        binary = save_server_snapshot(server, tmp_path / "s.snap")
-        sqlite = save_server_snapshot(server, tmp_path / "s.sqlite",
-                                      kind="sqlite")
-        info_a = inspect_snapshot(binary)
-        info_b = inspect_snapshot(sqlite)
-        assert info_a.container == "binary"
-        assert info_b.container == "sqlite"
-        rows_a = [(s.name, s.prefixes, s.full_hashes, s.version)
-                  for s in info_a.lists]
-        rows_b = [(s.name, s.prefixes, s.full_hashes, s.version)
-                  for s in info_b.lists]
-        assert rows_a == rows_b
-        assert info_a.total_prefixes == info_b.total_prefixes
-        assert info_a.total_full_hashes == info_b.total_full_hashes
 
 
 class TestInterface:

@@ -1,9 +1,9 @@
 """Unit tests for the persistence layer, corruption paths included.
 
-The satellite contract: a truncated file, a checksum mismatch, an unknown
-format version and a backend-name mismatch all raise a typed
-:class:`~repro.exceptions.SnapshotError` stating what was expected — never
-a silent partial load.
+The contract: a truncated file, a checksum mismatch, an unknown format
+version, a backend-name mismatch and a malformed or foreign SQLite server
+file all raise a typed :class:`~repro.exceptions.SnapshotError` stating
+what was expected — never a silent partial load.
 """
 
 from __future__ import annotations
@@ -11,14 +11,14 @@ from __future__ import annotations
 import pytest
 
 from repro.clock import ManualClock
-from repro.exceptions import SnapshotError
+from repro.exceptions import SnapshotError, StorageError
 from repro.hashing.prefix import Prefix
 from repro.safebrowsing.client import ClientConfig, SafeBrowsingClient
 from repro.safebrowsing.lists import GOOGLE_LISTS
 from repro.safebrowsing.server import SafeBrowsingServer
 from repro.safebrowsing.snapshot import (
-    _HEADER,
     FORMAT_VERSION,
+    client_snapshot_bytes,
     inspect_snapshot,
     load_server,
     load_server_database,
@@ -26,9 +26,25 @@ from repro.safebrowsing.snapshot import (
     save_client_snapshot,
     save_server_snapshot,
 )
+from repro.safebrowsing.storage import load_sqlite_server_database
 
 EXPRESSIONS = ("evil.example.com/", "phishy.example.net/login.html",
                "bad.actor.org/payload/")
+
+#: A sorted-array client snapshot of the ``server`` fixture, written by the
+#: format-version-1 writer before the binary server container was retired.
+#: The client format must keep reading (and writing) exactly these bytes.
+CLIENT_SNAPSHOT_V1 = bytes.fromhex(
+    "5342534e415001000100ec00000000000000ebe9acf964f9b47c19bb447b957e"
+    "227c5d04adc36bb8e0d27d2bd759f9f1aecf0c00736f727465642d6172726179"
+    "2000050000001300676f6f672d6d616c776172652d7368617661720100000001"
+    "000000000000000102000000000000002a6582eeb6b9984d1300676f6f672d72"
+    "6567746573742d73686176617200000000000000000100000000000000001400"
+    "676f6f672d756e77616e7465642d736861766172000000000000000001000000"
+    "00000000001700676f6f672d7768697465646f6d61696e2d7368617661720000"
+    "0000000000000100000000000000001400676f6f677075622d70686973682d73"
+    "68617661720100000001000000000000000101000000000000005191742b"
+)
 
 
 @pytest.fixture()
@@ -64,6 +80,16 @@ class TestClientRoundTrip:
             assert sorted(original.sub_chunks.numbers) == sorted(copy.sub_chunks.numbers)
         # The warm-started client is already in sync: nothing to fetch.
         assert restored.update() == 0
+
+    def test_version_1_snapshot_still_restores_byte_for_byte(
+            self, server, clock, tmp_path):
+        path = tmp_path / "client-v1.snap"
+        path.write_bytes(CLIENT_SNAPSHOT_V1)
+        restored = _fresh_client(server, clock)
+        assert restore_client_snapshot(restored, path) == len(EXPRESSIONS)
+        assert restored.update() == 0
+        assert restored.lookup("http://evil.example.com/").is_malicious
+        assert client_snapshot_bytes(_client(server, clock)) == CLIENT_SNAPSHOT_V1
 
     def test_restore_then_incremental_update(self, server, clock, tmp_path):
         client = _client(server, clock)
@@ -171,7 +197,7 @@ class TestCorruptionPaths:
         assert "sorted-array" in message and "delta-coded" in message
 
     def test_kind_mismatch(self, server, clock, tmp_path):
-        path = save_server_snapshot(server, tmp_path / "server.snap")
+        path = save_server_snapshot(server, tmp_path / "server.sqlite")
         with pytest.raises(SnapshotError, match="expected a client snapshot"):
             restore_client_snapshot(_fresh_client(server, clock), path)
         client_path = save_client_snapshot(_client(server, clock),
@@ -202,7 +228,7 @@ class TestCorruptionPaths:
         """A rejected snapshot must not leave the client half-restored."""
         client = _client(server, clock)
         verdict_before = client.lookup("http://evil.example.com/").verdict
-        bad = save_server_snapshot(server, tmp_path / "server.snap")
+        bad = save_server_snapshot(server, tmp_path / "server.sqlite")
         with pytest.raises(SnapshotError):
             restore_client_snapshot(client, bad)
         assert client.lookup("http://evil.example.com/").verdict == verdict_before
@@ -212,7 +238,7 @@ class TestServerRoundTrip:
     def test_server_snapshot_round_trip(self, server, tmp_path):
         orphan = Prefix.from_int(0xDEADBEEF, 32)
         server.insert_orphan_prefixes("goog-malware-shavar", [orphan])
-        path = save_server_snapshot(server, tmp_path / "server.snap")
+        path = save_server_snapshot(server, tmp_path / "server.sqlite")
         restored = load_server(path, clock=ManualClock())
         assert restored.database.version == server.database.version
         assert restored.list_names() == server.list_names()
@@ -226,7 +252,7 @@ class TestServerRoundTrip:
         assert restored.database["goog-malware-shavar"].contains_prefix(orphan)
 
     def test_restored_server_serves_clients(self, server, tmp_path):
-        path = save_server_snapshot(server, tmp_path / "server.snap")
+        path = save_server_snapshot(server, tmp_path / "server.sqlite")
         restored = load_server(path, clock=ManualClock())
         client = SafeBrowsingClient(restored, name="of-restored")
         client.update()
@@ -234,7 +260,7 @@ class TestServerRoundTrip:
         assert not client.lookup("http://fine.example.org/").contacted_server
 
     def test_load_can_reshard(self, server, tmp_path):
-        path = save_server_snapshot(server, tmp_path / "server.snap")
+        path = save_server_snapshot(server, tmp_path / "server.sqlite")
         restored = load_server_database(path, shard_count=4,
                                         index_backend="raw")
         assert restored.shard_count == 4
@@ -247,7 +273,7 @@ class TestServerRoundTrip:
     def test_pending_mutations_survive(self, server, tmp_path, clock):
         database = server.database["goog-malware-shavar"]
         database.add_expression("pending.example/x")  # not committed
-        path = save_server_snapshot(server, tmp_path / "server.snap")
+        path = save_server_snapshot(server, tmp_path / "server.sqlite")
         restored = load_server(path, clock=ManualClock())
         add_chunk, _ = restored.database["goog-malware-shavar"].commit_pending()
         assert add_chunk is not None and len(add_chunk) == 1
@@ -263,17 +289,28 @@ class TestInspect:
         assert info.total_prefixes == client.local_database_size()
 
     def test_inspect_server_snapshot(self, server, tmp_path):
-        path = save_server_snapshot(server, tmp_path / "server.snap")
+        path = save_server_snapshot(server, tmp_path / "server.sqlite")
         info = inspect_snapshot(path)
         assert info.kind == "server"
         assert info.shard_count == 16
         assert info.total_prefixes == sum(
             list_db.prefix_count() for list_db in server.database)
 
-    def test_inspect_rejects_corruption(self, server, tmp_path):
-        path = save_server_snapshot(server, tmp_path / "server.snap")
-        data = bytearray(path.read_bytes())
-        data[_HEADER.size + 3] ^= 0x55
-        path.write_bytes(bytes(data))
-        with pytest.raises(SnapshotError, match="checksum"):
-            inspect_snapshot(path)
+
+class TestMalformedServerFiles:
+    def test_malformed_file_is_a_typed_error(self, malformed_server_file):
+        with pytest.raises(SnapshotError):
+            inspect_snapshot(malformed_server_file)
+        with pytest.raises(SnapshotError):
+            load_server_database(malformed_server_file)
+        with pytest.raises(StorageError):
+            load_sqlite_server_database(malformed_server_file)
+
+    @pytest.mark.parametrize("malformed_server_file",
+                             ["retired-binary-server"], indirect=True)
+    def test_retired_binary_server_blob_points_at_sqlite(
+            self, malformed_server_file):
+        for load in (load_server_database, inspect_snapshot):
+            with pytest.raises(SnapshotError,
+                               match="no longer read.*`snapshot save`"):
+                load(malformed_server_file)
