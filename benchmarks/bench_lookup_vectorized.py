@@ -1,25 +1,16 @@
-"""Benchmark: vectorized lookup hot path vs the Python bisect loops.
+"""Benchmark: vectorized lookup hot path vs the Python bisect loop.
 
 The fleet simulator probes every client store with thousands of
-``contains_many`` batches per round, and before the vectorized backends
-every store answered with a Python-level bisect loop (ROADMAP item 2) — the
-mapped snapshot store additionally paying a ``bytes(...)`` slice allocation
-per comparison, which is what pinned it at ~0.2x of the in-memory sorted
-array in ``BENCH_warm_start.json``.  This benchmark pins the replacement:
+``contains_many`` batches per round.  The packed
+:class:`~repro.datastructures.store.RawPrefixStore` answers each batch with
+a Python-level bisect loop; :class:`~repro.datastructures.vectorized.NumpyPrefixStore`
+answers it with one vectorized gather over the same sorted array.  This
+benchmark pins the gap: the numpy store is **asserted >= 2x** the bisect
+loop — the interpreter overhead the vectorized backend removes.
 
-* :class:`~repro.datastructures.vectorized.NumpyMmapStore` binary-searching
-  the same memory-mapped packed run that
-  :class:`~repro.datastructures.mmapped.MmapSortedArrayStore` walks with its
-  per-comparison-allocation bisect loop — **asserted >= 10x** that loop;
-* the mapped store **asserted within 1.2x** of the in-memory
-  :class:`~repro.datastructures.vectorized.NumpyPrefixStore`, i.e. the
-  zero-copy warm-start path no longer costs the ~5x lookup regression;
-* the in-memory numpy store vs the sorted-array bisect loop, recorded (and
-  sanity-asserted >= 2x) — the interpreter-overhead half of the story.
-
-Every store answers the same probe batches and their bitmask checksums must
-agree bit-for-bit before any rate is recorded.  Each store is timed over
-three full passes and the median pass is reported, because single-pass
+Both stores answer the same probe batches and their bitmask checksums must
+agree bit-for-bit before any rate is recorded.  Their passes are
+interleaved and the median pass of each is reported, because single-pass
 rates on a shared machine swing by tens of percent.  Results land in
 ``benchmarks/results/BENCH_lookup_vectorized.json`` (schema documented in
 ``docs/benchmarks.md``).
@@ -27,7 +18,6 @@ rates on a shared machine swing by tens of percent.  Results land in
 
 from __future__ import annotations
 
-import mmap
 import random
 import statistics
 import time
@@ -36,25 +26,22 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from repro.datastructures.mmapped import MmapSortedArrayStore
-from repro.datastructures.sorted_array import SortedArrayPrefixStore
-from repro.datastructures.vectorized import NumpyMmapStore, NumpyPrefixStore
+from repro.datastructures.store import RawPrefixStore
+from repro.datastructures.vectorized import NumpyPrefixStore
 from repro.hashing.prefix import Prefix
 
 #: Deployed-list size, matching the order of magnitude of the paper's
 #: Google malware list (~600k prefixes).
 MEMBER_COUNT = 630_000
 
-#: Probe batches: the fleet's lookup shape (also used by bench_warm_start).
+#: Probe batches: the fleet's lookup shape.
 LOOKUP_BATCHES = 200
 LOOKUP_BATCH_SIZE = 256
 
 #: Timing passes per store; the median pass is reported.
 PASSES = 3
 
-#: Hard acceptance bars (the ISSUE's tentpole contract).
-MIN_VECTOR_SPEEDUP = 10.0
-MAX_MMAP_SLOWDOWN = 1.2
+#: Hard acceptance bar: numpy over the raw bisect loop.
 MIN_IN_MEMORY_SPEEDUP = 2.0
 
 
@@ -81,87 +68,37 @@ def _one_pass(store, batches) -> tuple[float, int]:
     return time.perf_counter() - started, checksum
 
 
-def _throughput(store, batches) -> tuple[float, int]:
-    """Median lookups/s over ``PASSES`` full passes, plus the xor checksum."""
-    elapsed = []
-    checksum = None
-    for _ in range(PASSES):
-        seconds, mask = _one_pass(store, batches)
-        elapsed.append(seconds)
-        assert checksum is None or checksum == mask
-        checksum = mask
-    rate = (LOOKUP_BATCHES * LOOKUP_BATCH_SIZE) / statistics.median(elapsed)
-    return rate, checksum
-
-
-def test_bench_lookup_vectorized(benchmark, record_json, tmp_path):
+def test_bench_lookup_vectorized(benchmark, record_json):
     members, batches = _population()
 
-    bisect_store = SortedArrayPrefixStore(members, 32)
+    bisect_store = RawPrefixStore(members, 32)
     vector_store = NumpyPrefixStore(members, 32)
 
-    packed_path = tmp_path / "packed.bin"
-    packed_path.write_bytes(b"".join(prefix.value for prefix in members))
-    with open(packed_path, "rb") as handle:
-        mapped_buffer = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    # The pre-vectorization mapped store: a bisect loop with a bytes(...)
-    # slice allocation per comparison — the regression this PR retires.
-    python_mmap_store = MmapSortedArrayStore.from_buffer(
-        mapped_buffer, 0, len(members), 32, keep_alive=mapped_buffer)
-    mapped_store = NumpyMmapStore.from_buffer(
-        mapped_buffer, 0, len(members), 32, keep_alive=mapped_buffer)
-    inplace_store = NumpyMmapStore.from_buffer(
-        mapped_buffer, 0, len(members), 32, keep_alive=mapped_buffer,
-        materialize="never")
-
-    # Warm-up: fault the mapped pages in, build the lazy mirror and bucket
-    # table, and settle allocator state before anything is timed.
-    warmup = batches[:5]
-    for store in (bisect_store, vector_store, mapped_store, inplace_store,
-                  python_mmap_store):
-        _one_pass(store, warmup)
-    assert mapped_store.materialized
-    assert not inplace_store.materialized
-
-    bisect_rate, bisect_mask = _throughput(bisect_store, batches)
-    python_mmap_rate, python_mmap_mask = _throughput(python_mmap_store,
-                                                     batches)
-    inplace_rate, inplace_mask = _throughput(inplace_store, batches)
+    # Warm-up: build the lazy bucket table and settle allocator state
+    # before anything is timed.
+    for store in (bisect_store, vector_store):
+        _one_pass(store, batches[:5])
 
     def timed_pair():
-        # The in-memory and mapped numpy stores run the same kernel, so
-        # their ratio is the one number that must not absorb machine noise:
-        # interleave their passes so any machine-wide slowdown hits both,
-        # and take the median of the per-pass ratios.
-        vector_times, mapped_times = [], []
+        # Interleave the two stores' passes so any machine-wide slowdown
+        # hits both, and report the median pass of each.
+        bisect_times, vector_times = [], []
         masks = set()
         for _ in range(PASSES):
+            seconds, mask = _one_pass(bisect_store, batches)
+            bisect_times.append(seconds)
+            masks.add(mask)
             seconds, mask = _one_pass(vector_store, batches)
             vector_times.append(seconds)
             masks.add(mask)
-            seconds, mask = _one_pass(mapped_store, batches)
-            mapped_times.append(seconds)
-            masks.add(mask)
+        # Same members, same batches: both stores agree bit-for-bit.
         assert len(masks) == 1
         lookups = LOOKUP_BATCHES * LOOKUP_BATCH_SIZE
-        relative = statistics.median(
-            mapped / vector
-            for vector, mapped in zip(vector_times, mapped_times))
-        return (lookups / statistics.median(vector_times),
-                lookups / statistics.median(mapped_times),
-                relative, masks.pop())
+        return (lookups / statistics.median(bisect_times),
+                lookups / statistics.median(vector_times))
 
-    vector_rate, mapped_rate, mmap_relative, vector_mask = \
-        benchmark.pedantic(timed_pair, rounds=1, iterations=1)
-    mapped_mask = vector_mask
-
-    # Same members, same batches: every backend must agree bit-for-bit.
-    assert vector_mask == bisect_mask
-    assert mapped_mask == bisect_mask
-    assert inplace_mask == bisect_mask
-    assert python_mmap_mask == bisect_mask
-
-    speedup = mapped_rate / python_mmap_rate
+    bisect_rate, vector_rate = benchmark.pedantic(timed_pair, rounds=1,
+                                                  iterations=1)
     in_memory_speedup = vector_rate / bisect_rate
 
     record_json("lookup_vectorized", {
@@ -170,35 +107,16 @@ def test_bench_lookup_vectorized(benchmark, record_json, tmp_path):
         "batch_size": LOOKUP_BATCH_SIZE,
         "passes": PASSES,
         "lookups_per_second": {
-            "sorted_array_bisect": round(bisect_rate, 1),
-            "python_mmap_bisect": round(python_mmap_rate, 1),
+            "raw_bisect": round(bisect_rate, 1),
             "numpy": round(vector_rate, 1),
-            "numpy_mmap": round(mapped_rate, 1),
-            "numpy_mmap_in_place": round(inplace_rate, 1),
         },
-        "vectorized_speedup_over_bisect": round(speedup, 2),
         "in_memory_speedup_over_bisect": round(in_memory_speedup, 2),
-        "mmap_slowdown_vs_in_memory": round(mmap_relative, 3),
         "bars": {
-            "min_vectorized_speedup": MIN_VECTOR_SPEEDUP,
             "min_in_memory_speedup": MIN_IN_MEMORY_SPEEDUP,
-            "max_mmap_slowdown": MAX_MMAP_SLOWDOWN,
         },
     })
 
-    # Hard bars.  The headline: the vectorized search over the mapped
-    # snapshot run must beat the bisect loop it replaced by >= 10x (it was
-    # ~5x *behind* the in-memory array before), and stay within 1.2x of the
-    # in-memory numpy store.
-    assert speedup >= MIN_VECTOR_SPEEDUP, (
-        f"vectorized mmap contains_many is only {speedup:.1f}x the bisect "
-        f"loop ({mapped_rate:.0f} vs {python_mmap_rate:.0f} lookups/s)"
-    )
-    assert mmap_relative <= MAX_MMAP_SLOWDOWN, (
-        f"numpy-mmap runs at {mmap_relative:.2f}x of the in-memory numpy "
-        f"store ({mapped_rate:.0f} vs {vector_rate:.0f} lookups/s)"
-    )
     assert in_memory_speedup >= MIN_IN_MEMORY_SPEEDUP, (
-        f"in-memory vectorized contains_many is only {in_memory_speedup:.1f}x "
-        f"the sorted-array loop ({vector_rate:.0f} vs {bisect_rate:.0f})"
+        f"vectorized contains_many is only {in_memory_speedup:.1f}x "
+        f"the raw bisect loop ({vector_rate:.0f} vs {bisect_rate:.0f})"
     )

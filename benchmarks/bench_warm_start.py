@@ -1,18 +1,11 @@
-"""Benchmark: warm-start sync bandwidth and mapped-lookup throughput.
+"""Benchmark: warm-start sync bandwidth.
 
-Two measurements back the persistence layer:
-
-* **cold vs warm client sync** at MEDIUM scale — a fresh client downloads
-  the provider's full chunk history; a client restored from a snapshot
-  fetches only the chunks committed after the snapshot was taken.  The
-  acceptance bar is *strict*: the warm start must transfer less update
-  bandwidth (prefixes carried by chunks) than the cold start.
-* **mmap vs in-memory lookup throughput** — the same probe batches answered
-  by the packed in-memory sorted array and by
-  :class:`~repro.datastructures.mmapped.MmapSortedArrayStore` bisecting a
-  memory-mapped snapshot file in place.  The mapped store trades some raw
-  lookup speed for a zero-deserialization start; both numbers land in the
-  artifact so the trade-off stays visible across PRs.
+**Cold vs warm client sync** at MEDIUM scale, on the ``raw`` store
+backend — a fresh client downloads the provider's full chunk history; a
+client restored from a snapshot fetches only the chunks committed after the
+snapshot was taken.  The acceptance bar is *strict*: the warm start must
+transfer less update bandwidth (prefixes carried by chunks) than the cold
+start.
 
 Results are written to ``benchmarks/results/BENCH_warm_start.json``
 (schema documented in ``docs/benchmarks.md``).
@@ -20,30 +13,18 @@ Results are written to ``benchmarks/results/BENCH_warm_start.json``
 
 from __future__ import annotations
 
-import mmap
 import time
 
 from repro.clock import ManualClock
-from repro.datastructures.mmapped import MmapSortedArrayStore
-from repro.datastructures.sorted_array import SortedArrayPrefixStore
 from repro.experiments.scale import MEDIUM, get_context
-from repro.hashing.prefix import Prefix
 from repro.safebrowsing.client import ClientConfig, SafeBrowsingClient
 from repro.safebrowsing.lists import ListProvider
 
 #: Chunks committed between the snapshot and the restart (list drift).
 DRIFT_EXPRESSIONS = 25
 
-#: Probe batches of the lookup-throughput comparison.
-LOOKUP_BATCHES = 200
-LOOKUP_BATCH_SIZE = 256
-
-
-def _synced_client(server, name, backend="sorted-array") -> SafeBrowsingClient:
-    client = SafeBrowsingClient(server, name=name,
-                                config=ClientConfig(store_backend=backend))
-    client.update()
-    return client
+#: Client store backend of both the cold and the warm client.
+STORE_BACKEND = "raw"
 
 
 def test_bench_warm_start(benchmark, record_json, tmp_path):
@@ -51,8 +32,8 @@ def test_bench_warm_start(benchmark, record_json, tmp_path):
     server = context.provision_server(ListProvider.GOOGLE, clock=ManualClock())
 
     # -- cold start: a fresh client syncs the whole chunk history ----------
-    cold_client = SafeBrowsingClient(server, name="cold",
-                                     config=ClientConfig(store_backend="sorted-array"))
+    cold_client = SafeBrowsingClient(
+        server, name="cold", config=ClientConfig(store_backend=STORE_BACKEND))
     cold_started = time.perf_counter()
     cold_client.update()
     cold_seconds = time.perf_counter() - cold_started
@@ -67,8 +48,9 @@ def test_bench_warm_start(benchmark, record_json, tmp_path):
 
     # -- warm start: restore + incremental resync (the timed region) -------
     def warm_start():
-        client = SafeBrowsingClient(server, name="warm",
-                                    config=ClientConfig(store_backend="sorted-array"))
+        client = SafeBrowsingClient(
+            server, name="warm",
+            config=ClientConfig(store_backend=STORE_BACKEND))
         client.restore_snapshot(snapshot_path)
         client.update()
         return client
@@ -80,46 +62,15 @@ def test_bench_warm_start(benchmark, record_json, tmp_path):
     warm_chunks = warm_client.stats.chunks_received
     assert warm_client.local_database_size() == cold_prefixes + DRIFT_EXPRESSIONS
 
-    # -- lookup throughput: packed in-memory vs memory-mapped --------------
-    members = sorted({prefix for list_db in server.database
-                      for prefix in list_db.prefixes()})
-    packed_path = tmp_path / "packed.bin"
-    packed_path.write_bytes(b"".join(prefix.value for prefix in members))
-    with open(packed_path, "rb") as handle:
-        mapped_buffer = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    mapped_store = MmapSortedArrayStore.from_buffer(
-        mapped_buffer, 0, len(members), 32, keep_alive=mapped_buffer)
-    memory_store = SortedArrayPrefixStore(members, 32)
-
-    batches = []
-    step = max(1, len(members) // LOOKUP_BATCH_SIZE)
-    for batch_index in range(LOOKUP_BATCHES):
-        batch = [members[(batch_index + position * step) % len(members)]
-                 for position in range(LOOKUP_BATCH_SIZE // 2)]
-        batch += [Prefix.from_int((batch_index * 2_654_435_761 + position)
-                                  % 2**32, 32)
-                  for position in range(LOOKUP_BATCH_SIZE // 2)]
-        batches.append(batch)
-
-    def throughput(store) -> tuple[float, int]:
-        started = time.perf_counter()
-        checksum = 0
-        for batch in batches:
-            checksum ^= store.contains_many(batch)
-        elapsed = time.perf_counter() - started
-        return (LOOKUP_BATCHES * LOOKUP_BATCH_SIZE) / elapsed, checksum
-
-    memory_rate, memory_mask = throughput(memory_store)
-    mapped_rate, mapped_mask = throughput(mapped_store)
-    # Same batches, same members: the two stores must agree bit-for-bit.
-    assert memory_mask == mapped_mask
+    blacklist_prefixes = len({prefix for list_db in server.database
+                              for prefix in list_db.prefixes()})
 
     saved_fraction = (1.0 - warm_prefixes / cold_prefixes
                       if cold_prefixes else 0.0)
     record_json("warm_start", {
         "scale": MEDIUM.name,
-        "store_backend": "sorted-array",
-        "blacklist_prefixes": len(members),
+        "store_backend": STORE_BACKEND,
+        "blacklist_prefixes": blacklist_prefixes,
         "drift_expressions": DRIFT_EXPRESSIONS,
         "cold_sync": {
             "seconds": round(cold_seconds, 4),
@@ -133,14 +84,6 @@ def test_bench_warm_start(benchmark, record_json, tmp_path):
             "snapshot_bytes": snapshot_path.stat().st_size,
         },
         "bandwidth_saved_fraction": round(saved_fraction, 4),
-        "lookup_throughput": {
-            "batches": LOOKUP_BATCHES,
-            "batch_size": LOOKUP_BATCH_SIZE,
-            "sorted_array_lookups_per_second": round(memory_rate, 1),
-            "mmap_lookups_per_second": round(mapped_rate, 1),
-            "mmap_relative": round(mapped_rate / memory_rate, 3)
-            if memory_rate else 0.0,
-        },
     })
 
     # The acceptance bar: a warm start must transfer strictly less update

@@ -35,7 +35,7 @@ def batched_lookup_demo() -> None:
                      ["evil.example.com/", "evil.example.com/malware/dropper.exe"])
 
     client = SafeBrowsingClient(server, name="fleet-demo-browser", clock=clock,
-                                config=ClientConfig(store_backend="sorted-array"))
+                                config=ClientConfig(store_backend="raw"))
     client.update()
 
     batch = [

@@ -63,7 +63,6 @@ from repro.datastructures import (
     BloomPrefixStore,
     DeltaCodedPrefixStore,
     RawPrefixStore,
-    SortedArrayPrefixStore,
     store_memory_report,
 )
 from repro.safebrowsing import (
@@ -132,7 +131,6 @@ __all__ = [
     "ReproError",
     "SafeBrowsingClient",
     "SafeBrowsingServer",
-    "SortedArrayPrefixStore",
     "TemporalCorrelator",
     "TrackingSystem",
     "UpdateError",

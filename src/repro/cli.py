@@ -50,7 +50,6 @@ often, without writing Python:
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import sys
 from collections.abc import Callable, Sequence
 
@@ -88,42 +87,9 @@ _EXPERIMENTS: dict[str, str] = {
     "ingestion": "repro.experiments.ingestion:ingestion_table",
 }
 
-def _numpy_available() -> bool:
-    """Whether numpy is importable (without importing it)."""
-    try:
-        return importlib.util.find_spec("numpy") is not None
-    except (ImportError, ValueError):
-        # A blocked or half-torn-down numpy counts as absent.
-        return False
-
-
-#: Store backends offered by ``repro fleet``.  Mirrors the keys of
-#: ``repro.safebrowsing.client._STORE_BACKENDS`` (kept in sync by a unit
-#: test) so building the parser does not import the safebrowsing stack —
-#: including the registry's optional-numpy rule, probed via ``find_spec``.
-_FLEET_STORE_BACKENDS = ("bloom", "delta-coded", "mmap", "raw", "sorted-array") + (
-    ("numpy", "numpy-mmap") if _numpy_available() else ())
-
-#: Transport kinds offered by ``repro fleet``.  Mirrors
-#: ``repro.safebrowsing.transport.TRANSPORT_KINDS`` (kept in sync by a unit
-#: test) for the same lazy-import reason.  ``http`` makes the fleet co-host
-#: a real asyncio service in a background thread and drive it over sockets.
-_FLEET_TRANSPORTS = ("http", "in-process", "simulated")
-
-#: Transport kinds offered by ``repro ingest``.  Ingestion builds its
-#: transports without a network address (the server lives in the same
-#: process by design), so it keeps the local kinds only.
-_LOCAL_TRANSPORTS = ("in-process", "simulated")
-
-#: Privacy policies offered by ``repro fleet``.  Mirrors the keys of
-#: ``repro.safebrowsing.privacy.POLICY_FACTORIES`` (kept in sync by a unit
-#: test); argparse rejects anything else with a message listing these.
-_FLEET_POLICIES = ("dummy", "mix", "none", "one-prefix", "widen")
-
 #: Population profiles offered by ``repro fleet``.  Mirrors the keys of
 #: ``repro.experiments.profiles.PROFILE_FACTORIES`` (kept in sync by a unit
-#: test); argparse rejects unknown names with a message listing these, the
-#: same convention as the policy and store-backend registries.
+#: test); argparse rejects unknown names with a message listing these.
 _FLEET_PROFILES = ("desktop", "global-mix", "mobile", "regional", "uniform")
 
 #: Scale tiers offered by ``repro fleet``.  LARGE/XLARGE are the
@@ -132,7 +98,7 @@ _FLEET_SCALES = ("small", "medium", "large", "xlarge")
 
 #: Server storage backends offered by ``repro fleet`` / ``ingest`` / ``serve``.
 #: Mirrors ``repro.safebrowsing.storage.STORAGE_KINDS`` (kept in sync by a
-#: unit test) for the same lazy-import reason as the tuples above.
+#: unit test) so building the parser does not import the storage layer.
 _SERVER_STORAGE_KINDS = ("memory", "sqlite")
 
 
@@ -196,11 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the stream length per client")
     fleet.add_argument("--batch-size", type=int, default=None,
                        help="override the page-load batch size")
-    fleet.add_argument("--store-backend", default=None,
-                       choices=_FLEET_STORE_BACKENDS,
-                       help="client store backend (default: the vectorized "
-                            "numpy store when numpy is installed, else "
-                            "sorted-array)")
+    fleet.add_argument("--store-backend", default=None, metavar="NAME",
+                       help="client store backend (default: numpy when "
+                            "numpy is installed, else raw); an unknown name "
+                            "prints the registered ones")
     fleet.add_argument("--workers", type=int, default=None, metavar="N",
                        help="run the fleet sharded over N worker processes "
                             "(the process-parallel engine; requires --mode "
@@ -212,9 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default uniform)")
     fleet.add_argument("--seed", type=int, default=None,
                        help="override the traffic seed")
-    fleet.add_argument("--transport", choices=_FLEET_TRANSPORTS,
-                       default="in-process",
-                       help="client<->server boundary (default in-process)")
+    fleet.add_argument("--transport", default="in-process", metavar="KIND",
+                       help="client<->server boundary (default "
+                            "in-process); an unknown kind prints the "
+                            "registered ones")
     fleet.add_argument("--latency", type=float, default=None, metavar="SECONDS",
                        help="simulated network latency per request")
     fleet.add_argument("--failure-rate", type=float, default=None,
@@ -239,11 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="how many targets the adversary tracks "
                             "(default: the scale's tracked_targets; "
                             "implies --adversary)")
-    fleet.add_argument("--privacy-policy", choices=_FLEET_POLICIES,
-                       default="none", metavar="POLICY",
-                       help="client-side defense installed on every client: "
-                            f"one of {', '.join(_FLEET_POLICIES)} "
-                            "(default none)")
+    fleet.add_argument("--privacy-policy", default="none", metavar="POLICY",
+                       help="client-side defense installed on every client "
+                            "(default none); an unknown name prints the "
+                            "registered ones")
     fleet.add_argument("--dummy-count", type=int, default=None, metavar="N",
                        help="dummies per real prefix for --privacy-policy "
                             "dummy (default 4)")
@@ -286,9 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--path", default=None, metavar="FILE",
                         help="SQLite database file for --storage sqlite "
                              "(default: in-memory)")
-    ingest.add_argument("--transport", choices=_LOCAL_TRANSPORTS,
-                        default="in-process",
-                        help="client<->server boundary (default in-process)")
+    ingest.add_argument("--transport", default="in-process", metavar="KIND",
+                        help="client<->server boundary, a local kind "
+                             "(default in-process); an unknown kind prints "
+                             "the supported ones")
     ingest.add_argument("--initial", type=int, default=2000, metavar="N",
                         help="entries ingested before clients connect "
                              "(default 2000)")

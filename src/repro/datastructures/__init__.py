@@ -6,57 +6,52 @@ Table 2) compares the two structures Google deployed: a Bloom filter (early
 Chromium) and the delta-coded table that replaced it, and explains the switch
 by measuring the memory footprint for different prefix widths.
 
-This package implements both structures plus two exact array stores — the
-boxed :class:`RawPrefixStore` and the packed :class:`SortedArrayPrefixStore`
-with batched :meth:`~PrefixStore.contains_many` lookups — all behind the
+This package implements both structures plus the raw prefix array of the
+same table — :class:`RawPrefixStore`, a packed sorted array with batched
+:meth:`~PrefixStore.contains_many` lookups — all behind the
 :class:`PrefixStore` interface, and a byte-accurate memory model used to
-regenerate Table 2.
+regenerate Table 2.  :data:`STORE_FACTORIES` is the one registry of
+backends, keyed ``raw``, ``delta-coded`` and ``bloom``.
+
+When numpy is importable (``NUMPY_AVAILABLE``), :class:`NumpyPrefixStore`
+joins the registry as ``numpy``: the same packed sorted array, searched with
+one vectorized gather per batch.  numpy is strictly optional — without it
+the registry simply omits the name and everything else works unchanged.
+:data:`DEFAULT_STORE_BACKEND` is ``numpy`` when it imports, ``raw``
+otherwise.
 
 The server side builds on the same interface: :class:`ShardedPrefixIndex`
-partitions any registered backend by leading prefix byte so the provider's
-per-list membership indexes scale horizontally (the storage layer of the
-sharded server core).
-
-The persistence layer (:mod:`repro.safebrowsing.snapshot`) adds
-:class:`MmapSortedArrayStore`: the same exact sorted-array semantics, but
-the baseline values live in any zero-copy buffer — in particular a
-memory-mapped snapshot file, so a restarted client warm-starts without
-deserializing its prefix database.
-
-When numpy is importable (``NUMPY_AVAILABLE``), two vectorized backends
-join the registry: :class:`NumpyPrefixStore` (the packed array searched
-with one ``searchsorted`` per batch) and :class:`NumpyMmapStore` (the
-mapped baseline searched the same way, in place or through a lazily
-materialized machine-endian mirror).  numpy is strictly optional — without
-it the registry simply omits the two names and everything else works
-unchanged.
+partitions raw stores by leading prefix byte so the provider's per-list
+membership indexes scale horizontally (the storage layer of the sharded
+server core).
 """
 
 from repro.datastructures.store import PrefixStore, RawPrefixStore
-from repro.datastructures.sorted_array import SortedArrayPrefixStore
 from repro.datastructures.sharded import DEFAULT_SHARD_COUNT, ShardedPrefixIndex
 from repro.datastructures.bloom import BloomFilter, BloomPrefixStore, optimal_bloom_parameters
 from repro.datastructures.delta import DeltaCodedTable, DeltaCodedPrefixStore
-from repro.datastructures.mmapped import MmapSortedArrayStore
-from repro.datastructures.vectorized import NUMPY_AVAILABLE, NumpyMmapStore, NumpyPrefixStore
-from repro.datastructures.memory import MemoryReport, STORE_FACTORIES, store_memory_report
+from repro.datastructures.vectorized import NUMPY_AVAILABLE, NumpyPrefixStore
+from repro.datastructures.memory import (
+    DEFAULT_STORE_BACKEND,
+    MemoryReport,
+    STORE_FACTORIES,
+    store_memory_report,
+)
 
 __all__ = [
     "BloomFilter",
     "BloomPrefixStore",
     "DEFAULT_SHARD_COUNT",
+    "DEFAULT_STORE_BACKEND",
     "DeltaCodedPrefixStore",
     "DeltaCodedTable",
     "MemoryReport",
-    "MmapSortedArrayStore",
     "NUMPY_AVAILABLE",
-    "NumpyMmapStore",
     "NumpyPrefixStore",
     "PrefixStore",
     "RawPrefixStore",
     "STORE_FACTORIES",
     "ShardedPrefixIndex",
-    "SortedArrayPrefixStore",
     "optimal_bloom_parameters",
     "store_memory_report",
 ]

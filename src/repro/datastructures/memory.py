@@ -5,43 +5,43 @@ Google lists (roughly 630k prefixes), the serialized size of the raw prefix
 array, the delta-coded table and a Bloom filter as the prefix width grows
 from 32 to 256 bits.  :func:`store_memory_report` reproduces one row of that
 table; the benchmark harness sweeps the widths.
+
+The module also holds :data:`STORE_FACTORIES`, the one registry of store
+backends: the paper's three structures plus the numpy-vectorized store.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.datastructures.bloom import BloomPrefixStore
 from repro.datastructures.delta import DeltaCodedPrefixStore
-from repro.datastructures.mmapped import MmapSortedArrayStore
-from repro.datastructures.sorted_array import SortedArrayPrefixStore
 from repro.datastructures.store import PrefixStore, RawPrefixStore
-from repro.datastructures.vectorized import (
-    NUMPY_AVAILABLE,
-    NumpyMmapStore,
-    NumpyPrefixStore,
-)
+from repro.datastructures.vectorized import NUMPY_AVAILABLE, NumpyPrefixStore
 from repro.hashing.prefix import Prefix
 
-#: Factories for the stores compared in Table 2 (keyed by the row name used
-#: in the paper), plus the packed sorted-array store added for the batched
-#: lookup pipeline (identical serialized size to the "raw" row) and the
-#: mapped-baseline store the persistence layer warm-starts from.
-STORE_FACTORIES: dict[str, Callable[[Iterable[Prefix], int], PrefixStore]] = {
-    "raw": lambda prefixes, bits: RawPrefixStore(prefixes, bits),
-    "delta-coded": lambda prefixes, bits: DeltaCodedPrefixStore(prefixes, bits),
-    "bloom": lambda prefixes, bits: BloomPrefixStore(prefixes, bits),
-    "sorted-array": lambda prefixes, bits: SortedArrayPrefixStore(prefixes, bits),
-    "mmap": lambda prefixes, bits: MmapSortedArrayStore(prefixes, bits),
+#: The one store registry: backend name -> store class.  The three stores
+#: compared in Table 2 are keyed by the row names used in the paper; every
+#: class takes ``(prefixes=(), bits=32)``.  ``ClientConfig`` validates its
+#: ``store_backend`` against these keys, and the property suites sweep them.
+STORE_FACTORIES: dict[str, type[PrefixStore]] = {
+    "raw": RawPrefixStore,
+    "delta-coded": DeltaCodedPrefixStore,
+    "bloom": BloomPrefixStore,
 }
 
-# The vectorized backends exist only when numpy is importable: registering
-# them conditionally keeps tier-1 green without numpy, and lets the property
-# suites (which sweep these keys) pin them automatically when it is present.
+# The vectorized backend exists only when numpy is importable: registering
+# it conditionally keeps tier-1 green without numpy, and lets the property
+# suites (which sweep these keys) pin it automatically when it is present.
 if NUMPY_AVAILABLE:
-    STORE_FACTORIES["numpy"] = lambda prefixes, bits: NumpyPrefixStore(prefixes, bits)
-    STORE_FACTORIES["numpy-mmap"] = lambda prefixes, bits: NumpyMmapStore(prefixes, bits)
+    STORE_FACTORIES["numpy"] = NumpyPrefixStore
+
+#: Default client store backend: the vectorized numpy store when numpy is
+#: importable (one ``searchsorted`` gather per batch), else the packed raw
+#: array.  Verdicts and traffic are backend-independent (property-pinned),
+#: so the default only moves the lookup cost onto the fastest available path.
+DEFAULT_STORE_BACKEND = "numpy" if NUMPY_AVAILABLE else "raw"
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,4 +1,4 @@
-"""A sharded prefix index: any registered store backend, partitioned.
+"""A sharded prefix index: raw prefix stores, partitioned.
 
 The server keeps one membership index per blacklist.  At reproduction scale a
 single sorted array answers everything, but the ROADMAP's north star is a
@@ -7,58 +7,39 @@ the bottleneck: every insert shifts one giant array and every batched probe
 funnels through a single structure.  :class:`ShardedPrefixIndex` partitions
 the key space by the *leading prefix byte* — SHA-256 prefixes are uniformly
 distributed, so ``shard = first_byte % shard_count`` balances the shards for
-free — and delegates each shard to an independent instance of any registered
-:class:`~repro.datastructures.store.PrefixStore` backend.
+free — and delegates each shard to an independent
+:class:`~repro.datastructures.store.RawPrefixStore`.
 
-Membership semantics are byte-for-byte those of the unsharded backend (the
-property suite pins this across every backend and shard count): routing only
-decides *which* store answers, never *what* it answers.  Batched
-:meth:`contains_many` probes are grouped per shard so each backend sees one
-sorted sub-batch, keeping the sorted-array fast path effective inside every
-shard.
+Membership semantics are byte-for-byte those of an unsharded store (the
+property suite pins this against every exact backend and shard count):
+routing only decides *which* store answers, never *what* it answers.
+Batched :meth:`contains_many` probes are grouped per shard so each store
+sees one sorted sub-batch, keeping the sorted-array fast path effective
+inside every shard.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
-from repro.datastructures.store import PrefixStore
+from repro.datastructures.store import PrefixStore, RawPrefixStore
 from repro.exceptions import DataStructureError
 from repro.hashing.prefix import Prefix
 
 #: Default number of shards (one per distinct value of ``byte % 16``).
 DEFAULT_SHARD_COUNT = 16
 
-#: Factory signature accepted for shard construction.
-ShardFactory = Callable[[Iterable[Prefix], int], PrefixStore]
-
-
-def _resolve_backend(backend: str | ShardFactory) -> ShardFactory:
-    """Turn a registered backend name (or an explicit factory) into a factory."""
-    if callable(backend):
-        return backend
-    # Imported lazily: memory.py imports the concrete stores, and this module
-    # must stay importable from datastructures/__init__ without a cycle.
-    from repro.datastructures.memory import STORE_FACTORIES
-
-    try:
-        return STORE_FACTORIES[backend]
-    except KeyError:
-        raise DataStructureError(
-            f"unknown store backend {backend!r}; "
-            f"expected one of {sorted(STORE_FACTORIES)}"
-        ) from None
-
 
 class ShardedPrefixIndex(PrefixStore):
-    """``shard_count`` independent stores, routed by leading prefix byte.
+    """``shard_count`` independent raw stores, routed by leading prefix byte.
 
     With ``shard_count=1`` this degenerates to a thin wrapper around a single
-    backend store, which is what the equivalence tests compare against.
+    store, which is what the equivalence tests compare against.
     """
 
+    approximate = False
+
     def __init__(self, prefixes: Iterable[Prefix] = (), bits: int = 32, *,
-                 backend: str | ShardFactory = "sorted-array",
                  shard_count: int = DEFAULT_SHARD_COUNT) -> None:
         super().__init__(bits)
         if shard_count < 1 or shard_count > 256:
@@ -66,15 +47,12 @@ class ShardedPrefixIndex(PrefixStore):
                 f"shard_count must be in [1, 256], got {shard_count}"
             )
         self._shard_count = shard_count
-        factory = _resolve_backend(backend)
         buckets: list[list[Prefix]] = [[] for _ in range(shard_count)]
         for prefix in prefixes:
             buckets[self._shard_of(self._check(prefix))].append(prefix)
-        self._shards: list[PrefixStore] = [
-            factory(bucket, bits) for bucket in buckets
+        self._shards: list[RawPrefixStore] = [
+            RawPrefixStore(bucket, bits) for bucket in buckets
         ]
-        # The sharded index is exactly as approximate as its backend.
-        self.approximate = any(shard.approximate for shard in self._shards)
 
     # -- routing ---------------------------------------------------------------
 
@@ -87,8 +65,8 @@ class ShardedPrefixIndex(PrefixStore):
         return self._shard_count
 
     @property
-    def shards(self) -> tuple[PrefixStore, ...]:
-        """The backend store of each shard (read-only view)."""
+    def shards(self) -> tuple[RawPrefixStore, ...]:
+        """The store of each shard (read-only view)."""
         return tuple(self._shards)
 
     def shard_sizes(self) -> tuple[int, ...]:
@@ -114,7 +92,7 @@ class ShardedPrefixIndex(PrefixStore):
 
     def __iter__(self) -> Iterator[Prefix]:
         for shard in self._shards:
-            yield from shard  # type: ignore[misc]  # exact shards all iterate
+            yield from shard
 
     # -- bulk operations -------------------------------------------------------
 
@@ -137,7 +115,7 @@ class ShardedPrefixIndex(PrefixStore):
         """Batched membership, routed per shard and merged into one bitmask.
 
         Each shard receives only its own probes (with their original batch
-        positions), so backends with a sorted fast path keep it within every
+        positions), so the sorted fast path stays effective within every
         shard, and the merged bitmask is identical to the unsharded answer.
         """
         by_shard: dict[int, tuple[list[Prefix], list[int]]] = {}

@@ -1,55 +1,41 @@
-"""numpy-vectorized prefix stores (optional acceleration, ROADMAP item 2).
+"""The numpy-vectorized prefix store (optional acceleration).
 
-Every backend so far answers :meth:`~repro.datastructures.store.PrefixStore.contains_many`
-with a Python-level bisect loop — fine for correctness experiments, but the
-fleet simulator probes stores with thousands of batches per round and the
-per-probe interpreter overhead dominates.  This module adds two backends
-that answer a whole batch with one :func:`numpy.searchsorted` call:
+:class:`~repro.datastructures.store.RawPrefixStore` answers
+:meth:`~repro.datastructures.store.PrefixStore.contains_many` with a
+Python-level bisect loop — fine for correctness experiments, but the fleet
+simulator probes stores with thousands of batches per round and the
+per-probe interpreter overhead dominates.  :class:`NumpyPrefixStore`
+(registry name ``"numpy"``) holds the same packed sorted array as a numpy
+vector and answers a whole batch with one vectorized search.
 
-:class:`NumpyPrefixStore` (registry name ``"numpy"``)
-    The packed sorted array held as a numpy vector.  Widths with a native
-    integer dtype (1/2/4/8 bytes) are stored machine-endian at their own
-    width (``uint32`` for the deployed 32-bit lists — half the memory
-    traffic of a widened ``uint64``); every other width uses the
-    fixed-length bytes dtype ``S{width}``, whose lexicographic ordering
-    coincides with big-endian numeric ordering, so a single code path
-    covers 8..256-bit prefixes.  Large integer-width stores additionally
-    carry a :class:`_BucketIndex` — a top-bits offset table that replaces
-    the per-probe binary search (whose last few levels are all cold cache
-    misses on a multi-megabyte array) with one table gather plus one
-    cache-line block compare per probe.
+Widths with a native integer dtype (1/2/4/8 bytes) are stored machine-endian
+at their own width (``uint32`` for the deployed 32-bit lists — half the
+memory traffic of a widened ``uint64``); every other width uses the
+fixed-length bytes dtype ``S{width}``, whose lexicographic ordering
+coincides with big-endian numeric ordering, so a single code path covers
+8..256-bit prefixes.  Large integer-width stores additionally carry a
+:class:`_BucketIndex` — a top-bits offset table that replaces the per-probe
+binary search (whose last few levels are all cold cache misses on a
+multi-megabyte array) with one table gather plus one cache-line block
+compare per probe.
 
-:class:`NumpyMmapStore` (registry name ``"numpy-mmap"``)
-    :class:`~repro.datastructures.mmapped.MmapSortedArrayStore` with the
-    baseline binary search vectorized.  The store searches the mapped
-    snapshot run *in place* through a zero-copy ``S{width}`` view — no
-    per-comparison ``bytes(...)`` slice allocation, the regression that
-    pinned the Python mmap store at ~0.2x of the in-memory array.  Because
-    numpy's comparisons on big-endian views go through a generic (slow)
-    inner loop, the store additionally *materializes a machine-endian
-    mirror* of the baseline on the first batched lookup (one vectorized
-    byteswap pass, no per-entry parsing): restore stays zero-copy and
-    instant, and steady-state batches run at native ``searchsorted`` speed.
-    ``materialize="never"`` keeps the pure in-place search (still allocation
-    free and several times faster than the Python loop);
-    ``materialize="eager"`` pays the pass up front.
+A same-width :class:`~repro.hashing.prefix.PrefixRun` (a server chunk, or
+a packed section of a client snapshot) is read with one ``frombuffer``, so
+a warm start restores a store without building a ``Prefix`` per value.
 
 numpy is an **optional** dependency: importing this module never fails, the
-registries in :mod:`repro.datastructures.memory` and
-:mod:`repro.safebrowsing.client` only register the two backends when numpy
-is importable (``NUMPY_AVAILABLE``), and constructing either store without
-numpy raises :class:`~repro.exceptions.DataStructureError`.  Tier-1 passes
-with or without numpy; the property suites sweep whatever is registered, so
-both backends are pinned observationally identical to ``sorted-array``
-whenever they exist.
+registry in :mod:`repro.datastructures.memory` only registers ``"numpy"``
+when numpy is importable (``NUMPY_AVAILABLE``), and constructing the store
+without numpy raises :class:`~repro.exceptions.DataStructureError`.  Tier-1
+passes with or without numpy; the property suites sweep whatever is
+registered, so the store is pinned observationally identical to ``raw``
+whenever it exists.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 
-from repro.datastructures.mmapped import MmapSortedArrayStore
 from repro.datastructures.store import PrefixStore
 from repro.exceptions import DataStructureError
 from repro.hashing.prefix import Prefix, PrefixRun
@@ -59,12 +45,12 @@ try:
 except ImportError:  # pragma: no cover - exercised by the numpy-absent CI leg
     _np = None
 
-#: Whether the two vectorized backends can actually be constructed (and are
-#: therefore registered in the store registries).
+#: Whether the vectorized backend can actually be constructed (and is
+#: therefore registered in the store registry).
 NUMPY_AVAILABLE = _np is not None
 
 #: Byte widths with a native integer dtype; these are byteswapped once into
-#: a machine-endian ``uint{8*width}`` mirror for the fastest inner loops.
+#: machine-endian ``uint{8*width}`` values for the fastest inner loops.
 #: Other widths use the ``S{width}`` bytes dtype (memcmp == big-endian).
 _INT_WIDTHS = frozenset({1, 2, 4, 8})
 
@@ -154,7 +140,7 @@ class _BucketIndex:
 def _require_numpy() -> None:
     if _np is None:
         raise DataStructureError(
-            "the numpy-vectorized store backends require numpy, which is not "
+            "the numpy-vectorized store backend requires numpy, which is not "
             "installed; use one of the pure-Python backends instead"
         )
 
@@ -168,28 +154,33 @@ class NumpyPrefixStore(PrefixStore):
     """Exact sorted-array semantics with numpy-batched lookups.
 
     Observationally identical to
-    :class:`~repro.datastructures.sorted_array.SortedArrayPrefixStore` (the
-    property suites pin this); only the inner representation differs — a
-    sorted numpy vector searched with one ``searchsorted`` per batch and the
-    hit bits packed with :func:`numpy.packbits`.
+    :class:`~repro.datastructures.store.RawPrefixStore` (the property suites
+    pin this); only the inner representation differs — a sorted numpy
+    vector searched with one ``searchsorted`` per batch and the hit bits
+    packed with :func:`numpy.packbits`.
     """
 
     approximate = False
 
     def __init__(self, prefixes: Iterable[Prefix] = (), bits: int = 32) -> None:
-        """Build the store over ``prefixes`` (deduplicated) at width ``bits``."""
+        """Build the store over ``prefixes`` (deduplicated) at width ``bits``.
+
+        A same-width :class:`PrefixRun` is read with one ``frombuffer``;
+        ``np.unique`` runs only when the values are not already strictly
+        ascending, so a restored snapshot section is never re-sorted — and
+        a run that is unsorted or repeats values still yields its sorted,
+        deduplicated set.
+        """
         _require_numpy()
         super().__init__(bits)
         width = bits // 8
         self._width = width
         self._is_int = width in _INT_WIDTHS
-        packed = b"".join(sorted({self._check(prefix).value for prefix in prefixes}))
-        if self._is_int:
-            self._dtype = _np.dtype(f"u{width}")
-            self._values = _np.frombuffer(packed, dtype=f">u{width}").astype(self._dtype)
-        else:
-            self._dtype = _np.dtype(f"S{width}")
-            self._values = _np.frombuffer(packed, dtype=self._dtype).copy()
+        self._dtype = _np.dtype(f"u{width}" if self._is_int else f"S{width}")
+        values = self._bulk_operand(prefixes)
+        if values.size > 1 and not (values[1:] > values[:-1]).all():
+            values = _np.unique(values)
+        self._values = values
         self._index: _BucketIndex | None = None
         self._index_stale = True
 
@@ -225,7 +216,8 @@ class NumpyPrefixStore(PrefixStore):
         return _np.frombuffer(raw, dtype=self._dtype)
 
     def _bulk_operand(self, prefixes: Iterable[Prefix]):
-        """A bulk update's prefixes as a vector; a same-width run is read in place."""
+        """Construction or bulk-update operand as an (unsorted) vector; a
+        same-width run is read in place."""
         if isinstance(prefixes, PrefixRun) and (
                 prefixes.bits == self._bits or not prefixes):
             return self._from_packed(prefixes.packed)
@@ -338,166 +330,3 @@ class NumpyPrefixStore(PrefixStore):
         if self._index is not None:
             return _pack_bitmask(self._index.hits(probes))
         return _pack_bitmask(self._positions(probes)[1])
-
-
-class NumpyMmapStore(MmapSortedArrayStore):
-    """Mapped sorted-array baseline with the binary search vectorized.
-
-    Same baseline-plus-overlay semantics (and snapshot byte layout) as
-    :class:`~repro.datastructures.mmapped.MmapSortedArrayStore`; the three
-    lookup paths differ only in speed:
-
-    * **in place** — a zero-copy ``S{width}`` view over the mapped run,
-      searched with ``searchsorted`` (no per-comparison slice allocation);
-    * **materialized** — a machine-endian width-native mirror of the
-      baseline, built with one vectorized byteswap pass, searched through
-      the same :class:`_BucketIndex` as the in-memory store (widths without
-      a native integer dtype keep the ``S`` view, which is already as
-      native as numpy gets for them);
-    * scalar operations reuse whichever of the two exists.
-
-    ``materialize`` chooses when the mirror is built: ``"lazy"`` (default)
-    on the first batched lookup, ``"eager"`` at construction, ``"never"``
-    not at all.  The mirror costs ``count * 8`` bytes of heap; restore
-    itself stays zero-copy in every mode.
-    """
-
-    approximate = False
-
-    def __init__(self, prefixes: Iterable[Prefix] = (), bits: int = 32, *,
-                 materialize: str = "lazy") -> None:
-        """Pack ``prefixes`` into an in-memory baseline (registry path)."""
-        _require_numpy()
-        if materialize not in ("lazy", "eager", "never"):
-            raise DataStructureError(
-                f"unknown materialize mode {materialize!r}; "
-                "expected 'lazy', 'eager' or 'never'"
-            )
-        super().__init__(prefixes, bits)
-        self._width = bits // 8
-        self._materialize = materialize
-        self._mirror = None
-        self._bucket_index = None
-        if materialize == "eager":
-            self.materialize_baseline()
-
-    @classmethod
-    def from_buffer(cls, buffer, offset: int, count: int, bits: int = 32, *,
-                    keep_alive: object | None = None,
-                    materialize: str = "lazy") -> "NumpyMmapStore":
-        """Wrap a packed run zero-copy (see the parent method for arguments).
-
-        ``materialize`` picks the mirror policy described on the class.
-        """
-        store = super().from_buffer(buffer, offset, count, bits,
-                                    keep_alive=keep_alive)
-        store._materialize = materialize
-        if materialize == "eager":
-            store.materialize_baseline()
-        return store
-
-    # -- baseline views --------------------------------------------------------
-
-    def _inplace_view(self):
-        """Zero-copy ``S{width}`` view over the baseline buffer."""
-        return _np.frombuffer(self._base, dtype=f"S{self._width}",
-                              count=self._base_count)
-
-    def materialize_baseline(self) -> None:
-        """Build the machine-endian mirror of the baseline now (idempotent).
-
-        The baseline is immutable (overlay structures absorb mutations), so
-        the bucket table over the mirror is built here once and never goes
-        stale.
-        """
-        if self._mirror is not None or not self._base_count:
-            return
-        if self._width in _INT_WIDTHS:
-            self._mirror = _np.frombuffer(
-                self._base, dtype=f">u{self._width}", count=self._base_count
-            ).astype(f"u{self._width}")
-            self._bucket_index = _BucketIndex.build(self._mirror, self._bits)
-        else:
-            # No native integer dtype at this width: a compact copy of the S
-            # view (comparisons are memcmp either way, but the copy stops
-            # lookups from faulting snapshot pages back in after eviction).
-            self._mirror = self._inplace_view().copy()
-
-    @property
-    def materialized(self) -> bool:
-        """Whether the native baseline mirror has been built."""
-        return self._mirror is not None
-
-    def _search_state(self):
-        """``(array, is_int)`` the batched baseline search should run over."""
-        if self._mirror is None and self._materialize == "lazy":
-            self.materialize_baseline()
-        if self._mirror is not None:
-            return self._mirror, self._width in _INT_WIDTHS
-        return self._inplace_view(), False
-
-    def _scalar_state(self):
-        """Like :meth:`_search_state`, but never triggers materialization."""
-        if self._mirror is not None:
-            return self._mirror, self._width in _INT_WIDTHS
-        return self._inplace_view(), False
-
-    # -- vectorized baseline search -------------------------------------------
-
-    def _base_index(self, raw: bytes, low: int = 0) -> int:
-        """Leftmost baseline position >= ``raw``, without slice allocations."""
-        if not self._base_count:
-            return 0
-        array, is_int = self._scalar_state()
-        needle = array.dtype.type(int.from_bytes(raw, "big")) if is_int else raw
-        if low:
-            return low + int(_np.searchsorted(array[low:], needle))
-        return int(_np.searchsorted(array, needle))
-
-    def contains_many(self, prefixes: Iterable[Prefix]) -> int:
-        """Batched membership bitmask over baseline and overlay.
-
-        The baseline is answered by one vectorized binary search; the
-        overlay (post-restore adds and tombstones) then corrects only the
-        probes it can affect — tombstones are tested against baseline hits,
-        the added-values list against baseline misses.
-        """
-        raws = [prefix.value for prefix in prefixes]
-        if not raws:
-            return 0
-        raw = b"".join(raws)
-        width = self._width
-        if len(raw) != len(raws) * width:
-            for raw_value in raws:
-                if len(raw_value) != width:
-                    raise DataStructureError(
-                        f"store holds {self._bits}-bit prefixes, got a "
-                        f"{len(raw_value) * 8}-bit one"
-                    )
-        if self._base_count:
-            array, is_int = self._search_state()
-            if is_int:
-                probes = _np.frombuffer(raw, dtype=f">u{width}").astype(f"u{width}")
-            else:
-                probes = _np.frombuffer(raw, dtype=f"S{width}")
-            if is_int and self._bucket_index is not None:
-                hits = self._bucket_index.hits(probes)
-            else:
-                index = _np.searchsorted(array, probes)
-                _np.minimum(index, array.size - 1, out=index)
-                hits = array[index] == probes
-        else:
-            hits = _np.zeros(len(raws), dtype=bool)
-        if self._removed:
-            removed = self._removed
-            for position in _np.flatnonzero(hits):
-                if raws[position] in removed:
-                    hits[position] = False
-        if self._added:
-            added = self._added
-            for position in _np.flatnonzero(~hits):
-                probe = raws[position]
-                slot = bisect_left(added, probe)
-                if slot < len(added) and added[slot] == probe:
-                    hits[position] = True
-        return _pack_bitmask(hits)

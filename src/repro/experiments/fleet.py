@@ -87,11 +87,13 @@ from repro.analysis.inverted_index import PrefixInvertedIndex
 from repro.analysis.streaming import StreamingTrackingDetector
 from repro.analysis.tracking import TrackingDecision, tracking_prefixes
 from repro.clock import ManualClock
+from repro.datastructures.memory import DEFAULT_STORE_BACKEND
 from repro.datastructures.sharded import DEFAULT_SHARD_COUNT
 from repro.exceptions import (
     ExperimentError,
     PolicyError,
     TransportError,
+    UpdateError,
     require_dependency,
 )
 from repro.experiments.profiles import ClientProfile, build_profile
@@ -112,12 +114,6 @@ from repro.safebrowsing.transport import TRANSPORT_KINDS
 
 #: Execution modes understood by the simulator.
 FLEET_MODES = ("scalar", "batched")
-
-#: Default client store backend for fleet runs: the PR 6 vectorized numpy
-#: store when numpy is importable (the hot path at 10^5-client scale), else
-#: the packed sorted array — the pure-Python batched reference, so the
-#: numpy-absent install keeps its historical behaviour.
-DEFAULT_FLEET_STORE_BACKEND = "numpy" if np is not None else "sorted-array"
 
 #: Algorithm 1's collision budget used by the fleet adversary (matches
 #: :class:`~repro.analysis.tracking.TrackingSystem`'s default).
@@ -150,8 +146,9 @@ class FleetConfig:
     provider:
         Whose lists the simulated server serves.
     store_backend:
-        Client-side store backend (the packed sorted-array by default, so
-        the batched mode exercises :meth:`PrefixStore.contains_many`).
+        Client-side store backend, a key of
+        :data:`~repro.datastructures.memory.STORE_FACTORIES` (default
+        :data:`~repro.datastructures.memory.DEFAULT_STORE_BACKEND`).
     working_set_size:
         Size of each client's personal working set of revisited URLs.
     working_set_fraction:
@@ -252,7 +249,7 @@ class FleetConfig:
 
     mode: str = "batched"
     provider: ListProvider = ListProvider.GOOGLE
-    store_backend: str = DEFAULT_FLEET_STORE_BACKEND
+    store_backend: str = DEFAULT_STORE_BACKEND
     working_set_size: int = 40
     working_set_fraction: float = 0.95
     malicious_fraction: float = 0.03
@@ -306,6 +303,12 @@ class FleetConfig:
             build_policy("mix", mix_pool_size=self.mix_pool_size,
                          mix_delay_seconds=self.mix_delay_seconds)
         except PolicyError as exc:
+            raise ExperimentError(str(exc)) from exc
+        # The store registry is owned by the client layer, which rejects an
+        # unknown backend with the registered names.
+        try:
+            ClientConfig(store_backend=self.store_backend)
+        except UpdateError as exc:
             raise ExperimentError(str(exc)) from exc
         if self.tracked_target_count is not None and self.tracked_target_count < 1:
             raise ExperimentError("tracked_target_count must be positive or None")

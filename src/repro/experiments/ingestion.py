@@ -37,7 +37,7 @@ from repro.safebrowsing.lists import GOOGLE_LISTS
 from repro.safebrowsing.protocol import Verdict
 from repro.safebrowsing.server import SafeBrowsingServer
 from repro.safebrowsing.storage import STORAGE_KINDS
-from repro.safebrowsing.transport import TRANSPORT_KINDS, build_transport
+from repro.safebrowsing.transport import LOCAL_TRANSPORT_KINDS, build_transport
 from repro.reporting.tables import Table
 
 
@@ -102,10 +102,12 @@ def run_ingestion(*, storage: str = "sqlite", storage_path=None,
         raise ExperimentError(
             f"unknown storage backend {storage!r}; expected one of "
             f"{STORAGE_KINDS}")
-    if transport not in TRANSPORT_KINDS:
+    if transport not in LOCAL_TRANSPORT_KINDS:
+        # The server lives in this process by design, so a transport that
+        # needs a network address is rejected before any bootstrap work.
         raise ExperimentError(
-            f"unknown transport {transport!r}; expected one of "
-            f"{TRANSPORT_KINDS}")
+            f"unsupported ingestion transport {transport!r}; expected one of "
+            f"{LOCAL_TRANSPORT_KINDS}")
     if progress_every < 0:
         raise ExperimentError("progress_every must be non-negative")
     emit = progress_sink if progress_sink is not None else print
@@ -124,7 +126,7 @@ def run_ingestion(*, storage: str = "sqlite", storage_path=None,
     wire = build_transport(transport, server, clock=clock,
                            latency_seconds=latency_seconds, seed=seed,
                            metrics=metrics)
-    config = ClientConfig(store_backend="sorted-array", auto_update=False)
+    config = ClientConfig(auto_update=False)
     fleet = [SafeBrowsingClient(transport=wire, name=f"ingest-{index}",
                                 lists=[list_name], clock=clock, config=config,
                                 metrics=metrics)

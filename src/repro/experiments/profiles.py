@@ -232,7 +232,7 @@ def _global_mix(base: ClientProfile, seed: int, index: int) -> ClientProfile:
 
 
 #: Registry of named population profiles, mirroring the ``POLICY_FACTORIES``
-#: / ``_STORE_BACKENDS`` convention: :func:`build_profile` rejects unknown
+#: / ``STORE_FACTORIES`` convention: :func:`build_profile` rejects unknown
 #: names with the registered list, and the CLI pins its choices to these
 #: keys by unit test.
 PROFILE_FACTORIES: dict[str, PopulationProfile] = {

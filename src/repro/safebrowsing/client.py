@@ -50,16 +50,8 @@ from pathlib import Path
 from time import perf_counter
 
 from repro.clock import Clock, ManualClock
-from repro.datastructures.bloom import BloomPrefixStore
-from repro.datastructures.delta import DeltaCodedPrefixStore
-from repro.datastructures.mmapped import MmapSortedArrayStore
-from repro.datastructures.sorted_array import SortedArrayPrefixStore
-from repro.datastructures.store import PrefixStore, RawPrefixStore
-from repro.datastructures.vectorized import (
-    NUMPY_AVAILABLE,
-    NumpyMmapStore,
-    NumpyPrefixStore,
-)
+from repro.datastructures.memory import DEFAULT_STORE_BACKEND, STORE_FACTORIES
+from repro.datastructures.store import PrefixStore
 from repro.exceptions import UpdateError
 from repro.hashing.digests import FullHash, digests_of
 from repro.hashing.prefix import Prefix
@@ -93,29 +85,6 @@ from repro.safebrowsing.transport import InProcessTransport, Transport
 from repro.urls.canonicalize import canonicalize
 from repro.urls.decompose import API_POLICY, DecompositionPolicy, decompositions
 
-#: Store backends selectable through :class:`ClientConfig`.  The two
-#: numpy-vectorized backends are registered only when numpy is importable
-#: (it is an optional dependency); without it the config rejects them with
-#: the usual unknown-backend error naming what *is* available.
-_STORE_BACKENDS = {
-    "delta-coded": DeltaCodedPrefixStore,
-    "bloom": BloomPrefixStore,
-    "raw": RawPrefixStore,
-    "sorted-array": SortedArrayPrefixStore,
-    "mmap": MmapSortedArrayStore,
-}
-if NUMPY_AVAILABLE:
-    _STORE_BACKENDS["numpy"] = NumpyPrefixStore
-    _STORE_BACKENDS["numpy-mmap"] = NumpyMmapStore
-
-#: Default store backend: the vectorized numpy store when numpy is
-#: importable (the PR 6 hot path — one ``searchsorted`` gather per batch),
-#: else the pure-Python delta-coded store the deployed service ships.
-#: Verdicts and traffic are backend-independent (property-pinned), so the
-#: default only moves the lookup cost onto the fastest available path.
-DEFAULT_STORE_BACKEND = "numpy" if NUMPY_AVAILABLE else "delta-coded"
-
-
 @dataclass(frozen=True, slots=True)
 class ClientConfig:
     """Tunable behaviour of a Safe Browsing client.
@@ -123,15 +92,15 @@ class ClientConfig:
     Attributes
     ----------
     store_backend:
+        A key of :data:`~repro.datastructures.memory.STORE_FACTORIES`:
         ``"delta-coded"`` (the deployed choice), ``"bloom"`` (the pre-2012
-        Chromium choice), ``"raw"``, ``"sorted-array"`` (packed, batched
-        lookups) or ``"mmap"`` (sorted-array semantics served off a mapped
-        snapshot baseline — the zero-copy warm-start backend).  With numpy
-        installed, ``"numpy"`` and ``"numpy-mmap"`` add vectorized variants
-        of the last two (one ``searchsorted`` per batch instead of a Python
-        bisect loop); numpy is optional, so these two names exist only when
-        it is importable.  The default is :data:`DEFAULT_STORE_BACKEND`:
-        ``"numpy"`` when available, the delta-coded store otherwise.
+        Chromium choice) or ``"raw"`` (the packed sorted array, with
+        batched lookups).  With numpy installed, ``"numpy"`` adds the
+        vectorized variant of ``"raw"`` (one ``searchsorted`` per batch
+        instead of a Python bisect loop); numpy is optional, so that name
+        exists only when it is importable.  The default is
+        :data:`~repro.datastructures.memory.DEFAULT_STORE_BACKEND`:
+        ``"numpy"`` when available, ``"raw"`` otherwise.
     prefix_bits:
         Width of the local prefixes (32 in the deployed service).
     decomposition_policy:
@@ -164,10 +133,10 @@ class ClientConfig:
     plan_cache_size: int = 4096
 
     def __post_init__(self) -> None:
-        if self.store_backend not in _STORE_BACKENDS:
+        if self.store_backend not in STORE_FACTORIES:
             raise UpdateError(
                 f"unknown store backend {self.store_backend!r}; "
-                f"expected one of {sorted(_STORE_BACKENDS)}"
+                f"expected one of {sorted(STORE_FACTORIES)}"
             )
 
 
@@ -305,7 +274,7 @@ class SafeBrowsingClient:
                 entry if isinstance(entry, str) else entry.name
                 for entry in lists
             ]
-        backend = _STORE_BACKENDS[self.config.store_backend]
+        backend = STORE_FACTORIES[self.config.store_backend]
         self._lists: dict[str, _ListState] = {
             list_name: _ListState(store=backend(bits=self.config.prefix_bits))
             for list_name in subscribed

@@ -67,8 +67,8 @@ class ListDatabase:
     """One blacklist: prefixes, full digests, and chunk history.
 
     Membership queries go through a :class:`ShardedPrefixIndex` that mirrors
-    the populated-or-orphan prefix set (``shard_count`` partitions of an
-    exact ``index_backend`` store), so the storage layer scales horizontally
+    the populated-or-orphan prefix set (``shard_count`` partitions of a raw
+    sorted array), so the storage layer scales horizontally
     while the full-digest buckets stay a plain mapping.  Every mutation bumps
     :attr:`version`, which the server core uses to invalidate its full-hash
     response cache.
@@ -82,7 +82,6 @@ class ListDatabase:
     descriptor: ListDescriptor
     prefix_bits: int = DEFAULT_PREFIX_BITS
     shard_count: int = DEFAULT_SHARD_COUNT
-    index_backend: str = "sorted-array"
     _full_hashes: dict[Prefix, tuple[FullHash, ...]] = field(default_factory=dict)
     _orphans: set[Prefix] = field(default_factory=set)
     _expressions: dict[str, FullHash] = field(default_factory=dict)
@@ -94,8 +93,7 @@ class ListDatabase:
 
     def __post_init__(self) -> None:
         self._prefix_index = ShardedPrefixIndex(
-            bits=self.prefix_bits, backend=self.index_backend,
-            shard_count=self.shard_count,
+            bits=self.prefix_bits, shard_count=self.shard_count,
         )
         # Durable-storage sink (attached by the owning ServerDatabase):
         # every logical mutation below is also journalled through it, so
@@ -461,9 +459,8 @@ class ListDatabase:
 class ServerDatabase:
     """All the lists one provider serves.
 
-    Built on one :class:`ShardedPrefixIndex` per list: ``shard_count`` and
-    ``index_backend`` choose the partitioning and the per-shard store for
-    every list's membership index.
+    Built on one :class:`ShardedPrefixIndex` per list: ``shard_count``
+    chooses the partitioning of every list's membership index.
 
     ``storage`` picks the durable layer (a kind from
     :data:`~repro.safebrowsing.storage.STORAGE_KINDS`, or a built
@@ -477,19 +474,16 @@ class ServerDatabase:
     def __init__(self, descriptors: Iterable[ListDescriptor],
                  prefix_bits: int = DEFAULT_PREFIX_BITS, *,
                  shard_count: int = DEFAULT_SHARD_COUNT,
-                 index_backend: str = "sorted-array",
                  storage: "str | ServerStorage" = "memory",
                  storage_path=None,
                  metrics: "MetricsRegistry | None" = None) -> None:
         self._lists: dict[str, ListDatabase] = {}
         for descriptor in descriptors:
             self._lists[descriptor.name] = ListDatabase(
-                descriptor, prefix_bits,
-                shard_count=shard_count, index_backend=index_backend,
+                descriptor, prefix_bits, shard_count=shard_count,
             )
         self.prefix_bits = prefix_bits
         self.shard_count = shard_count
-        self.index_backend = index_backend
         self.storage = build_server_storage(storage, storage_path)
         self.storage.bind(self)
         for database in self._lists.values():

@@ -27,8 +27,8 @@ fetches unnecessary (the one-prefix-at-a-time early stop).  The property
 suite pins verdict equivalence for every registered policy, on every store
 backend, over both transports.
 
-Registered policies (:data:`POLICY_FACTORIES`, mirroring the client's
-``_STORE_BACKENDS`` registry):
+Registered policies (:data:`POLICY_FACTORIES`, mirroring the store
+registry :data:`~repro.datastructures.memory.STORE_FACTORIES`):
 
 ``"none"``
     The undefended baseline: one coalesced request with exactly the needed
@@ -476,8 +476,9 @@ class QueryMixingPolicy(PrivacyPolicy):
                 self._pool_set.add(prefix)
 
 
-#: Privacy policies selectable by name, mirroring the client's
-#: ``_STORE_BACKENDS`` registry (the CLI keeps a synced copy of the keys).
+#: Privacy policies selectable by name, mirroring the store registry
+#: ``STORE_FACTORIES``; :func:`build_policy` rejects unknown names with the
+#: registered list, which the CLI reports as its error.
 POLICY_FACTORIES: dict[str, type[PrivacyPolicy]] = {
     "none": NoPolicy,
     "dummy": DummyQueryPolicy,

@@ -133,7 +133,7 @@ class ServerCore:
 
     Parameters
     ----------
-    shard_count, index_backend:
+    shard_count:
         Partitioning of every list's membership index (storage layer).
     response_cache_seconds:
         TTL of the full-hash response cache; ``0`` disables caching.
@@ -158,7 +158,6 @@ class ServerCore:
                  poll_interval: float = DEFAULT_POLL_INTERVAL,
                  prefix_bits: int = 32,
                  shard_count: int = DEFAULT_SHARD_COUNT,
-                 index_backend: str = "sorted-array",
                  response_cache_seconds: float = DEFAULT_RESPONSE_CACHE_SECONDS,
                  response_cache_entries: int = DEFAULT_RESPONSE_CACHE_ENTRIES,
                  max_log_entries: int | None = None,
@@ -173,7 +172,6 @@ class ServerCore:
             raise ValueError("response_cache_entries must be positive")
         self.database = ServerDatabase(descriptors, prefix_bits,
                                        shard_count=shard_count,
-                                       index_backend=index_backend,
                                        storage=storage,
                                        storage_path=storage_path)
         self.clock = clock if clock is not None else ManualClock()

@@ -16,19 +16,16 @@ reproduction the same property end to end, with one format per side:
   mutations, shard layout;
 * **warm start**: :func:`restore_client_snapshot` reloads a freshly
   constructed :class:`~repro.safebrowsing.client.SafeBrowsingClient` so its
-  next update poll fetches only the chunks committed since the snapshot —
-  and with the ``"mmap"`` and ``"numpy-mmap"`` store backends the restored
-  stores answer :meth:`contains_many` straight off a memory-mapped view of
-  the snapshot file, with zero deserialization
-  (:class:`~repro.datastructures.mmapped.MmapSortedArrayStore` and its
-  vectorized subclass
-  :class:`~repro.datastructures.vectorized.NumpyMmapStore`);
+  next update poll fetches only the chunks committed since the snapshot.
+  Each verified packed section reaches the store as one
+  :class:`~repro.hashing.prefix.PrefixRun`, which the ``numpy`` backend
+  reads with a single ``frombuffer``;
 * **loud failure**: every unusable snapshot — truncated, checksum mismatch,
   unknown format version, wrong kind, a malformed or foreign SQLite file,
-  or written for a different backend / prefix width / list set — raises a
-  typed :class:`~repro.exceptions.SnapshotError` stating what was expected
-  and what was found.  A snapshot is never partially applied: restores
-  stage everything before mutating the target.
+  or written for a different or unregistered backend / prefix width /
+  list set — raises a typed :class:`~repro.exceptions.SnapshotError`
+  stating what was expected and what was found.  A snapshot is never
+  partially applied: restores stage everything before mutating the target.
 
 The fleet simulator builds on this for churn
 (``FleetConfig(churn_fraction=..., restart_interval=...)``) and for the
@@ -40,16 +37,14 @@ start saves over a cold one.
 from __future__ import annotations
 
 import hashlib
-import mmap
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.datastructures.bloom import BloomFilter, BloomPrefixStore
-from repro.datastructures.mmapped import MmapSortedArrayStore
+from repro.datastructures.memory import STORE_FACTORIES
 from repro.datastructures.store import PrefixStore
-from repro.datastructures.vectorized import NumpyMmapStore
 from repro.exceptions import SnapshotError, StorageError
 from repro.hashing.prefix import PrefixRun
 from repro.safebrowsing.database import ServerDatabase
@@ -67,14 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (client imports us)
 
 #: File magic of every snapshot.
 MAGIC = b"SBSNAP"
-
-#: Store backends whose packed sections are served straight off the mapped
-#: snapshot file on restore (both wrap the identical byte layout; the numpy
-#: variant vectorizes the binary search).  Everything else materializes.
-_ZERO_COPY_BACKENDS = {
-    "mmap": MmapSortedArrayStore,
-    "numpy-mmap": NumpyMmapStore,
-}
 
 #: Format version this build writes (and the only one it reads).
 FORMAT_VERSION = 1
@@ -149,9 +136,6 @@ class _Reader:
         data = self._payload[self.pos:end]
         self.pos = end
         return bytes(data)
-
-    def skip(self, count: int) -> None:
-        self.raw(count)
 
     def u8(self) -> int:
         return int.from_bytes(self.raw(1), "little")
@@ -269,10 +253,9 @@ def _read_frame(data: bytes, source: str) -> bytes:
 def _write_store(writer: _Writer, store: PrefixStore, bits: int) -> None:
     """Serialize one client-side store.
 
-    Exact stores (raw, sorted-array, delta-coded, mmap) serialize as a
-    sorted packed run of raw prefix values — by construction the exact
-    layout :class:`MmapSortedArrayStore` can later map zero-copy.  The
-    Bloom filter, which cannot enumerate its members, serializes its
+    Exact stores (raw, delta-coded, numpy) serialize as a sorted packed run
+    of raw prefix values — the layout a ``numpy`` store reads back with one
+    ``frombuffer``.  The Bloom filter, which cannot enumerate its members, serializes its
     geometry plus the bit array verbatim.
     """
     if isinstance(store, BloomPrefixStore):
@@ -291,44 +274,39 @@ def _write_store(writer: _Writer, store: PrefixStore, bits: int) -> None:
     writer.raw(b"".join(values))
 
 
-@dataclass(frozen=True, slots=True)
-class _PackedSection:
-    """Location of one packed value run inside a snapshot payload."""
-
-    payload_offset: int
-    count: int
-
-
 def _read_store(reader: _Reader, bits: int
-                ) -> tuple[int, _PackedSection | None, object | None]:
-    """Parse one store section without materializing packed values.
+                ) -> tuple[int, PrefixRun | tuple[int, float, int, bytes]]:
+    """Parse one store section.
 
-    Returns ``(encoding, packed_section, bloom_state)``: packed runs are
-    *skipped* (only their offset/count recorded) so the mmap restore path
-    never copies them; Bloom state is parsed eagerly.
+    Returns ``(encoding, state)``: the packed values as one
+    :class:`PrefixRun` for exact stores, or the Bloom filter's
+    ``(capacity, rate, size, bit_bytes)``.
     """
     encoding = reader.u8()
     if encoding == _STORE_PACKED:
         count = reader.u64()
-        section = _PackedSection(payload_offset=reader.pos, count=count)
-        reader.skip(count * (bits // 8))
-        return encoding, section, None
+        return encoding, PrefixRun.from_packed(reader.raw(count * (bits // 8)),
+                                               bits)
     if encoding == _STORE_BLOOM:
         capacity = reader.u64()
         rate = reader.f64()
         size = reader.u64()
         bit_length = reader.u32()
         bit_bytes = reader.raw(bit_length)
-        return encoding, None, (capacity, rate, size, bit_bytes)
+        return encoding, (capacity, rate, size, bit_bytes)
     raise SnapshotError(f"unknown store encoding {encoding} in snapshot")
 
 
-def _packed_prefixes(payload: bytes, section: _PackedSection,
-                     bits: int) -> PrefixRun:
-    """The prefixes of a packed section as one run (non-mmap restores)."""
-    start = section.payload_offset
-    return PrefixRun.from_packed(
-        payload[start:start + section.count * (bits // 8)], bits)
+def _registered_backend(backend: str, source: object) -> str:
+    """``backend`` if it names a registered store, else :class:`SnapshotError`
+    (a snapshot written by a retired or unavailable backend)."""
+    if backend not in STORE_FACTORIES:
+        raise SnapshotError(
+            f"{source}: snapshot was written by store backend {backend!r}, "
+            f"which this build does not provide; expected one of "
+            f"{sorted(STORE_FACTORIES)}"
+        )
+    return backend
 
 
 # ---------------------------------------------------------------------------
@@ -381,19 +359,18 @@ def restore_client_snapshot(client: "SafeBrowsingClient",
     :meth:`~repro.safebrowsing.client.SafeBrowsingClient.update` then
     fetches only the chunks committed after the snapshot.
 
-    With the ``"mmap"`` and ``"numpy-mmap"`` store backends the restored
-    stores serve lookups directly off a shared memory-mapped view of
-    ``path`` (zero-copy warm start); every other backend materializes the
-    packed values.
+    The whole file is read and its checksum verified before any store is
+    built; each packed section then reaches the backend as one
+    :class:`PrefixRun`.  A snapshot written by a backend this build does
+    not register (a retired one, or ``numpy`` without numpy) raises
+    :class:`SnapshotError`.
     """
-    from repro.safebrowsing.client import _STORE_BACKENDS
-
     path = Path(path)
     data = _read_file(path)
     payload = _read_frame(data, str(path))
     reader = _Reader(payload)
 
-    backend = reader.string()
+    backend = _registered_backend(reader.string(), path)
     if backend != client.config.store_backend:
         raise SnapshotError(
             f"{path}: snapshot was written by store backend {backend!r}, "
@@ -406,15 +383,13 @@ def restore_client_snapshot(client: "SafeBrowsingClient",
             f"{client.config.prefix_bits}-bit ones"
         )
     list_count = reader.u32()
-    records: list[tuple[str, list[int], list[int], int,
-                        _PackedSection | None, object | None]] = []
+    records = []
     for _ in range(list_count):
         list_name = reader.string()
         add_numbers = [reader.u32() for _ in range(reader.u32())]
         sub_numbers = [reader.u32() for _ in range(reader.u32())]
-        encoding, section, bloom_state = _read_store(reader, bits)
-        records.append((list_name, add_numbers, sub_numbers,
-                        encoding, section, bloom_state))
+        encoding, state = _read_store(reader, bits)
+        records.append((list_name, add_numbers, sub_numbers, encoding, state))
     reader.expect_end()
 
     snapshot_lists = {record[0] for record in records}
@@ -427,18 +402,9 @@ def restore_client_snapshot(client: "SafeBrowsingClient",
 
     # Stage every store before touching the client, so a bad record can
     # never leave it half-restored.
-    use_mmap = backend in _ZERO_COPY_BACKENDS
-    mapped: mmap.mmap | None = None
-    if use_mmap and any(section is not None and section.count
-                        for *_, section, _ in records):
-        try:
-            with open(path, "rb") as handle:
-                mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except OSError as exc:
-            raise SnapshotError(f"cannot map snapshot {path}: {exc}") from exc
-    backend_cls = _STORE_BACKENDS[backend]
+    backend_cls = STORE_FACTORIES[backend]
     staged: dict[str, tuple[PrefixStore, list[int], list[int], int]] = {}
-    for list_name, add_numbers, sub_numbers, encoding, section, bloom_state in records:
+    for list_name, add_numbers, sub_numbers, encoding, state in records:
         store: PrefixStore
         if encoding == _STORE_BLOOM:
             if backend != "bloom":
@@ -446,21 +412,13 @@ def restore_client_snapshot(client: "SafeBrowsingClient",
                     f"{path}: list {list_name!r} holds a Bloom payload but "
                     f"the snapshot backend is {backend!r}"
                 )
-            capacity, rate, size, bit_bytes = bloom_state  # type: ignore[misc]
+            capacity, rate, size, bit_bytes = state
             store = BloomPrefixStore.from_filter(
                 BloomFilter.from_state(capacity, rate, size, bit_bytes),
                 bits, size=size,
             )
-        elif use_mmap and section is not None and section.count:
-            assert mapped is not None
-            store = _ZERO_COPY_BACKENDS[backend].from_buffer(
-                mapped, _HEADER.size + section.payload_offset,
-                section.count, bits, keep_alive=mapped,
-            )
         else:
-            assert section is not None
-            store = backend_cls(_packed_prefixes(payload, section, bits),
-                                bits=bits)
+            store = backend_cls(state, bits=bits)
         staged[list_name] = (store, add_numbers, sub_numbers,
                              len(store))
 
@@ -533,19 +491,18 @@ def save_server_snapshot(server: "ServerCore | ServerDatabase",
 
 def load_server_database(path: str | Path, *,
                          shard_count: int | None = None,
-                         index_backend: str | None = None,
                          writable: bool = False) -> ServerDatabase:
     """Rebuild a :class:`ServerDatabase` from the SQLite file at ``path``.
 
     Loads go through
     :func:`~repro.safebrowsing.storage.load_sqlite_server_database`
     (read-only attach by default; ``writable=True`` keeps the file as the
-    live storage of the result).  ``shard_count`` / ``index_backend``
-    override the recorded membership-index layout (the indexes are rebuilt
-    on load either way, so re-sharding a restored database is free); the
-    restored content — membership, versions, chunk history — is
-    observationally identical to the database that was saved, which the
-    property suite pins across every registered backend and shard count.
+    live storage of the result).  ``shard_count`` overrides the recorded
+    membership-index layout (the indexes are rebuilt on load either way, so
+    re-sharding a restored database is free); the restored content —
+    membership, versions, chunk history — is observationally identical to
+    the database that was saved, which the property suite pins across
+    shard counts.
     Every unusable file raises :class:`SnapshotError`.
     """
     path = Path(path)
@@ -557,15 +514,13 @@ def load_server_database(path: str | Path, *,
             f"found {found}")
     try:
         return load_sqlite_server_database(
-            path, shard_count=shard_count, index_backend=index_backend,
-            writable=writable)
+            path, shard_count=shard_count, writable=writable)
     except StorageError as exc:
         raise SnapshotError(str(exc)) from exc
 
 
 def load_server(path: str | Path, *, clock: "Clock | None" = None,
                 shard_count: int | None = None,
-                index_backend: str | None = None,
                 writable: bool = False,
                 **server_kwargs) -> "SafeBrowsingServer":
     """Build a ready-to-serve :class:`SafeBrowsingServer` from a snapshot.
@@ -579,13 +534,11 @@ def load_server(path: str | Path, *, clock: "Clock | None" = None,
     from repro.safebrowsing.server import SafeBrowsingServer
 
     database = load_server_database(path, shard_count=shard_count,
-                                    index_backend=index_backend,
                                     writable=writable)
     descriptors = [list_db.descriptor for list_db in database]
     server = SafeBrowsingServer(
         descriptors, clock=clock, prefix_bits=database.prefix_bits,
-        shard_count=database.shard_count,
-        index_backend=database.index_backend, **server_kwargs,
+        shard_count=database.shard_count, **server_kwargs,
     )
     server.database = database
     return server
@@ -627,7 +580,8 @@ class SnapshotInfo:
     prefix_bits:
         Width of the stored prefixes.
     backend:
-        Client store backend, or the server's membership index backend.
+        Client store backend; ``"raw"`` for server files, whose membership
+        indexes are always sharded raw stores.
     shard_count:
         Server-side shard count (1 for client snapshots).
     lists:
@@ -680,7 +634,7 @@ def inspect_snapshot(path: str | Path) -> SnapshotInfo:
             kind="server",
             format_version=int(meta.get("schema_version", 0)),
             prefix_bits=int(meta["prefix_bits"]),
-            backend=meta["index_backend"],
+            backend="raw",
             shard_count=int(meta["shard_count"]),
             lists=tuple(ListSummary(row["name"], row["prefixes"],
                                     row["full_hashes"], row["version"])
@@ -690,7 +644,7 @@ def inspect_snapshot(path: str | Path) -> SnapshotInfo:
         )
     payload = _read_frame(_read_file(path), str(path))
     reader = _Reader(payload)
-    backend = reader.string()
+    backend = _registered_backend(reader.string(), path)
     bits = reader.u16()
     lists = []
     for _ in range(reader.u32()):
@@ -699,8 +653,8 @@ def inspect_snapshot(path: str | Path) -> SnapshotInfo:
             reader.u32()
         for _ in range(reader.u32()):
             reader.u32()
-        encoding, section, bloom_state = _read_store(reader, bits)
-        count = section.count if section is not None else bloom_state[2]  # type: ignore[index]
+        encoding, state = _read_store(reader, bits)
+        count = len(state) if encoding == _STORE_PACKED else state[2]
         lists.append(ListSummary(name, count))
     reader.expect_end()
     return SnapshotInfo("client", FORMAT_VERSION, bits, backend, 1,

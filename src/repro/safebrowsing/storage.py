@@ -302,8 +302,7 @@ class SQLiteServerStorage(ServerStorage):
                 "INSERT INTO meta (key, value) VALUES (?, ?)",
                 [("schema_version", str(SQLITE_SCHEMA_VERSION)),
                  ("prefix_bits", str(database.prefix_bits)),
-                 ("shard_count", str(database.shard_count)),
-                 ("index_backend", database.index_backend)],
+                 ("shard_count", str(database.shard_count))],
             )
             self._connection.executemany(
                 "INSERT INTO lists (name, position, provider, category, "
@@ -433,12 +432,13 @@ class SQLiteServerStorage(ServerStorage):
 
     # -- loading ---------------------------------------------------------------
 
-    def load_database(self, *, shard_count: int | None = None,
-                      index_backend: str | None = None) -> "ServerDatabase":
+    def load_database(self, *, shard_count: int | None = None
+                      ) -> "ServerDatabase":
         """Rebuild a :class:`ServerDatabase` from the stored tables.
 
-        ``shard_count`` / ``index_backend`` override the stored membership
-        index layout (the indexes are rebuilt from the tables either way);
+        ``shard_count`` overrides the stored membership index layout (the
+        indexes are rebuilt from the tables either way; the index-backend
+        meta row that older builds wrote is ignored);
         content — buckets, orphans, chunk history, pending mutations,
         versions — is observationally identical to the database that wrote
         the file, which the property suite pins.  The returned database
@@ -453,9 +453,7 @@ class SQLiteServerStorage(ServerStorage):
             bits = int(meta["prefix_bits"])
             shard_count = (int(meta["shard_count"]) if shard_count is None
                            else shard_count)
-            index_backend = (meta["index_backend"] if index_backend is None
-                             else index_backend)
-            lists = self._load_lists(bits, shard_count, index_backend)
+            lists = self._load_lists(bits, shard_count)
         except sqlite3.DatabaseError as exc:
             raise self._unreadable(exc) from exc
 
@@ -463,8 +461,7 @@ class SQLiteServerStorage(ServerStorage):
         try:
             database = ServerDatabase(
                 [list_db.descriptor for list_db in lists.values()], bits,
-                shard_count=shard_count, index_backend=index_backend,
-                storage=self,
+                shard_count=shard_count, storage=self,
             )
         finally:
             self._loading = False
@@ -495,8 +492,8 @@ class SQLiteServerStorage(ServerStorage):
         return StorageError(
             f"cannot read SQLite storage at {self.path or ':memory:'}: {exc}")
 
-    def _load_lists(self, bits: int, shard_count: int,
-                    index_backend: str) -> dict[str, "ListDatabase"]:
+    def _load_lists(self, bits: int, shard_count: int
+                    ) -> dict[str, "ListDatabase"]:
         """Every stored list, rebuilt in its stored order."""
         lists: dict[str, "ListDatabase"] = {}
         rows = self._connection.execute(
@@ -531,8 +528,7 @@ class SQLiteServerStorage(ServerStorage):
             pending_removals = self._load_pending(name, PENDING_REMOVAL,
                                                   bits)
             lists[name] = materialize_list_database(
-                descriptor, bits, shard_count=shard_count,
-                index_backend=index_backend, version=version,
+                descriptor, bits, shard_count=shard_count, version=version,
                 expressions=expressions, digests=digests, orphans=orphans,
                 add_chunks=add_chunks, sub_chunks=sub_chunks,
                 pending_additions=pending_additions,
@@ -627,7 +623,6 @@ def is_sqlite_file(path: str | Path) -> bool:
 
 def load_sqlite_server_database(path: str | Path, *,
                                 shard_count: int | None = None,
-                                index_backend: str | None = None,
                                 writable: bool = False) -> "ServerDatabase":
     """Open the SQLite storage at ``path`` and rebuild its database.
 
@@ -648,8 +643,7 @@ def load_sqlite_server_database(path: str | Path, *,
         raise StorageError(f"{path} is not a SQLite storage file")
     storage = SQLiteServerStorage(path, readonly=not writable)
     try:
-        database = storage.load_database(shard_count=shard_count,
-                                         index_backend=index_backend)
+        database = storage.load_database(shard_count=shard_count)
     except StorageError:
         storage.close()
         raise
@@ -747,7 +741,7 @@ def sqlite_storage_summary(path: str | Path) -> tuple[dict, list[dict]]:
 
 def materialize_list_database(
         descriptor: ListDescriptor, bits: int, *, shard_count: int,
-        index_backend: str, version: int,
+        version: int,
         expressions: Sequence[str] | Mapping[str, FullHash],
         digests: Iterable[bytes], orphans: Iterable[Prefix],
         add_chunks: Sequence[Chunk], sub_chunks: Sequence[Chunk],
@@ -762,8 +756,7 @@ def materialize_list_database(
     """
     from repro.safebrowsing.database import ListDatabase
 
-    list_db = ListDatabase(descriptor, bits, shard_count=shard_count,
-                           index_backend=index_backend)
+    list_db = ListDatabase(descriptor, bits, shard_count=shard_count)
     known = {expression: FullHash.of(expression)
              for expression in expressions}
     list_db._expressions.update(known)

@@ -34,7 +34,7 @@ EXAMPLES = [
                                 "sizes differ by <= 1"]),
     ("warm_start_demo.py", ["checksum verified",
                             "warm restart fetched   : 5 prefixes",
-                            "store is memory-mapped : True",
+                            "store backend          : numpy",
                             "drifted threat caught  : True",
                             "lookup traffic identical "
                             "(persistence never changes verdicts): True"]),

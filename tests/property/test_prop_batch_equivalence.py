@@ -18,12 +18,13 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.clock import ManualClock
+from repro.datastructures import STORE_FACTORIES
 from repro.hashing.prefix import Prefix
-from repro.safebrowsing.client import _STORE_BACKENDS, ClientConfig, SafeBrowsingClient
+from repro.safebrowsing.client import ClientConfig, SafeBrowsingClient
 from repro.safebrowsing.lists import GOOGLE_LISTS
 from repro.safebrowsing.server import SafeBrowsingServer
 
-BACKENDS = sorted(_STORE_BACKENDS)
+BACKENDS = sorted(STORE_FACTORIES)
 
 BLACKLISTED = (
     "evil.example.com/malware/dropper.exe",
@@ -132,7 +133,7 @@ class TestContainsManyEqualsContains:
     @settings(max_examples=120, deadline=None)
     def test_bitmask_matches_scalar_membership(self, members: list[int],
                                                probes: list[int], backend: str):
-        store = _STORE_BACKENDS[backend](bits=32)
+        store = STORE_FACTORIES[backend](bits=32)
         store.update([Prefix.from_int(value, 32) for value in members])
         probe_prefixes = [Prefix.from_int(value, 32) for value in probes + members[:5]]
         mask = store.contains_many(probe_prefixes)

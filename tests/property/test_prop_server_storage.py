@@ -4,10 +4,9 @@ The durable-server contract, pinned two ways:
 
 * **database equivalence** — a server built over SQLite storage answers
   exactly like its memory-backed twin (membership, single and batched;
-  buckets; chunk history; versions) for every registered index backend and
-  shard counts {1, 16}; and a database *reloaded* from its SQLite file —
-  including under a different shard count or index backend — matches the
-  database that wrote it.  This mirrors ``test_prop_snapshot.py``, which
+  buckets; chunk history; versions) for shard counts {1, 16}; and a
+  database *reloaded* from its SQLite file — including under a different
+  shard count — matches the database that wrote it.  This mirrors ``test_prop_snapshot.py``, which
   pins the same property for the binary container;
 * **fleet signatures** — a fleet's traffic signature (prefixes revealed,
   local hits, verdicts) does not depend on the server's storage backend, on
@@ -20,7 +19,6 @@ from __future__ import annotations
 import pytest
 
 from repro.clock import ManualClock
-from repro.datastructures import STORE_FACTORIES
 from repro.datastructures.vectorized import NUMPY_AVAILABLE
 from repro.experiments.fleet import FleetConfig, run_fleet
 from repro.hashing.prefix import Prefix
@@ -31,7 +29,6 @@ from repro.safebrowsing.storage import load_sqlite_server_database
 
 from tests.property.test_prop_snapshot import TINY_CHURN, _CHURN
 
-BACKENDS = sorted(STORE_FACTORIES)
 SHARD_COUNTS = (1, 16)
 TRANSPORTS = ("in-process", "simulated")
 
@@ -44,19 +41,14 @@ EXPRESSIONS = (
 )
 
 
-def _build_server(shard_count: int, index_backend: str, *,
-                  storage: str = "memory", storage_path=None,
-                  with_subs: bool = True) -> SafeBrowsingServer:
+def _build_server(shard_count: int, *, storage: str = "memory",
+                  storage_path=None) -> SafeBrowsingServer:
     server = SafeBrowsingServer(GOOGLE_LISTS, clock=ManualClock(),
                                 shard_count=shard_count,
-                                index_backend=index_backend,
                                 storage=storage, storage_path=storage_path)
     server.blacklist("goog-malware-shavar", EXPRESSIONS[:3])
     server.blacklist("googpub-phish-shavar", EXPRESSIONS[3:])
-    if with_subs:
-        # Creates a sub chunk; skipped for Bloom-backed stores, which cannot
-        # delete (the documented reason Chromium abandoned the structure).
-        server.unblacklist("goog-malware-shavar", [EXPRESSIONS[1]])
+    server.unblacklist("goog-malware-shavar", [EXPRESSIONS[1]])
     server.insert_orphan_prefixes(
         "goog-malware-shavar",
         [Prefix.from_int(value, 32) for value in (0xDEADBEEF, 0x00C0FFEE)],
@@ -66,7 +58,7 @@ def _build_server(shard_count: int, index_backend: str, *,
     return server
 
 
-def _assert_databases_identical(reference, candidate, *, backend: str) -> None:
+def _assert_databases_identical(reference, candidate) -> None:
     assert candidate.version == reference.version
     probes = [Prefix.from_int(value, 32)
               for value in (0, 1, 0xDEADBEEF, 0x00C0FFEE, 2**32 - 1)]
@@ -85,61 +77,38 @@ def _assert_databases_identical(reference, candidate, *, backend: str) -> None:
             assert copy.contains_prefix(prefix) == list_db.contains_prefix(prefix)
             assert copy.full_hashes_for(prefix) == list_db.full_hashes_for(prefix)
         batch = members + probes
-        # Exact backends must agree batch-for-batch; the Bloom backend keeps
-        # its one-sided error, so spurious bits may only ever be *added*.
-        if backend != "bloom":
-            assert copy.contains_many(batch) == list_db.contains_many(batch)
-        else:
-            true_mask = sum(1 << position
-                            for position, prefix in enumerate(batch)
-                            if prefix in set(members))
-            assert copy.contains_many(batch) & true_mask == true_mask
+        assert copy.contains_many(batch) == list_db.contains_many(batch)
 
 
 class TestStorageBackendEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("shard_count", SHARD_COUNTS)
-    def test_sqlite_backed_server_matches_memory_twin(
-            self, backend, shard_count):
+    def test_sqlite_backed_server_matches_memory_twin(self, shard_count):
         """Same mutations through both storages: identical observables."""
-        with_subs = backend != "bloom"
-        memory = _build_server(shard_count, backend, with_subs=with_subs)
-        sqlite = _build_server(shard_count, backend, storage="sqlite",
-                               with_subs=with_subs)
-        _assert_databases_identical(memory.database, sqlite.database,
-                                    backend=backend)
+        memory = _build_server(shard_count)
+        sqlite = _build_server(shard_count, storage="sqlite")
+        _assert_databases_identical(memory.database, sqlite.database)
         sqlite.database.storage.close()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("shard_count", SHARD_COUNTS)
-    def test_reloaded_database_matches_the_writer(self, backend, shard_count,
+    def test_reloaded_database_matches_the_writer(self, shard_count,
                                                   tmp_path):
-        with_subs = backend != "bloom"
-        server = _build_server(shard_count, backend, storage="sqlite",
-                               storage_path=tmp_path / "server.sqlite",
-                               with_subs=with_subs)
+        server = _build_server(shard_count, storage="sqlite",
+                               storage_path=tmp_path / "server.sqlite")
         server.database.commit()
         server.database.storage.close()
         restored = load_sqlite_server_database(tmp_path / "server.sqlite")
         assert restored.shard_count == shard_count
-        assert restored.index_backend == backend
-        _assert_databases_identical(server.database, restored,
-                                    backend=backend)
+        _assert_databases_identical(server.database, restored)
 
-    @pytest.mark.parametrize("backend", [name for name in BACKENDS
-                                         if name != "bloom"])
-    def test_reshard_and_rebackend_on_load_keep_membership(self, backend,
-                                                           tmp_path):
-        server = _build_server(16, backend, storage="sqlite",
+    def test_reshard_on_load_keeps_membership(self, tmp_path):
+        server = _build_server(16, storage="sqlite",
                                storage_path=tmp_path / "server.sqlite")
         server.database.commit()
         server.database.storage.close()
         for shard_count in SHARD_COUNTS:
             restored = load_sqlite_server_database(
-                tmp_path / "server.sqlite", shard_count=shard_count,
-                index_backend="raw")
+                tmp_path / "server.sqlite", shard_count=shard_count)
             assert restored.shard_count == shard_count
-            assert restored.index_backend == "raw"
             for list_db in server.database:
                 copy = restored[list_db.descriptor.name]
                 members = sorted(list_db.prefixes())
@@ -147,7 +116,7 @@ class TestStorageBackendEquivalence:
 
     def test_replica_serves_full_hash_requests_identically(self, tmp_path):
         """A worker's read-only replica is protocol-indistinguishable."""
-        server = _build_server(16, "sorted-array", storage="sqlite",
+        server = _build_server(16, storage="sqlite",
                                storage_path=tmp_path / "server.sqlite")
         server.database.commit()
         replica_db = load_sqlite_server_database(tmp_path / "server.sqlite")

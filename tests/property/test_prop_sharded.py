@@ -1,7 +1,7 @@
 """Property tests: shard routing is invisible to membership.
 
 The storage layer's contract is that :class:`ShardedPrefixIndex` answers
-byte-for-byte like the unsharded backend it partitions — for every registered
+byte-for-byte like an unsharded exact store — against every exact registered
 backend, every shard count, single and batched queries, adds and discards.
 A second suite pins the same invariant one layer up: a fleet run's traffic
 signature must be identical whatever the server's shard count, because
@@ -17,12 +17,10 @@ from repro.datastructures import STORE_FACTORIES, ShardedPrefixIndex
 from repro.datastructures.vectorized import NUMPY_AVAILABLE
 from repro.hashing.prefix import Prefix
 
-BACKENDS = sorted(STORE_FACTORIES)
-#: The exact backends answer byte-for-byte; the Bloom backend keeps its
-#: one-sided error (sharding changes per-shard sizing, hence which *false*
-#: positives occur, but may never introduce a false negative).
-EXACT_BACKENDS = [name for name in BACKENDS
-                  if not STORE_FACTORIES[name]([], 32).approximate]
+#: Unsharded references: every exact registered backend answers
+#: byte-for-byte like the sharded raw index.
+EXACT_BACKENDS = [name for name in sorted(STORE_FACTORIES)
+                  if not STORE_FACTORIES[name].approximate]
 SHARD_COUNTS = (1, 4, 16)
 
 _values32 = st.integers(min_value=0, max_value=2**32 - 1)
@@ -42,7 +40,7 @@ class TestShardRoutingEquivalence:
                                                   backend, shard_count):
         member_prefixes = _prefixes(members)
         flat = STORE_FACTORIES[backend](member_prefixes, 32)
-        sharded = ShardedPrefixIndex(member_prefixes, 32, backend=backend,
+        sharded = ShardedPrefixIndex(member_prefixes, 32,
                                      shard_count=shard_count)
         assert len(sharded) == len(flat)
         # Probe both known members and arbitrary values, single and batched.
@@ -50,20 +48,6 @@ class TestShardRoutingEquivalence:
         for prefix in probe_prefixes:
             assert (prefix in sharded) == (prefix in flat)
         assert sharded.contains_many(probe_prefixes) == flat.contains_many(probe_prefixes)
-
-    @given(members=st.lists(_values32, min_size=1, max_size=120),
-           shard_count=st.sampled_from(SHARD_COUNTS))
-    @settings(max_examples=60, deadline=None)
-    def test_bloom_backend_keeps_one_sided_error(self, members, shard_count):
-        member_prefixes = _prefixes(members)
-        sharded = ShardedPrefixIndex(member_prefixes, 32, backend="bloom",
-                                     shard_count=shard_count)
-        assert sharded.approximate
-        # Never a false negative, single or batched.
-        for prefix in member_prefixes:
-            assert prefix in sharded
-        mask = sharded.contains_many(member_prefixes)
-        assert mask == (1 << len(member_prefixes)) - 1
 
     @given(members=st.lists(_values32, max_size=120),
            removals=st.lists(_values32, max_size=40),
@@ -73,7 +57,7 @@ class TestShardRoutingEquivalence:
     def test_mutations_match_unsharded_backend(self, members, removals,
                                                backend, shard_count):
         flat = STORE_FACTORIES[backend]([], 32)
-        sharded = ShardedPrefixIndex(backend=backend, shard_count=shard_count)
+        sharded = ShardedPrefixIndex(shard_count=shard_count)
         member_prefixes = _prefixes(members)
         flat.update(member_prefixes)
         sharded.update(member_prefixes)
@@ -96,16 +80,15 @@ class TestShardRoutingEquivalence:
             holders = sum(1 for shard in sharded.shards if prefix in shard)
             assert holders == 1
 
-    @given(members=st.lists(_values32, max_size=100),
-           backend=st.sampled_from(BACKENDS))
+    @given(members=st.lists(_values32, max_size=100))
     @settings(max_examples=40, deadline=None)
-    def test_memory_is_the_sum_of_the_shards(self, members, backend):
+    def test_memory_is_the_sum_of_the_shards(self, members):
         member_prefixes = _prefixes(members)
-        sharded = ShardedPrefixIndex(member_prefixes, 32, backend=backend,
-                                     shard_count=4)
+        sharded = ShardedPrefixIndex(member_prefixes, 32, shard_count=4)
+        assert not sharded.approximate
         assert sharded.memory_bytes() == sum(
             shard.memory_bytes() for shard in sharded.shards
-        )
+        ) == len(set(members)) * 4
 
 
 @pytest.mark.skipif(not NUMPY_AVAILABLE,

@@ -6,7 +6,7 @@ Two layers of the persistence contract are pinned here:
   :class:`ServerDatabase` or a client's local database reproduces the exact
   observable state (membership answers, single and batched; per-list
   versions; full-hash buckets; chunk history) for **every registered store
-  backend** and shard counts {1, 16};
+  backend** on the client side and shard counts {1, 16} on the server side;
 * **fleet signatures** — a churning fleet's traffic signature (prefixes
   revealed, local hits, verdicts) does not depend on the shard count, the
   execution mode, or whether restarts are warm or cold: persistence decides
@@ -25,7 +25,7 @@ from repro.datastructures.vectorized import NUMPY_AVAILABLE
 from repro.experiments.fleet import FleetConfig, run_fleet
 from repro.experiments.scale import Scale
 from repro.hashing.prefix import Prefix
-from repro.safebrowsing.client import ClientConfig, SafeBrowsingClient, _STORE_BACKENDS
+from repro.safebrowsing.client import ClientConfig, SafeBrowsingClient
 from repro.safebrowsing.lists import GOOGLE_LISTS
 from repro.safebrowsing.server import SafeBrowsingServer
 from repro.safebrowsing.snapshot import (
@@ -36,8 +36,7 @@ from repro.safebrowsing.snapshot import (
     save_server_snapshot,
 )
 
-BACKENDS = sorted(STORE_FACTORIES)
-CLIENT_BACKENDS = sorted(_STORE_BACKENDS)
+CLIENT_BACKENDS = sorted(STORE_FACTORIES)
 #: Exact client backends answer membership byte-for-byte after a restore;
 #: the Bloom backend is pinned separately (bit-array identity).
 EXACT_CLIENT_BACKENDS = [name for name in CLIENT_BACKENDS if name != "bloom"]
@@ -54,12 +53,10 @@ EXPRESSIONS = (
 _values32 = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def _build_server(shard_count: int, index_backend: str,
-                  extra_orphans: tuple[int, ...] = (), *,
+def _build_server(shard_count: int, extra_orphans: tuple[int, ...] = (), *,
                   with_subs: bool = True) -> SafeBrowsingServer:
     server = SafeBrowsingServer(GOOGLE_LISTS, clock=ManualClock(),
-                                shard_count=shard_count,
-                                index_backend=index_backend)
+                                shard_count=shard_count)
     server.blacklist("goog-malware-shavar", EXPRESSIONS[:3])
     server.blacklist("googpub-phish-shavar", EXPRESSIONS[3:])
     if with_subs:
@@ -76,17 +73,14 @@ def _build_server(shard_count: int, index_backend: str,
 
 
 class TestServerDatabaseEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("shard_count", SHARD_COUNTS)
     def test_restored_database_is_observationally_identical(
-            self, backend, shard_count, tmp_path):
-        server = _build_server(shard_count, backend,
-                               extra_orphans=(0xDEADBEEF, 0x00C0FFEE),
-                               with_subs=backend != "bloom")
+            self, shard_count, tmp_path):
+        server = _build_server(shard_count,
+                               extra_orphans=(0xDEADBEEF, 0x00C0FFEE))
         path = save_server_snapshot(server, tmp_path / "server.sqlite")
         restored = load_server_database(path)
         assert restored.shard_count == shard_count
-        assert restored.index_backend == backend
         assert restored.version == server.database.version
 
         probes = [Prefix.from_int(value, 32)
@@ -105,21 +99,10 @@ class TestServerDatabaseEquivalence:
                 assert copy.contains_prefix(prefix) == list_db.contains_prefix(prefix)
                 assert copy.full_hashes_for(prefix) == list_db.full_hashes_for(prefix)
             batch = members + probes
-            # Exact backends must agree batch-for-batch; the Bloom backend
-            # keeps its one-sided error, so a restored index may only ever
-            # *add* spurious bits relative to the true member set.
-            if backend != "bloom":
-                assert copy.contains_many(batch) == list_db.contains_many(batch)
-            else:
-                true_mask = sum(1 << position
-                                for position, prefix in enumerate(batch)
-                                if prefix in set(members))
-                assert copy.contains_many(batch) & true_mask == true_mask
+            assert copy.contains_many(batch) == list_db.contains_many(batch)
 
-    @pytest.mark.parametrize("backend", [name for name in BACKENDS
-                                         if name != "bloom"])
-    def test_resharding_on_load_keeps_membership(self, backend, tmp_path):
-        server = _build_server(16, backend)
+    def test_resharding_on_load_keeps_membership(self, tmp_path):
+        server = _build_server(16)
         path = save_server_snapshot(server, tmp_path / "server.sqlite")
         for shard_count in SHARD_COUNTS:
             restored = load_server_database(path, shard_count=shard_count)
@@ -130,7 +113,7 @@ class TestServerDatabaseEquivalence:
 
     def test_restored_server_answers_full_hash_requests_identically(
             self, tmp_path):
-        server = _build_server(16, "sorted-array")
+        server = _build_server(16)
         path = save_server_snapshot(server, tmp_path / "server.sqlite")
         restored = load_server(path, clock=ManualClock())
         client_a = SafeBrowsingClient(server, name="orig")
@@ -150,8 +133,7 @@ class TestClientDatabaseEquivalence:
     def test_round_trip_preserves_membership_and_verdicts(self, backend,
                                                           tmp_path):
         clock = ManualClock()
-        server = _build_server(16, "sorted-array",
-                               with_subs=backend != "bloom")
+        server = _build_server(16, with_subs=backend != "bloom")
         config = ClientConfig(store_backend=backend)
         original = SafeBrowsingClient(server, name="orig", clock=clock,
                                       config=config)
@@ -175,19 +157,17 @@ class TestClientDatabaseEquivalence:
                                                tmp_path_factory):
         """Randomized store contents survive the packed section byte-exactly."""
         from repro.safebrowsing.snapshot import (
-            _STORE_PACKED, _Reader, _Writer, _packed_prefixes, _read_store,
-            _write_store,
+            _STORE_PACKED, _Reader, _Writer, _read_store, _write_store,
         )
 
-        store = _STORE_BACKENDS[backend](
+        store = STORE_FACTORIES[backend](
             [Prefix.from_int(value, 32) for value in members], 32)
         writer = _Writer()
         _write_store(writer, store, 32)
         payload = writer.getvalue()
-        encoding, section, _ = _read_store(_Reader(payload), 32)
+        encoding, run = _read_store(_Reader(payload), 32)
         assert encoding == _STORE_PACKED
-        restored = _STORE_BACKENDS[backend](
-            _packed_prefixes(payload, section, 32), 32)
+        restored = STORE_FACTORIES[backend](run, 32)
         assert len(restored) == len(store)
         probe_prefixes = [Prefix.from_int(value, 32)
                           for value in probes + members[:10]]
@@ -238,7 +218,8 @@ class TestChurningFleetSignatures:
         assert warm.warm_start_prefixes_resumed > 0
         assert cold.warm_start_prefixes_resumed == 0
 
-    @pytest.mark.parametrize("backend", ["sorted-array", "mmap"])
+    @pytest.mark.parametrize("backend", [name for name in EXACT_CLIENT_BACKENDS
+                                         if name != "raw"])
     def test_exact_backends_agree_under_churn(self, backend):
         report = run_fleet(TINY_CHURN, FleetConfig(**_CHURN,
                                                    store_backend=backend))

@@ -1,11 +1,11 @@
-"""Property tests pinning the numpy backends to the sorted-array reference.
+"""Property tests pinning the numpy backend to the raw sorted-array reference.
 
 The generic store sweep in ``test_prop_stores.py`` already covers the
 registry-constructed path for every registered backend; this module pins the
-paths only the vectorized backends have — the zero-copy ``from_buffer``
-restore (all three materialize modes) with an overlay of post-restore adds
-and tombstones, the batched ``contains_many`` bitmask at several widths, and
-the sorted-merge bulk ``update``/``discard_many`` over chunk sequences.
+paths only the vectorized backend has — construction from a packed
+:class:`PrefixRun` (the snapshot restore path, sorted or not), the batched
+``contains_many`` bitmask at several widths, and the sorted-merge bulk
+``update``/``discard_many`` over chunk sequences.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 pytest.importorskip("numpy")
 
-from repro.datastructures.sorted_array import SortedArrayPrefixStore
-from repro.datastructures.vectorized import NumpyMmapStore, NumpyPrefixStore
+from repro.datastructures.store import RawPrefixStore
+from repro.datastructures.vectorized import NumpyPrefixStore
 from repro.hashing.prefix import Prefix, PrefixRun
 
 WIDTHS = (8, 24, 32, 64)
@@ -36,48 +36,39 @@ def packed_run_and_operations(draw, bits: int):
     return baseline, added, removed, probes
 
 
-class TestFromBufferEquivalence:
+class TestPrefixRunConstruction:
     @pytest.mark.parametrize("bits", WIDTHS)
-    @pytest.mark.parametrize("materialize", ["lazy", "eager", "never"])
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_overlayed_buffer_matches_sorted_array(self, bits, materialize,
-                                                   data):
-        baseline, added, removed, probes = data.draw(
-            packed_run_and_operations(bits))
-        width = bits // 8
-        packed = b"".join(value.to_bytes(width, "big") for value in baseline)
-
-        store = NumpyMmapStore.from_buffer(packed, 0, len(baseline), bits,
-                                           materialize=materialize)
-        reference = SortedArrayPrefixStore(
-            (Prefix.from_int(value, bits) for value in baseline), bits)
-        for value in added:
-            store.add(Prefix.from_int(value, bits))
-            reference.add(Prefix.from_int(value, bits))
-        for value in removed:
-            store.discard(Prefix.from_int(value, bits))
-            reference.discard(Prefix.from_int(value, bits))
-
+    def test_run_built_store_matches_raw(self, bits, data):
+        """A packed run in any order, with repeats, builds the same store
+        the raw array builds from the deduplicated set."""
+        values = data.draw(st.lists(_values(bits), max_size=40))
+        probes = data.draw(st.lists(_values(bits), min_size=1, max_size=30))
+        if data.draw(st.booleans()):
+            values = sorted(set(values))
+        run = PrefixRun.from_packed(
+            b"".join(value.to_bytes(bits // 8, "big") for value in values), bits)
+        store = NumpyPrefixStore(run, bits)
+        reference = RawPrefixStore(
+            (Prefix.from_int(value, bits) for value in values), bits)
         probe_prefixes = [Prefix.from_int(value, bits) for value in probes]
         assert store.contains_many(probe_prefixes) == \
             reference.contains_many(probe_prefixes)
         assert len(store) == len(reference)
         assert list(store) == list(reference)
-        for prefix in probe_prefixes:
-            assert (prefix in store) == (prefix in reference)
 
 
 class TestInMemoryEquivalence:
     @pytest.mark.parametrize("bits", WIDTHS)
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_mutations_match_sorted_array(self, bits, data):
+    def test_mutations_match_raw(self, bits, data):
         baseline, added, removed, probes = data.draw(
             packed_run_and_operations(bits))
         store = NumpyPrefixStore(
             (Prefix.from_int(value, bits) for value in baseline), bits)
-        reference = SortedArrayPrefixStore(
+        reference = RawPrefixStore(
             (Prefix.from_int(value, bits) for value in baseline), bits)
         store.update(Prefix.from_int(value, bits) for value in added)
         reference.update(Prefix.from_int(value, bits) for value in added)
@@ -120,11 +111,11 @@ class TestBulkMergeEquivalence:
     @pytest.mark.parametrize("bits", MERGE_WIDTHS)
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_chunk_sequence_matches_sorted_array(self, bits, data):
+    def test_chunk_sequence_matches_raw(self, bits, data):
         baseline, chunks = data.draw(chunk_sequence(bits))
         store = NumpyPrefixStore(
             (Prefix.from_int(value, bits) for value in baseline), bits)
-        reference = SortedArrayPrefixStore(
+        reference = RawPrefixStore(
             (Prefix.from_int(value, bits) for value in baseline), bits)
         for kind, values, as_run in chunks:
             prefixes = [Prefix.from_int(value, bits) for value in values]

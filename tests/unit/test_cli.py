@@ -28,25 +28,26 @@ class TestParser:
         for name in _EXPERIMENTS:
             assert callable(_resolve_experiment(name))
 
-    def test_fleet_backend_choices_mirror_client_registry(self):
-        from repro.cli import _FLEET_STORE_BACKENDS
-        from repro.safebrowsing.client import _STORE_BACKENDS
+    def test_fleet_rejects_unknown_backend_with_registered_names(self, capsys):
+        from repro.datastructures import STORE_FACTORIES
 
-        assert sorted(_FLEET_STORE_BACKENDS) == sorted(_STORE_BACKENDS)
+        assert main(["fleet", "--store-backend", "nope"]) == 2
+        message = capsys.readouterr().err
+        assert message.startswith("error: ")
+        assert "'nope'" in message
+        # The store registry names every backend it has, so the user can
+        # correct the flag without reading the source.
+        for name in STORE_FACTORIES:
+            assert name in message
 
-    def test_fleet_rejects_unknown_backend_at_parse_time(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fleet", "--store-backend", "trie"])
-
-    def test_fleet_transport_choices_mirror_transport_registry(self):
-        from repro.cli import _FLEET_TRANSPORTS
+    def test_fleet_rejects_unknown_transport_with_registered_kinds(self, capsys):
         from repro.safebrowsing.transport import TRANSPORT_KINDS
 
-        assert sorted(_FLEET_TRANSPORTS) == sorted(TRANSPORT_KINDS)
-
-    def test_fleet_rejects_unknown_transport_at_parse_time(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fleet", "--transport", "tcp"])
+        assert main(["fleet", "--transport", "tcp"]) == 2
+        message = capsys.readouterr().err
+        assert message.startswith("error: ")
+        for kind in TRANSPORT_KINDS:
+            assert kind in message
 
     def test_fleet_adversary_flags_parse(self):
         args = build_parser().parse_args(
@@ -79,19 +80,16 @@ class TestParser:
     def test_fleet_adversary_experiment_registered(self):
         assert "fleet-adversary" in _EXPERIMENTS
 
-    def test_fleet_policy_choices_mirror_policy_registry(self):
-        from repro.cli import _FLEET_POLICIES
+    def test_fleet_rejects_unknown_policy_with_registered_names(self, capsys):
         from repro.safebrowsing.privacy import POLICY_FACTORIES
 
-        assert sorted(_FLEET_POLICIES) == sorted(POLICY_FACTORIES)
-
-    def test_fleet_rejects_unknown_policy_with_registered_names(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fleet", "--privacy-policy", "tor"])
+        assert main(["fleet", "--privacy-policy", "tor"]) == 2
         message = capsys.readouterr().err
-        # argparse's rejection must name every registered policy, so the
-        # user can correct the flag without reading the source.
-        for name in ("none", "dummy", "one-prefix", "widen", "mix"):
+        # The policy registry's rejection must name every registered
+        # policy, so the user can correct the flag without reading the
+        # source.
+        assert message.startswith("error: ")
+        for name in POLICY_FACTORIES:
             assert name in message
 
     def test_fleet_policy_flags_parse(self):
@@ -362,6 +360,12 @@ class TestIngestCommand:
     def test_ingest_rejects_unknown_storage_at_parse_time(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["ingest", "--storage", "redis"])
+
+    def test_ingest_rejects_http_transport(self, capsys):
+        assert main(["ingest", "--transport", "http"]) == 2
+        message = capsys.readouterr().err
+        assert message.startswith("error: ")
+        assert "'http'" in message and "in-process" in message
 
 
 class TestSnapshotCommand:

@@ -21,18 +21,27 @@ SAFE_URL = "http://totally.fine.example.org/index.html"
 class TestClientConfig:
     def test_default_backend_tracks_numpy_availability(self):
         # The vectorized numpy store is the default lookup path when numpy
-        # is importable; the pure-Python delta-coded store (the deployed
-        # choice) remains the fallback so a numpy-less install still works.
+        # is importable; the packed raw array it vectorizes remains the
+        # fallback so a numpy-less install still works.
         from repro.datastructures.vectorized import NUMPY_AVAILABLE
         from repro.safebrowsing.client import DEFAULT_STORE_BACKEND
 
-        expected = "numpy" if NUMPY_AVAILABLE else "delta-coded"
+        expected = "numpy" if NUMPY_AVAILABLE else "raw"
         assert DEFAULT_STORE_BACKEND == expected
         assert ClientConfig().store_backend == DEFAULT_STORE_BACKEND
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(UpdateError):
             ClientConfig(store_backend="trie")
+
+    @pytest.mark.parametrize("retired", ["sorted-array", "mmap", "numpy-mmap"])
+    def test_retired_backends_rejected_with_registered_names(self, retired):
+        from repro.datastructures import STORE_FACTORIES
+
+        with pytest.raises(UpdateError) as excinfo:
+            ClientConfig(store_backend=retired)
+        for name in STORE_FACTORIES:
+            assert name in str(excinfo.value)
 
 
 class TestUpdate:

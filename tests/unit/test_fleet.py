@@ -32,15 +32,16 @@ TINY = Scale(
 
 class TestFleetConfig:
     def test_defaults_are_valid(self):
-        from repro.experiments.fleet import DEFAULT_FLEET_STORE_BACKEND
-
         config = FleetConfig()
         assert config.mode == "batched"
         # numpy is importable in this suite (importorskip above), so the
         # fleet defaults to the vectorized store.
-        assert DEFAULT_FLEET_STORE_BACKEND == "numpy"
-        assert config.store_backend == DEFAULT_FLEET_STORE_BACKEND
+        assert config.store_backend == "numpy"
         assert config.profile == "uniform"
+
+    def test_unknown_store_backend_rejected_at_config_time(self):
+        with pytest.raises(ExperimentError, match="unknown store backend"):
+            FleetConfig(store_backend="mmap")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ExperimentError):

@@ -157,6 +157,21 @@ class TestRunIngestion:
         with pytest.raises(ExperimentError, match="storage"):
             run_ingestion(storage="redis")
 
+    @pytest.mark.parametrize("transport", ["http", "tcp"])
+    def test_non_local_transport_rejected_before_bootstrap(self, transport):
+        from unittest import mock
+
+        from repro.exceptions import ExperimentError
+        from repro.experiments import ingestion
+
+        # "http" is a registered transport kind, but ingestion's server has
+        # no network address: it must fail up front, not after the
+        # bootstrap load reaches build_transport.
+        with mock.patch.object(ingestion, "SafeBrowsingServer") as server:
+            with pytest.raises(ExperimentError, match="in-process"):
+                ingestion.run_ingestion(transport=transport)
+        server.assert_not_called()
+
     def test_leaves_a_loadable_database_behind(self, tmp_path):
         from repro.experiments.ingestion import run_ingestion
         from repro.safebrowsing.storage import load_sqlite_server_database

@@ -79,13 +79,23 @@ class TestHelpers:
         assert all(prefix.bits == 64 for prefix in prefixes)
 
     def test_store_factories_cover_paper_rows(self):
-        # The numpy-vectorized backends join the registry only when numpy is
+        # The numpy-vectorized backend joins the registry only when numpy is
         # importable; the paper-table backends are always present.
         from repro.datastructures.vectorized import NUMPY_AVAILABLE
-        expected = {"raw", "delta-coded", "bloom", "sorted-array", "mmap"}
+        expected = ["bloom", "delta-coded", "raw"]
         if NUMPY_AVAILABLE:
-            expected |= {"numpy", "numpy-mmap"}
-        assert set(STORE_FACTORIES) == expected
+            expected = ["bloom", "delta-coded", "numpy", "raw"]
+        assert sorted(STORE_FACTORIES) == expected
+
+    def test_registry_maps_names_to_store_classes(self):
+        from repro.datastructures import (
+            BloomPrefixStore,
+            DeltaCodedPrefixStore,
+            RawPrefixStore,
+        )
+        assert STORE_FACTORIES["raw"] is RawPrefixStore
+        assert STORE_FACTORIES["delta-coded"] is DeltaCodedPrefixStore
+        assert STORE_FACTORIES["bloom"] is BloomPrefixStore
 
     def test_store_factories_build_working_stores(self, digests):
         prefixes = widen_prefixes(digests[:50], 32)

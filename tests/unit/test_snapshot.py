@@ -1,16 +1,21 @@
 """Unit tests for the persistence layer, corruption paths included.
 
 The contract: a truncated file, a checksum mismatch, an unknown format
-version, a backend-name mismatch and a malformed or foreign SQLite server
-file all raise a typed :class:`~repro.exceptions.SnapshotError` stating
-what was expected — never a silent partial load.
+version, a backend-name mismatch, a retired backend and a malformed or
+foreign SQLite server file all raise a typed
+:class:`~repro.exceptions.SnapshotError` stating what was expected — never
+a silent partial load.
 """
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
+from repro.cli import main
 from repro.clock import ManualClock
+from repro.datastructures import STORE_FACTORIES
 from repro.exceptions import SnapshotError, StorageError
 from repro.hashing.prefix import Prefix
 from repro.safebrowsing.client import ClientConfig, SafeBrowsingClient
@@ -18,6 +23,8 @@ from repro.safebrowsing.lists import GOOGLE_LISTS
 from repro.safebrowsing.server import SafeBrowsingServer
 from repro.safebrowsing.snapshot import (
     FORMAT_VERSION,
+    _frame,
+    _Writer,
     client_snapshot_bytes,
     inspect_snapshot,
     load_server,
@@ -31,10 +38,25 @@ from repro.safebrowsing.storage import load_sqlite_server_database
 EXPRESSIONS = ("evil.example.com/", "phishy.example.net/login.html",
                "bad.actor.org/payload/")
 
-#: A sorted-array client snapshot of the ``server`` fixture, written by the
-#: format-version-1 writer before the binary server container was retired.
-#: The client format must keep reading (and writing) exactly these bytes.
-CLIENT_SNAPSHOT_V1 = bytes.fromhex(
+#: A raw-backend client snapshot of the ``server`` fixture, written by the
+#: format-version-1 writer while seven store backends still existed.  The
+#: client format must keep reading (and writing) exactly these bytes.
+RAW_SNAPSHOT_V1 = bytes.fromhex(
+    "5342534e415001000100e30000000000000098eabd7dd73f0a832003a223240e"
+    "ad144dd100ff5d35efa1d534ca446a7a53ff0300726177200005000000130067"
+    "6f6f672d6d616c776172652d7368617661720100000001000000000000000102"
+    "000000000000002a6582eeb6b9984d1300676f6f672d726567746573742d7368"
+    "6176617200000000000000000100000000000000001400676f6f672d756e7761"
+    "6e7465642d73686176617200000000000000000100000000000000001700676f"
+    "6f672d7768697465646f6d61696e2d7368617661720000000000000000010000"
+    "0000000000001400676f6f677075622d70686973682d73686176617201000000"
+    "01000000000000000101000000000000005191742b"
+)
+
+#: The same snapshot written by the retired ``sorted-array`` backend (the
+#: format-version-1 writer, before the binary server container was
+#: retired).  Its checksum is intact; only the backend name is gone.
+SORTED_ARRAY_SNAPSHOT_V1 = bytes.fromhex(
     "5342534e415001000100ec00000000000000ebe9acf964f9b47c19bb447b957e"
     "227c5d04adc36bb8e0d27d2bd759f9f1aecf0c00736f727465642d6172726179"
     "2000050000001300676f6f672d6d616c776172652d7368617661720100000001"
@@ -55,7 +77,7 @@ def server(clock: ManualClock) -> SafeBrowsingServer:
     return server
 
 
-def _client(server, clock, backend="sorted-array", name="snap-client"):
+def _client(server, clock, backend="raw", name="snap-client"):
     client = SafeBrowsingClient(server, name=name, clock=clock,
                                 config=ClientConfig(store_backend=backend))
     client.update()
@@ -67,10 +89,8 @@ class TestClientRoundTrip:
                                                          tmp_path):
         client = _client(server, clock)
         path = save_client_snapshot(client, tmp_path / "client.snap")
-        restored = SafeBrowsingClient(server, name="restored", clock=clock)
-        restored_config = ClientConfig(store_backend="sorted-array")
         restored = SafeBrowsingClient(server, name="restored", clock=clock,
-                                      config=restored_config)
+                                      config=ClientConfig(store_backend="raw"))
         count = restore_client_snapshot(restored, path)
         assert count == client.local_database_size()
         for list_name in client.subscribed_lists:
@@ -84,12 +104,12 @@ class TestClientRoundTrip:
     def test_version_1_snapshot_still_restores_byte_for_byte(
             self, server, clock, tmp_path):
         path = tmp_path / "client-v1.snap"
-        path.write_bytes(CLIENT_SNAPSHOT_V1)
+        path.write_bytes(RAW_SNAPSHOT_V1)
         restored = _fresh_client(server, clock)
         assert restore_client_snapshot(restored, path) == len(EXPRESSIONS)
         assert restored.update() == 0
         assert restored.lookup("http://evil.example.com/").is_malicious
-        assert client_snapshot_bytes(_client(server, clock)) == CLIENT_SNAPSHOT_V1
+        assert client_snapshot_bytes(_client(server, clock)) == RAW_SNAPSHOT_V1
 
     def test_restore_then_incremental_update(self, server, clock, tmp_path):
         client = _client(server, clock)
@@ -111,20 +131,110 @@ class TestClientRoundTrip:
         assert not client._known_hits and not client._known_misses
         assert not client._full_hash_cache and not client._safe_result_cache
 
-    def test_mmap_restore_serves_off_the_file(self, server, clock, tmp_path):
-        client = _client(server, clock, backend="mmap")
+    @pytest.mark.parametrize("backend", sorted(STORE_FACTORIES))
+    def test_every_backend_round_trips(self, server, clock, tmp_path,
+                                       backend):
+        client = _client(server, clock, backend=backend)
         path = save_client_snapshot(client, tmp_path / "client.snap")
-        restored = _fresh_client(server, clock, backend="mmap")
-        restore_client_snapshot(restored, path)
-        stores = [state.store for state in restored._lists.values()
-                  if len(state.store)]
-        assert stores and all(store.is_mapped for store in stores)
+        restored = _fresh_client(server, clock, backend=backend)
+        assert restore_client_snapshot(restored, path) == \
+            client.local_database_size()
+        assert all(type(state.store) is STORE_FACTORIES[backend]
+                   for state in restored._lists.values())
+        assert restored.update() == 0
         assert restored.lookup("http://evil.example.com/").is_malicious
 
 
-def _fresh_client(server, clock, backend="sorted-array"):
+def _fresh_client(server, clock, backend="raw"):
     return SafeBrowsingClient(server, name="fresh", clock=clock,
                               config=ClientConfig(store_backend=backend))
+
+
+def _snapshot_with_run(backend: str, values: list[int]) -> bytes:
+    """A checksummed one-list client snapshot whose packed run is ``values``
+    verbatim, in the given order (the writer itself always sorts)."""
+    writer = _Writer()
+    writer.string(backend)
+    writer.u16(32)
+    writer.u32(1)
+    writer.string("goog-malware-shavar")
+    writer.u32(0)
+    writer.u32(0)
+    writer.u8(1)  # packed run
+    writer.u64(len(values))
+    writer.raw(b"".join(value.to_bytes(4, "big") for value in values))
+    return _frame(writer.getvalue())
+
+
+class TestUnsortedPackedRun:
+    """A valid-checksum run that is unsorted or repeats values restores to
+    its sorted, deduplicated set on every registered backend."""
+
+    MEMBERS = [9, 3, 7, 1, 5, 5]
+
+    @pytest.mark.parametrize("backend", sorted(STORE_FACTORIES))
+    def test_restores_the_deduplicated_set(self, server, clock, tmp_path,
+                                           backend):
+        path = tmp_path / "unsorted.snap"
+        path.write_bytes(_snapshot_with_run(backend, self.MEMBERS))
+        client = SafeBrowsingClient(server, name="unsorted", clock=clock,
+                                    lists=["goog-malware-shavar"],
+                                    config=ClientConfig(store_backend=backend))
+        restore_client_snapshot(client, path)
+        store = client._lists["goog-malware-shavar"].store
+        members = [Prefix.from_int(value, 32) for value in sorted(set(self.MEMBERS))]
+        probes = members + [Prefix.from_int(value, 32) for value in (0, 2, 4, 6, 8, 10)]
+        mask = store.contains_many(probes)
+        assert mask & 0b11111 == 0b11111
+        assert all(prefix in store for prefix in members)
+        if not store.approximate:
+            assert len(store) == 5
+            assert mask == 0b11111
+            assert [prefix.to_int() for prefix in store] == [1, 3, 5, 7, 9]
+
+
+class TestRetiredBackends:
+    """Snapshots written by a backend this build no longer registers."""
+
+    @pytest.mark.parametrize("retired", ["sorted-array", "mmap", "numpy-mmap"])
+    def test_restore_and_inspect_raise(self, server, clock, tmp_path,
+                                       retired):
+        path = tmp_path / "retired.snap"
+        path.write_bytes(_snapshot_with_run(retired, [1, 2, 3]))
+        client = SafeBrowsingClient(server, name="retired", clock=clock,
+                                    lists=["goog-malware-shavar"])
+        with pytest.raises(SnapshotError, match=f"{retired!r}.*does not provide"):
+            restore_client_snapshot(client, path)
+        with pytest.raises(SnapshotError, match="does not provide"):
+            inspect_snapshot(path)
+
+    def test_sorted_array_v1_fixture_raises(self, server, clock, tmp_path):
+        path = tmp_path / "sorted-array-v1.snap"
+        path.write_bytes(SORTED_ARRAY_SNAPSHOT_V1)
+        with pytest.raises(SnapshotError, match="'sorted-array'") as excinfo:
+            restore_client_snapshot(_fresh_client(server, clock), path)
+        for name in STORE_FACTORIES:
+            assert name in str(excinfo.value)
+
+    @pytest.mark.parametrize("retired", ["sorted-array", "mmap", "numpy-mmap"])
+    def test_snapshot_load_of_any_retired_backend_exits_2(self, capsys,
+                                                          tmp_path, retired):
+        path = tmp_path / "retired.snap"
+        path.write_bytes(_snapshot_with_run(retired, [1, 2, 3]))
+        assert main(["snapshot", "load", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert repr(retired) in captured.err
+        assert not captured.out
+
+    def test_snapshot_load_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "sorted-array-v1.snap"
+        path.write_bytes(SORTED_ARRAY_SNAPSHOT_V1)
+        assert main(["snapshot", "load", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "sorted-array" in captured.err
+        assert not captured.out
 
 
 class TestCorruptionPaths:
@@ -188,13 +298,13 @@ class TestCorruptionPaths:
 
     def test_backend_name_mismatch_lists_both_names(self, server, clock,
                                                     tmp_path):
-        client = _client(server, clock, backend="sorted-array")
+        client = _client(server, clock, backend="raw")
         path = save_client_snapshot(client, tmp_path / "c.snap")
         target = _fresh_client(server, clock, backend="delta-coded")
         with pytest.raises(SnapshotError) as excinfo:
             restore_client_snapshot(target, path)
         message = str(excinfo.value)
-        assert "sorted-array" in message and "delta-coded" in message
+        assert "'raw'" in message and "delta-coded" in message
 
     def test_kind_mismatch(self, server, clock, tmp_path):
         path = save_server_snapshot(server, tmp_path / "server.sqlite")
@@ -210,7 +320,7 @@ class TestCorruptionPaths:
         path = save_client_snapshot(client, tmp_path / "c.snap")
         wide = SafeBrowsingClient(
             server, name="wide", clock=clock,
-            config=ClientConfig(store_backend="sorted-array", prefix_bits=64))
+            config=ClientConfig(store_backend="raw", prefix_bits=64))
         with pytest.raises(SnapshotError, match="64-bit"):
             restore_client_snapshot(wide, path)
 
@@ -219,7 +329,7 @@ class TestCorruptionPaths:
         path = save_client_snapshot(client, tmp_path / "c.snap")
         partial = SafeBrowsingClient(server, name="partial", clock=clock,
                                      lists=["goog-malware-shavar"],
-                                     config=ClientConfig(store_backend="sorted-array"))
+                                     config=ClientConfig(store_backend="raw"))
         with pytest.raises(SnapshotError, match="subscribes"):
             restore_client_snapshot(partial, path)
 
@@ -261,14 +371,34 @@ class TestServerRoundTrip:
 
     def test_load_can_reshard(self, server, tmp_path):
         path = save_server_snapshot(server, tmp_path / "server.sqlite")
-        restored = load_server_database(path, shard_count=4,
-                                        index_backend="raw")
+        restored = load_server_database(path, shard_count=4)
         assert restored.shard_count == 4
-        assert restored.index_backend == "raw"
         for list_db in server.database:
             copy = restored[list_db.descriptor.name]
             for prefix in list_db.prefixes():
                 assert copy.contains_prefix(prefix)
+
+    #: Every index backend a file could name while the server index was
+    #: configurable, retired names included.
+    @pytest.mark.parametrize("index_backend", [
+        "bloom", "delta-coded", "mmap", "numpy", "numpy-mmap", "raw",
+        "sorted-array"])
+    def test_file_with_index_backend_meta_row_still_loads(self, server,
+                                                          tmp_path,
+                                                          index_backend):
+        """Files saved while the server index was configurable carry an
+        ``index_backend`` meta row; loading ignores it."""
+        path = save_server_snapshot(server, tmp_path / "server.sqlite")
+        with sqlite3.connect(path) as connection:
+            connection.execute("INSERT INTO meta (key, value) "
+                               "VALUES ('index_backend', ?)", (index_backend,))
+        connection.close()
+        restored = load_server(path, clock=ManualClock())
+        assert restored.database.version == server.database.version
+        for list_db in server.database:
+            copy = restored.database[list_db.descriptor.name]
+            assert sorted(copy.prefixes()) == sorted(list_db.prefixes())
+        assert inspect_snapshot(path).backend == "raw"
 
     def test_pending_mutations_survive(self, server, tmp_path, clock):
         database = server.database["goog-malware-shavar"]
@@ -285,13 +415,14 @@ class TestInspect:
         path = save_client_snapshot(client, tmp_path / "c.snap")
         info = inspect_snapshot(path)
         assert info.kind == "client"
-        assert info.backend == "sorted-array"
+        assert info.backend == "raw"
         assert info.total_prefixes == client.local_database_size()
 
     def test_inspect_server_snapshot(self, server, tmp_path):
         path = save_server_snapshot(server, tmp_path / "server.sqlite")
         info = inspect_snapshot(path)
         assert info.kind == "server"
+        assert info.backend == "raw"
         assert info.shard_count == 16
         assert info.total_prefixes == sum(
             list_db.prefix_count() for list_db in server.database)

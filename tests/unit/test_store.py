@@ -1,10 +1,12 @@
-"""Unit tests for the raw sorted-array prefix store."""
+"""Unit tests for the raw packed sorted-array store and its batched lookups."""
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 
-from repro.datastructures.store import RawPrefixStore
+from repro.datastructures.store import PrefixStore, RawPrefixStore
 from repro.exceptions import DataStructureError
 from repro.hashing.prefix import Prefix
 
@@ -32,6 +34,8 @@ class TestRawPrefixStore:
     def test_values_kept_sorted(self):
         store = RawPrefixStore(prefixes_of(9, 1, 5))
         assert store.values() == [1, 5, 9]
+        store.add(Prefix.from_int(4, 32))
+        assert store.values() == [1, 4, 5, 9]
 
     def test_discard_present(self):
         store = RawPrefixStore(prefixes_of(1, 2))
@@ -58,6 +62,20 @@ class TestRawPrefixStore:
         store = RawPrefixStore(bits=32)
         with pytest.raises(DataStructureError):
             store.add(Prefix.from_int(1, 64))
+        with pytest.raises(DataStructureError):
+            store.contains_many(prefixes_of(1, bits=64))
+
+    def test_packed_layout_for_machine_widths(self):
+        store = RawPrefixStore(prefixes_of(1, 2, 3))
+        assert isinstance(store._values, array)
+        store64 = RawPrefixStore(prefixes_of(1, 2, bits=64), bits=64)
+        assert isinstance(store64._values, array)
+
+    def test_wide_prefixes_fall_back_to_integers(self):
+        store = RawPrefixStore(prefixes_of(2**100, 7, bits=128), bits=128)
+        assert isinstance(store._values, list)
+        assert Prefix.from_int(2**100, 128) in store
+        assert store.contains_many(prefixes_of(7, 8, 2**100, bits=128)) == 0b101
 
     def test_invalid_store_width_rejected(self):
         with pytest.raises(DataStructureError):
@@ -69,5 +87,46 @@ class TestRawPrefixStore:
         store.discard_many(prefixes_of(2, 3))
         assert store.values() == [1, 4]
 
+    def test_bulk_update_merges(self):
+        store = RawPrefixStore(prefixes_of(1, 5))
+        store.update(prefixes_of(3, 5, 2, 9, 8, 7, 6, 4, 10, 11))
+        assert store.values() == list(range(1, 12))
+
+    def test_small_bulk_update_inserts(self):
+        store = RawPrefixStore(prefixes_of(1, 5))
+        store.update(prefixes_of(3, 5))
+        assert store.values() == [1, 3, 5]
+
     def test_not_approximate(self):
         assert RawPrefixStore.approximate is False
+
+
+class TestContainsMany:
+    def test_empty_cases(self):
+        assert RawPrefixStore().contains_many(prefixes_of(1, 2, 3)) == 0
+        assert RawPrefixStore(prefixes_of(1)).contains_many([]) == 0
+
+    def test_bitmask_positions_follow_input_order(self):
+        store = RawPrefixStore(prefixes_of(10, 20, 30))
+        mask = store.contains_many(prefixes_of(30, 11, 10, 20, 21))
+        assert mask == 0b01101
+
+    def test_duplicate_probes_share_position_bits(self):
+        store = RawPrefixStore(prefixes_of(10))
+        mask = store.contains_many(prefixes_of(10, 10, 11, 10))
+        assert mask == 0b1011
+
+    def test_unsorted_probes_equal_per_prefix_contains(self):
+        members = [7, 1, 99, 2**31, 2**32 - 1]
+        store = RawPrefixStore(prefixes_of(*members))
+        probes = prefixes_of(2**32 - 1, 0, 7, 98, 99, 1, 2**31, 3)
+        mask = store.contains_many(probes)
+        for position, probe in enumerate(probes):
+            assert bool(mask >> position & 1) == (probe in store)
+
+    def test_base_class_fallback_agrees(self):
+        members = [4, 8, 15, 16, 23, 42]
+        probes = prefixes_of(1, 4, 15, 40, 42, 23, 5)
+        store = RawPrefixStore(prefixes_of(*members))
+        assert store.contains_many(probes) == \
+            PrefixStore.contains_many(store, probes)

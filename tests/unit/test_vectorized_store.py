@@ -1,14 +1,13 @@
-"""Unit tests for the numpy-vectorized store backends.
+"""Unit tests for the numpy-vectorized store backend.
 
 Most of this module needs numpy and is skipped when it is absent; the
 ``TestWithoutNumpy`` subprocess test always runs, pinning the optional
-dependency contract (tier-1 must pass and the registries must shrink
+dependency contract (tier-1 must pass and the registry must shrink
 gracefully when numpy cannot be imported).
 """
 
 from __future__ import annotations
 
-import mmap
 import subprocess
 import sys
 import textwrap
@@ -18,17 +17,15 @@ import pytest
 
 import repro
 from repro.clock import ManualClock
-from repro.datastructures.memory import STORE_FACTORIES
-from repro.datastructures.mmapped import MmapSortedArrayStore
-from repro.datastructures.sorted_array import SortedArrayPrefixStore
+from repro.datastructures.memory import DEFAULT_STORE_BACKEND, STORE_FACTORIES
+from repro.datastructures.store import RawPrefixStore
 from repro.datastructures.vectorized import (
     NUMPY_AVAILABLE,
-    NumpyMmapStore,
     NumpyPrefixStore,
     _BucketIndex,
 )
 from repro.exceptions import DataStructureError
-from repro.hashing.prefix import Prefix
+from repro.hashing.prefix import Prefix, PrefixRun
 
 needs_numpy = pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not installed")
 
@@ -39,21 +36,12 @@ def _prefixes(values, bits=32):
 
 @needs_numpy
 class TestRegistration:
-    def test_client_registry_has_both_backends(self):
-        from repro.safebrowsing.client import _STORE_BACKENDS
-        assert _STORE_BACKENDS["numpy"] is NumpyPrefixStore
-        assert _STORE_BACKENDS["numpy-mmap"] is NumpyMmapStore
+    def test_registry_maps_numpy_to_the_class(self):
+        assert STORE_FACTORIES["numpy"] is NumpyPrefixStore
+        assert sorted(STORE_FACTORIES) == ["bloom", "delta-coded", "numpy", "raw"]
 
-    def test_factory_registry_has_both_backends(self):
-        store = STORE_FACTORIES["numpy"](_prefixes([1, 2]), 32)
-        mapped = STORE_FACTORIES["numpy-mmap"](_prefixes([1, 2]), 32)
-        assert isinstance(store, NumpyPrefixStore)
-        assert isinstance(mapped, NumpyMmapStore)
-
-    def test_fleet_cli_mirrors_client_registry(self):
-        from repro.cli import _FLEET_STORE_BACKENDS
-        assert "numpy" in _FLEET_STORE_BACKENDS
-        assert "numpy-mmap" in _FLEET_STORE_BACKENDS
+    def test_numpy_is_the_default_backend(self):
+        assert DEFAULT_STORE_BACKEND == "numpy"
 
 
 @needs_numpy
@@ -79,11 +67,11 @@ class TestNumpyPrefixStore:
         store.discard_many(_prefixes([1, 7, 42]))
         assert store.values() == [3, 5]
 
-    def test_contains_many_matches_sorted_array(self):
+    def test_contains_many_matches_raw(self):
         members = [3, 1, 4, 1, 5, 9, 2, 6, 35, 89, 1000, 2**31]
         probes = _prefixes([0, 1, 2, 7, 9, 35, 2**31, 2**32 - 1, 5, 5])
         vectorized = NumpyPrefixStore(_prefixes(members))
-        reference = SortedArrayPrefixStore(_prefixes(members))
+        reference = RawPrefixStore(_prefixes(members))
         assert vectorized.contains_many(probes) == reference.contains_many(probes)
 
     def test_contains_many_empty_cases(self):
@@ -96,11 +84,11 @@ class TestNumpyPrefixStore:
         assert all(prefix.bits == 32 for prefix in store)
 
     @pytest.mark.parametrize("bits", [8, 16, 24, 40, 64, 128, 256])
-    def test_non_default_widths_match_sorted_array(self, bits):
+    def test_non_default_widths_match_raw(self, bits):
         values = [0, 1, 2, (1 << bits) - 1, (1 << bits) // 3]
         probes = _prefixes([0, 2, 3, (1 << bits) - 1, (1 << bits) // 3], bits)
         vectorized = NumpyPrefixStore(_prefixes(values, bits), bits)
-        reference = SortedArrayPrefixStore(_prefixes(values, bits), bits)
+        reference = RawPrefixStore(_prefixes(values, bits), bits)
         assert vectorized.contains_many(probes) == reference.contains_many(probes)
         assert list(vectorized) == list(reference)
 
@@ -120,6 +108,27 @@ class TestNumpyPrefixStore:
 
     def test_memory_bytes_matches_raw_layout(self):
         assert NumpyPrefixStore(_prefixes([1, 2, 3])).memory_bytes() == 12
+
+
+@needs_numpy
+class TestPrefixRunConstruction:
+    """The same-width run fast path: one frombuffer, unique only if needed."""
+
+    @pytest.mark.parametrize("bits", [24, 32])
+    def test_unsorted_run_with_duplicates_is_deduplicated(self, bits):
+        run = PrefixRun(_prefixes([9, 3, 7, 1, 5, 5], bits), bits)
+        store = NumpyPrefixStore(run, bits)
+        assert len(store) == 5
+        assert store.values() == [1, 3, 5, 7, 9]
+        probes = _prefixes([1, 2, 3, 4, 5, 6, 7, 8, 9], bits)
+        assert store.contains_many(probes) == 0b101010101
+
+    def test_empty_run_of_another_width_builds_an_empty_store(self):
+        assert len(NumpyPrefixStore(PrefixRun((), 64), 32)) == 0
+
+    def test_wrong_width_run_rejected(self):
+        with pytest.raises(DataStructureError):
+            NumpyPrefixStore(PrefixRun(_prefixes([1], 64), 64), 32)
 
 
 @needs_numpy
@@ -147,76 +156,8 @@ class TestBucketIndexBuild:
 
 
 @needs_numpy
-class TestNumpyMmapStore:
-    def test_invalid_materialize_mode_rejected(self):
-        with pytest.raises(DataStructureError):
-            NumpyMmapStore(_prefixes([1]), materialize="sometimes")
-
-    def test_lazy_materializes_on_first_batch(self):
-        packed = b"".join(value.to_bytes(4, "big") for value in (1, 5, 9))
-        store = NumpyMmapStore.from_buffer(packed, 0, 3, 32)
-        assert not store.materialized
-        assert store.contains_many(_prefixes([5, 6])) == 0b01
-        assert store.materialized
-
-    def test_eager_materializes_at_construction(self):
-        packed = (7).to_bytes(4, "big")
-        store = NumpyMmapStore.from_buffer(packed, 0, 1, 32, materialize="eager")
-        assert store.materialized
-
-    def test_never_mode_searches_in_place(self):
-        packed = b"".join(value.to_bytes(4, "big") for value in (1, 5, 9))
-        store = NumpyMmapStore.from_buffer(packed, 0, 3, 32, materialize="never")
-        assert store.contains_many(_prefixes([1, 2, 9])) == 0b101
-        assert Prefix.from_int(5, 32) in store
-        assert not store.materialized
-
-    def test_from_real_mmap_with_overlay(self, tmp_path):
-        values = [2, 4, 6, 8]
-        path = tmp_path / "packed.bin"
-        path.write_bytes(b"".join(value.to_bytes(4, "big") for value in values))
-        with open(path, "rb") as handle:
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        store = NumpyMmapStore.from_buffer(mapped, 0, 4, 32, keep_alive=mapped)
-        assert store.is_mapped
-        store.add(Prefix.from_int(5, 32))
-        store.discard(Prefix.from_int(4, 32))
-        assert store.values() == [2, 5, 6, 8]
-        probes = _prefixes([2, 4, 5, 6, 7, 8])
-        reference = SortedArrayPrefixStore(_prefixes([2, 5, 6, 8]))
-        assert store.contains_many(probes) == reference.contains_many(probes)
-
-    def test_matches_python_mmap_store(self):
-        members = [10, 20, 30, 40]
-        packed = b"".join(value.to_bytes(4, "big") for value in members)
-        vectorized = NumpyMmapStore.from_buffer(packed, 0, 4, 32)
-        python = MmapSortedArrayStore.from_buffer(packed, 0, 4, 32)
-        for store in (vectorized, python):
-            store.add(Prefix.from_int(25, 32))
-            store.discard(Prefix.from_int(30, 32))
-        probes = _prefixes([5, 10, 25, 30, 40, 45])
-        assert vectorized.contains_many(probes) == python.contains_many(probes)
-        assert vectorized.values() == python.values()
-
-    @pytest.mark.parametrize("bits", [24, 128])
-    def test_odd_widths_keep_s_view(self, bits):
-        width = bits // 8
-        values = [1, 2, (1 << bits) - 1]
-        packed = b"".join(value.to_bytes(width, "big") for value in sorted(values))
-        store = NumpyMmapStore.from_buffer(packed, 0, len(values), bits)
-        probes = _prefixes([0, 1, 2, 3, (1 << bits) - 1], bits)
-        reference = SortedArrayPrefixStore(_prefixes(values, bits), bits)
-        assert store.contains_many(probes) == reference.contains_many(probes)
-
-    def test_wrong_width_probe_rejected(self):
-        store = NumpyMmapStore(_prefixes([1]))
-        with pytest.raises(DataStructureError):
-            store.contains_many([Prefix.from_int(1, 64)])
-
-
-@needs_numpy
 class TestSnapshotRoundTrip:
-    def test_numpy_mmap_restore_serves_off_the_file(self, tmp_path):
+    def test_numpy_restore_builds_numpy_stores(self, tmp_path):
         from repro.safebrowsing.client import ClientConfig, SafeBrowsingClient
         from repro.safebrowsing.lists import GOOGLE_LISTS
         from repro.safebrowsing.server import SafeBrowsingServer
@@ -230,18 +171,19 @@ class TestSnapshotRoundTrip:
         server.blacklist("goog-malware-shavar", ["evil.example.com/"])
         client = SafeBrowsingClient(
             server, name="vec", clock=clock,
-            config=ClientConfig(store_backend="numpy-mmap"))
+            config=ClientConfig(store_backend="numpy"))
         client.update()
         path = save_client_snapshot(client, tmp_path / "client.snap")
 
         restored = SafeBrowsingClient(
             server, name="vec-restored", clock=clock,
-            config=ClientConfig(store_backend="numpy-mmap"))
+            config=ClientConfig(store_backend="numpy"))
         count = restore_client_snapshot(restored, path)
         assert count == client.local_database_size()
         stores = [list_state.store for list_state in restored._lists.values()]
-        assert all(isinstance(store, NumpyMmapStore) for store in stores)
-        assert any(store.is_mapped for store in stores if len(store))
+        assert all(isinstance(store, NumpyPrefixStore) for store in stores)
+        for name, state in client._lists.items():
+            assert list(restored._lists[name].store) == list(state.store)
         assert restored.lookup("http://evil.example.com/").is_malicious
 
 
@@ -269,16 +211,16 @@ class TestWithoutNumpy:
                 NUMPY_AVAILABLE, NumpyPrefixStore)
             assert NUMPY_AVAILABLE is False
 
-            from repro.datastructures.memory import STORE_FACTORIES
-            assert "numpy" not in STORE_FACTORIES
-            assert "numpy-mmap" not in STORE_FACTORIES
+            from repro.datastructures.memory import (
+                DEFAULT_STORE_BACKEND, STORE_FACTORIES)
+            assert sorted(STORE_FACTORIES) == ["bloom", "delta-coded", "raw"]
+            assert DEFAULT_STORE_BACKEND == "raw"
 
-            from repro.safebrowsing.client import _STORE_BACKENDS, ClientConfig
-            assert "numpy" not in _STORE_BACKENDS
+            from repro.safebrowsing.client import ClientConfig
+            assert ClientConfig().store_backend == "raw"
 
-            from repro.cli import _FLEET_STORE_BACKENDS
-            assert "numpy" not in _FLEET_STORE_BACKENDS
-            assert "numpy-mmap" not in _FLEET_STORE_BACKENDS
+            from repro.cli import build_parser
+            build_parser()
 
             from repro.exceptions import DataStructureError, UpdateError
             try:
