@@ -54,7 +54,9 @@ import sys
 from collections.abc import Callable, Sequence
 
 from repro.exceptions import ReproError
+from repro.experiments.profiles import PROFILE_FACTORIES
 from repro.hashing.digests import url_prefix
+from repro.safebrowsing.storage import STORAGE_KINDS
 from repro.urls.canonicalize import canonicalize
 from repro.urls.decompose import decompositions
 
@@ -87,19 +89,9 @@ _EXPERIMENTS: dict[str, str] = {
     "ingestion": "repro.experiments.ingestion:ingestion_table",
 }
 
-#: Population profiles offered by ``repro fleet``.  Mirrors the keys of
-#: ``repro.experiments.profiles.PROFILE_FACTORIES`` (kept in sync by a unit
-#: test); argparse rejects unknown names with a message listing these.
-_FLEET_PROFILES = ("desktop", "global-mix", "mobile", "regional", "uniform")
-
 #: Scale tiers offered by ``repro fleet``.  LARGE/XLARGE are the
 #: process-parallel tiers (~10^5/10^6 clients) — pair them with --workers.
 _FLEET_SCALES = ("small", "medium", "large", "xlarge")
-
-#: Server storage backends offered by ``repro fleet`` / ``ingest`` / ``serve``.
-#: Mirrors ``repro.safebrowsing.storage.STORAGE_KINDS`` (kept in sync by a
-#: unit test) so building the parser does not import the storage layer.
-_SERVER_STORAGE_KINDS = ("memory", "sqlite")
 
 
 def _resolve_experiment(name: str) -> Callable[[], object]:
@@ -170,10 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the fleet sharded over N worker processes "
                             "(the process-parallel engine; requires --mode "
                             "scalar or batched)")
-    fleet.add_argument("--profile", choices=_FLEET_PROFILES,
+    fleet.add_argument("--profile", choices=sorted(PROFILE_FACTORIES),
                        default=None, metavar="NAME",
                        help="population profile assigning per-client "
-                            f"behaviour: one of {', '.join(_FLEET_PROFILES)} "
+                            f"behaviour: one of {', '.join(sorted(PROFILE_FACTORIES))} "
                             "(default uniform)")
     fleet.add_argument("--seed", type=int, default=None,
                        help="override the traffic seed")
@@ -232,10 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--cold-restart", action="store_true",
                        help="restarted clients cold-start empty instead of "
                             "warm-starting from a snapshot")
-    fleet.add_argument("--server-storage", choices=_SERVER_STORAGE_KINDS,
+    fleet.add_argument("--server-storage", choices=STORAGE_KINDS,
                        default=None, metavar="KIND",
                        help="server database storage backend: one of "
-                            f"{', '.join(_SERVER_STORAGE_KINDS)} "
+                            f"{', '.join(STORAGE_KINDS)} "
                             "(default memory)")
     fleet.add_argument("--metrics-json", default=None, metavar="PATH",
                        help="collect the full metrics registry for the run "
@@ -245,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest = subparsers.add_parser(
         "ingest", help="stream list mutations into a live server while "
                        "clients keep polling")
-    ingest.add_argument("--storage", choices=_SERVER_STORAGE_KINDS,
+    ingest.add_argument("--storage", choices=STORAGE_KINDS,
                         default="sqlite",
                         help="server storage backend (default sqlite)")
     ingest.add_argument("--path", default=None, metavar="FILE",
@@ -285,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--scale", choices=["small", "medium"],
                        default="small",
                        help="workload size (default small)")
-    serve.add_argument("--storage", choices=_SERVER_STORAGE_KINDS,
+    serve.add_argument("--storage", choices=STORAGE_KINDS,
                        default="memory",
                        help="server storage backend (default memory)")
     serve.add_argument("--path", default=None, metavar="FILE",

@@ -8,16 +8,30 @@ abandon the static Bloom filter: the blacklists are updated with *add* and
 
 from __future__ import annotations
 
+import sys
 from abc import ABC, abstractmethod
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import islice
+from operator import lt
 
 from repro.exceptions import DataStructureError
-from repro.hashing.prefix import Prefix
+from repro.hashing.prefix import Prefix, PrefixRun
 
 #: Widths (in bits) that fit one unsigned 64-bit array slot.
 _MACHINE_WIDTH_BITS = 64
+
+#: Byte width -> unsigned :mod:`array` type code of exactly that width, for
+#: reading a packed run in one ``array`` construction.
+_ARRAY_CODES: dict[int, str] = {}
+for _code in "BHILQ":
+    _ARRAY_CODES.setdefault(array(_code).itemsize, _code)
+
+
+def _strictly_ascending(values: Sequence[int]) -> bool:
+    """Whether ``values`` is sorted with no repeats (one C-level pass)."""
+    return all(map(lt, values, islice(values, 1, None)))
 
 
 class PrefixStore(ABC):
@@ -115,21 +129,51 @@ class RawPrefixStore(PrefixStore):
     batched client lookup path, ``SafeBrowsingClient.check_urls``).
 
     The store is exact (no false positives) and supports removal, so unlike
-    the Bloom filter it can apply *sub* chunks.
+    the Bloom filter it can apply *sub* chunks.  A same-width
+    :class:`PrefixRun` (a server chunk, a snapshot section, a client probe
+    batch) is read as integers straight from its packed bytes, without a
+    :class:`Prefix` per value.
     """
 
     approximate = False
 
     def __init__(self, prefixes: Iterable[Prefix] = (), bits: int = 32) -> None:
-        """Build the store over ``prefixes`` (deduplicated) at width ``bits``."""
+        """Build the store over ``prefixes`` (deduplicated) at width ``bits``.
+
+        Values already strictly ascending (a restored snapshot section) are
+        taken as they are; anything else is sorted and deduplicated.
+        """
         super().__init__(bits)
-        values = sorted({self._check(prefix).to_int() for prefix in prefixes})
+        values = self._int_values(prefixes)
+        if not _strictly_ascending(values):
+            values = sorted(set(values))
         if bits <= _MACHINE_WIDTH_BITS:
             self._values: array | list[int] = array("Q", values)
         else:
             # Wider prefixes do not fit a machine word; fall back to Python
             # integers while keeping the same sorted-array algorithms.
             self._values = values
+
+    def _int_values(self, prefixes: Iterable[Prefix]) -> Sequence[int]:
+        """The integer value of each prefix, in order.
+
+        A same-width run is converted from its packed bytes: one ``array``
+        read (byteswapped to big-endian order) for machine widths, one
+        ``int.from_bytes`` per value otherwise.
+        """
+        if not (isinstance(prefixes, PrefixRun) and prefixes.bits == self._bits):
+            return [self._check(prefix).to_int() for prefix in prefixes]
+        packed = prefixes.packed
+        width = self._bits // 8
+        code = _ARRAY_CODES.get(width)
+        if code is not None:
+            values = array(code, packed)
+            if sys.byteorder == "little":
+                values.byteswap()
+            return values
+        from_bytes = int.from_bytes
+        return [from_bytes(packed[start:start + width], "big")
+                for start in range(0, len(packed), width)]
 
     # -- single-prefix operations ---------------------------------------------
 
@@ -171,7 +215,7 @@ class RawPrefixStore(PrefixStore):
 
     def update(self, prefixes: Iterable[Prefix]) -> None:
         """Insert many prefixes: merge and re-sort once instead of n inserts."""
-        incoming = {self._check(prefix).to_int() for prefix in prefixes}
+        incoming = set(self._int_values(prefixes))
         if not incoming:
             return
         if len(incoming) <= 8:
@@ -195,8 +239,8 @@ class RawPrefixStore(PrefixStore):
         ``n`` entries into ``O(k log(n / k) + k log k)`` comparisons instead
         of ``k`` independent full-range searches.
         """
-        probes = [(self._check(prefix).to_int(), position)
-                  for position, prefix in enumerate(prefixes)]
+        values = self._int_values(prefixes)
+        probes = list(zip(values, range(len(values))))
         if not probes:
             return 0
         probes.sort()

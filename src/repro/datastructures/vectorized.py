@@ -315,14 +315,15 @@ class NumpyPrefixStore(PrefixStore):
 
         Large integer-width stores answer through the :class:`_BucketIndex`
         (rebuilt lazily after mutations).  The fallback is one vectorized
-        ``searchsorted`` (:meth:`_positions`).
+        ``searchsorted`` (:meth:`_positions`).  A same-width
+        :class:`PrefixRun` is read with one ``frombuffer``.
         """
-        raws = [prefix.value for prefix in prefixes]
-        if not raws:
-            return 0
-        probes = self._probe_array(raws)
+        if isinstance(prefixes, PrefixRun) and prefixes.bits == self._bits:
+            probes = self._from_packed(prefixes.packed)
+        else:
+            probes = self._probe_array([prefix.value for prefix in prefixes])
         values = self._values
-        if not values.size:
+        if not probes.size or not values.size:
             return 0
         if self._index_stale:
             self._index = _BucketIndex.build(values, self._bits)

@@ -54,7 +54,7 @@ from repro.datastructures.memory import DEFAULT_STORE_BACKEND, STORE_FACTORIES
 from repro.datastructures.store import PrefixStore
 from repro.exceptions import UpdateError
 from repro.hashing.digests import FullHash, digests_of
-from repro.hashing.prefix import Prefix
+from repro.hashing.prefix import Prefix, PrefixRun
 from repro.observability.metrics import (
     LATENCY_BOUNDS,
     SIZE_BOUNDS,
@@ -282,13 +282,16 @@ class SafeBrowsingClient:
         self._full_hash_cache: dict[Prefix, _CachedFullHashes] = {}
         # Memos of pure URL/expression derivations used by check_urls();
         # bounded by config.plan_cache_size, never consulted by lookup().
-        self._plan_cache: dict[str, tuple[str, tuple[str, ...], tuple[Prefix, ...]]] = {}
-        self._hash_cache: dict[str, tuple[FullHash, Prefix]] = {}
-        # Local-store membership memos for the batched path.  Membership only
-        # changes when an update applies chunks, so both sets are dropped
-        # whenever update() applies anything (alongside the full-hash cache).
-        self._known_hits: set[Prefix] = set()
-        self._known_misses: set[Prefix] = set()
+        # They hold prefixes as raw bytes: Prefix objects are built only for
+        # prefixes the local stores hold.
+        self._plan_cache: dict[str, tuple[str, tuple[str, ...], tuple[bytes, ...]]] = {}
+        self._hash_cache: dict[str, tuple[FullHash, bytes]] = {}
+        # Local-store membership memos for the batched path.  A hit keeps its
+        # Prefix, so revisits reuse it.  Membership only changes when an
+        # update applies chunks, so both are dropped whenever update()
+        # applies anything (alongside the full-hash cache).
+        self._known_hits: dict[bytes, Prefix] = {}
+        self._known_misses: set[bytes] = set()
         # Memoized results for URLs with *no* local hit: such a result is a
         # pure function of the URL and the local stores (no server state, no
         # cache expiry is involved), so it stays valid until the next applied
@@ -582,7 +585,9 @@ class SafeBrowsingClient:
         * every *unique* decomposition across the batch is hashed once
           (URLs sharing a host share their domain-root decompositions);
         * local stores are probed with one :meth:`PrefixStore.contains_many`
-          bitmask query per list over the unique prefixes;
+          bitmask query per list over one packed :class:`PrefixRun` of the
+          unique prefixes, and :class:`Prefix` objects are built only for
+          the prefixes the stores hold;
         * all uncached full-hash lookups are coalesced into a single server
           request instead of one request per hitting URL.
 
@@ -613,7 +618,7 @@ class SafeBrowsingClient:
         safe_cache = self._safe_result_cache
         plan_cache = self._plan_cache
         results: list[LookupResult | None] = [None] * len(urls)
-        pending: list[tuple[int, str, tuple[str, tuple[str, ...], tuple[Prefix, ...]]]] = []
+        pending: list[tuple[int, str, tuple[str, tuple[str, ...], tuple[bytes, ...]]]] = []
         for position, url in enumerate(urls):
             memoized = safe_cache.get(url)
             if memoized is not None:
@@ -624,35 +629,39 @@ class SafeBrowsingClient:
                 plan = self._build_plan(url)
             pending.append((position, url, plan))
 
-        # Stage 2: batch-probe the list stores for every prefix whose
-        # membership is not already memoized from an earlier batch.
+        # Stage 2: probe the list stores with one packed run of every prefix
+        # whose membership is not already memoized from an earlier batch.
         known_hits = self._known_hits
         known_misses = self._known_misses
-        unknown: dict[Prefix, None] = {}
+        unknown: dict[bytes, None] = {}
         for _, _, (_, _, prefixes) in pending:
-            for prefix in prefixes:
-                if prefix not in known_misses and prefix not in known_hits:
-                    unknown[prefix] = None
+            for raw in prefixes:
+                if raw not in known_misses and raw not in known_hits:
+                    unknown[raw] = None
         if unknown:
+            bits = self.config.prefix_bits
             probes = list(unknown)
+            run = PrefixRun.from_packed(b"".join(probes), bits)
             hit_mask = 0
             for state in self._lists.values():
-                hit_mask |= state.store.contains_many(probes)
-            for index, prefix in enumerate(probes):
-                if hit_mask >> index & 1:
-                    known_hits.add(prefix)
+                hit_mask |= state.store.contains_many(run)
+            # Bit i of the mask is character i of the reversed binary string.
+            flags = f"{hit_mask:0{len(probes)}b}"[::-1]
+            for raw, flag in zip(probes, flags):
+                if flag == "1":
+                    known_hits[raw] = Prefix(raw, bits)
                 else:
-                    known_misses.add(prefix)
+                    known_misses.add(raw)
 
         # Stage 3: walk the batch in order.  URLs with no local hit memoize a
         # shared SAFE result; hitting URLs split their prefixes into cached /
         # to-request exactly as the scalar path would have seen them.
         requested: dict[Prefix, None] = {}
         hitting: list[tuple[int, str, tuple, tuple[Prefix, ...], tuple[Prefix, ...]]] = []
+        hit_keys = known_hits.keys()
         for position, url, plan in pending:
             canonical, decomps, prefixes = plan
-            local_hits = tuple(prefix for prefix in prefixes if prefix in known_hits)
-            if not local_hits:
+            if hit_keys.isdisjoint(prefixes):
                 result = LookupResult(
                     url=url, canonical_url=canonical, verdict=Verdict.SAFE,
                     decompositions=decomps,
@@ -660,6 +669,8 @@ class SafeBrowsingClient:
                 safe_cache[url] = result
                 results[position] = result
                 continue
+            local_hits = tuple(known_hits[raw] for raw in prefixes
+                               if raw in known_hits)
             if self.privacy_policy is None:
                 # Cross-URL dedup: a prefix an earlier URL already put in
                 # the coalesced request is guaranteed to be fetched, so
@@ -694,10 +705,9 @@ class SafeBrowsingClient:
                 for _, _, (_, decomps, _), local_hits, missing in hitting:
                     if not missing:
                         continue
-                    hashes = self._hashes_for(decomps)
                     digest_by_prefix: dict[Prefix, FullHash] = {}
-                    for expression in decomps:
-                        digest, prefix = hashes[expression]
+                    for _, digest, prefix in self._hit_hashes(decomps,
+                                                              local_hits):
                         digest_by_prefix.setdefault(prefix, digest)
                     groups.append(QueryGroup(prefixes=local_hits,
                                              missing=missing,
@@ -719,10 +729,10 @@ class SafeBrowsingClient:
                     wire for prefix in missing
                     for wire in exchange.attributed_to(prefix)
                 ))
-            hashes = self._hashes_for(decomps)
+            hashes = self._hit_hashes(decomps, local_hits)
             matched_lists, matched_expressions = self._match_digests(
-                {expression: entry[0] for expression, entry in hashes.items()},
-                {expression: entry[1] for expression, entry in hashes.items()},
+                {expression: digest for expression, digest, _ in hashes},
+                {expression: prefix for expression, _, prefix in hashes},
                 local_hits,
             )
             verdict = Verdict.MALICIOUS if matched_expressions else Verdict.SAFE
@@ -744,19 +754,23 @@ class SafeBrowsingClient:
         self._trim_memos()
         return results
 
-    def _build_plan(self, url: str) -> tuple[str, tuple[str, ...], tuple[Prefix, ...]]:
-        """Memoize the pure derivations of one URL for the batched path."""
+    def _build_plan(self, url: str) -> tuple[str, tuple[str, ...], tuple[bytes, ...]]:
+        """Memoize the pure derivations of one URL for the batched path.
+
+        The plan holds the URL's deduplicated prefixes as raw bytes, in
+        decomposition order.
+        """
         canonical = canonicalize(url)
         decomps = tuple(
             decompositions(canonical, policy=self.config.decomposition_policy,
                            canonical=True)
         )
         hash_cache = self._hash_cache
-        bits = self.config.prefix_bits
+        nbytes = self.config.prefix_bits // 8
         missing = [expression for expression in decomps
                    if expression not in hash_cache]
         for expression, digest in zip(missing, digests_of(missing)):
-            hash_cache[expression] = (digest, digest.prefix(bits))
+            hash_cache[expression] = (digest, digest.digest[:nbytes])
         prefixes = tuple(dict.fromkeys(
             hash_cache[expression][1] for expression in decomps
         ))
@@ -764,19 +778,24 @@ class SafeBrowsingClient:
         self._plan_cache[url] = plan
         return plan
 
-    def _hashes_for(self, expressions: Sequence[str]
-                    ) -> dict[str, tuple[FullHash, Prefix]]:
-        """Digest and prefix of each expression, re-deriving evicted memos."""
+    def _hit_hashes(self, expressions: Sequence[str],
+                    local_hits: Sequence[Prefix]
+                    ) -> list[tuple[str, FullHash, Prefix]]:
+        """``(expression, digest, prefix)`` for each expression whose prefix
+        is one of ``local_hits``, re-deriving evicted memos."""
         hash_cache = self._hash_cache
-        bits = self.config.prefix_bits
-        hashes: dict[str, tuple[FullHash, Prefix]] = {}
+        nbytes = self.config.prefix_bits // 8
+        hit_by_raw = {prefix.value: prefix for prefix in local_hits}
+        hashes: list[tuple[str, FullHash, Prefix]] = []
         for expression in expressions:
             entry = hash_cache.get(expression)
             if entry is None:
                 digest = FullHash.of(expression)
-                entry = (digest, digest.prefix(bits))
+                entry = (digest, digest.digest[:nbytes])
                 hash_cache[expression] = entry
-            hashes[expression] = entry
+            prefix = hit_by_raw.get(entry[1])
+            if prefix is not None:
+                hashes.append((expression, entry[0], prefix))
         return hashes
 
     def _trim_memos(self) -> None:

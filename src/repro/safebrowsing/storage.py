@@ -70,10 +70,9 @@ from repro.safebrowsing.lists import ListDescriptor, ListProvider, ThreatCategor
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (database imports us)
     from repro.safebrowsing.database import ListDatabase, ServerDatabase
 
-#: Storage kinds accepted by :func:`build_server_storage`.  The CLI keeps
-#: its own copy for ``fleet --server-storage`` and ``ingest``/``serve
-#: --storage`` (``repro.cli._SERVER_STORAGE_KINDS``); a unit test pins the
-#: two equal.
+#: Storage kinds accepted by :func:`build_server_storage`; the CLI's
+#: ``fleet --server-storage`` and ``ingest``/``serve --storage`` take their
+#: choices from it.
 STORAGE_KINDS = ("memory", "sqlite")
 
 #: Schema version written to (and required from) every SQLite storage file.

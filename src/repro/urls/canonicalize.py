@@ -35,6 +35,9 @@ _DEFAULT_PORTS = {"http": 80, "https": 443, "ftp": 21}
 _SCHEME_RE = re.compile(r"^([a-zA-Z][a-zA-Z0-9+.-]*):(?://)?")
 _HEX_DIGITS = "0123456789abcdefABCDEF"
 
+#: ASCII characters :func:`_percent_encode` must escape.
+_NEEDS_ESCAPE_RE = re.compile(r"[\x00-\x20\x7f#%]")
+
 
 def canonicalize(url: str) -> str:
     """Return the Safe Browsing canonical form of ``url``.
@@ -130,12 +133,13 @@ def _strip_userinfo(remainder: str) -> str:
 
 def _split_authority(remainder: str) -> tuple[str, bool, str]:
     """Split ``host[:port]`` from the path-and-query part."""
-    for index, char in enumerate(remainder):
-        if char in "/?":
-            # A '?' directly after the host means an empty path with a query.
-            if char == "?":
-                return remainder[:index], True, "/" + remainder[index:]
-            return remainder[:index], True, remainder[index:]
+    slash = remainder.find("/")
+    question = remainder.find("?")
+    if question >= 0 and (slash < 0 or question < slash):
+        # A '?' directly after the host means an empty path with a query.
+        return remainder[:question], True, "/" + remainder[question:]
+    if slash >= 0:
+        return remainder[:slash], True, remainder[slash:]
     return remainder, False, ""
 
 
@@ -187,6 +191,8 @@ def _repeated_percent_decode(text: str) -> str:
 
 def _percent_decode_once(text: str) -> str:
     """Decode every valid ``%XX`` escape exactly once."""
+    if "%" not in text:
+        return text
     out: list[str] = []
     index = 0
     length = len(text)
@@ -223,11 +229,17 @@ def _normalize_ip(host: str) -> str | None:
     Returns ``None`` when ``host`` is not a numeric IP form.  Hostnames made
     purely of digits and dots, hexadecimal (``0x``) notation, and single
     32-bit integers are all accepted, mirroring what browsers resolve.
+    Every numeric form starts with an ASCII digit, so any other host is
+    rejected before it is split.
     """
-    if not host:
+    if not host or not ("0" <= host[0] <= "9"):
         return None
 
     def parse_part(part: str) -> int | None:
+        # int() also takes "_" separators, surrounding whitespace and
+        # non-ASCII digits, none of which a browser resolves as an IP.
+        if not (part.isascii() and part.isalnum()):
+            return None
         try:
             if part.startswith("0x") or part.startswith("0X"):
                 return int(part, 16)
@@ -296,6 +308,8 @@ def _canonicalize_path(path: str) -> str:
 
 def _percent_encode(text: str) -> str:
     """Percent-encode bytes ``<= 0x20``, ``>= 0x7F``, ``#`` and ``%``."""
+    if text.isascii() and _NEEDS_ESCAPE_RE.search(text) is None:
+        return text
     out: list[str] = []
     for byte in text.encode("utf-8", errors="surrogatepass"):
         if byte <= 0x20 or byte >= 0x7F or byte in (0x23, 0x25):

@@ -133,6 +133,24 @@ class TestIpAddressHosts:
     def test_out_of_range_ip_not_normalized(self):
         assert canonicalize("http://999.999.999.999/") == "http://999.999.999.999/"
 
+    def test_digit_separators_stay_a_hostname(self):
+        # int() accepts "_" between digits; no browser resolves this as an IP.
+        assert canonicalize("http://0x7f_00_00_01/") == "http://0x7f_00_00_01/"
+
+    def test_non_ascii_digits_stay_a_hostname(self):
+        # Arabic-Indic digits satisfy str.isdigit() and int(); not an IP.
+        canonical = canonicalize("http://١٢٧.0.0.1/")
+        assert canonical == "http://%D9%A1%D9%A2%D9%A7.0.0.1/"
+        assert "127.0.0.1" not in canonical
+
+    def test_escaped_whitespace_in_a_label_stays_a_hostname(self):
+        # The host decodes to "0x7f ", which int(..., 16) would accept.
+        assert canonicalize("http://0x7f%20/") == "http://0x7f%20/"
+
+    def test_host_not_starting_with_a_digit_is_not_an_ip(self):
+        assert canonicalize("http://a0x7f/") == "http://a0x7f/"
+        assert canonicalize("http://x.1.2.3/") == "http://x.1.2.3/"
+
 
 class TestPaperExample:
     def test_generic_url_of_the_paper(self):

@@ -189,12 +189,6 @@ class TestParser:
                      "--restart-interval", "2"]) == 2
         assert "--churn" in capsys.readouterr().err
 
-    def test_fleet_profile_choices_mirror_profile_registry(self):
-        from repro.cli import _FLEET_PROFILES
-        from repro.experiments.profiles import PROFILE_FACTORIES
-
-        assert sorted(_FLEET_PROFILES) == sorted(PROFILE_FACTORIES)
-
     def test_fleet_rejects_unknown_profile_with_registered_names(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fleet", "--profile", "metaverse"])
@@ -260,12 +254,6 @@ class TestParser:
 
     def test_fleet_parallel_experiment_registered(self):
         assert "fleet-parallel" in _EXPERIMENTS
-
-    def test_server_storage_choices_mirror_storage_registry(self):
-        from repro.cli import _SERVER_STORAGE_KINDS
-        from repro.safebrowsing.storage import STORAGE_KINDS
-
-        assert sorted(_SERVER_STORAGE_KINDS) == sorted(STORAGE_KINDS)
 
     def test_fleet_rejects_unknown_server_storage_at_parse_time(self):
         with pytest.raises(SystemExit):

@@ -6,7 +6,9 @@ import pytest
 
 from repro.clock import ManualClock
 from repro.exceptions import UpdateError
+from repro.hashing import prefix as prefix_module
 from repro.hashing.digests import url_prefix
+from repro.hashing.prefix import Prefix
 from repro.safebrowsing.client import ClientConfig, SafeBrowsingClient
 from repro.safebrowsing.lists import GOOGLE_LISTS
 from repro.safebrowsing.protocol import Verdict
@@ -242,6 +244,44 @@ class TestBatchedLookupMemos:
         google_server.blacklist("goog-malware-shavar", ["soon.bad.example.org/"])
         clock.advance(google_server.poll_interval + 1)
         assert client.check_urls([url])[0].verdict is Verdict.MALICIOUS
+
+    def test_memos_are_keyed_by_prefix_bytes(self, updated_client):
+        updated_client.check_urls([MALWARE_URL, SAFE_URL])
+        for _, _, prefixes in updated_client._plan_cache.values():
+            assert all(type(raw) is bytes and len(raw) == 4 for raw in prefixes)
+        for _, raw in updated_client._hash_cache.values():
+            assert type(raw) is bytes and len(raw) == 4
+        assert all(type(raw) is bytes for raw in updated_client._known_misses)
+        # A hit keeps its Prefix, so later batches reuse the same object.
+        assert updated_client._known_hits
+        for raw, prefix in updated_client._known_hits.items():
+            assert type(raw) is bytes and prefix == Prefix(raw, 32)
+        hit = updated_client.check_urls([MALWARE_URL])[0].local_hits[0]
+        assert hit is updated_client._known_hits[hit.value]
+
+    def test_safe_unseen_batch_builds_no_prefix(self, updated_client, monkeypatch):
+        # Prefix objects are built only for URLs with a local hit: a batch of
+        # new SAFE URLs hashes, probes and answers on raw bytes alone.
+        built = []
+        post_init = Prefix.__post_init__
+        valid_prefix = prefix_module._valid_prefix
+
+        def counting_post_init(prefix):
+            built.append(prefix)
+            post_init(prefix)
+
+        def counting_valid_prefix(value, bits):
+            built.append(value)
+            return valid_prefix(value, bits)
+
+        monkeypatch.setattr(Prefix, "__post_init__", counting_post_init)
+        monkeypatch.setattr(prefix_module, "_valid_prefix", counting_valid_prefix)
+        urls = [f"http://site-{index}.example.org/a/b.html?q={index}"
+                for index in range(50)]
+        results = updated_client.check_urls(urls)
+        assert all(result.verdict is Verdict.SAFE for result in results)
+        assert built == []
+        assert len(updated_client._known_misses) > len(urls)
 
 
 class TestRawPrefixInterface:

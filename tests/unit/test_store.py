@@ -8,7 +8,8 @@ import pytest
 
 from repro.datastructures.store import PrefixStore, RawPrefixStore
 from repro.exceptions import DataStructureError
-from repro.hashing.prefix import Prefix
+from repro.hashing import prefix as prefix_module
+from repro.hashing.prefix import Prefix, PrefixRun
 
 
 def prefixes_of(*values: int, bits: int = 32) -> list[Prefix]:
@@ -130,3 +131,35 @@ class TestContainsMany:
         store = RawPrefixStore(prefixes_of(*members))
         assert store.contains_many(probes) == \
             PrefixStore.contains_many(store, probes)
+
+
+class TestPrefixRunFastPath:
+    """A same-width run is read as integers, with no Prefix per value."""
+
+    @pytest.fixture()
+    def no_prefixes(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Prefix was built from a same-width run")
+
+        monkeypatch.setattr(Prefix, "__post_init__", refuse)
+        monkeypatch.setattr(prefix_module, "_valid_prefix", refuse)
+
+    @pytest.mark.parametrize("bits", [8, 16, 24, 32, 64, 128])
+    def test_build_update_and_probe_from_runs(self, bits, no_prefixes):
+        width = bits // 8
+        members = [3, 1, 250, 3, 77]
+        run = PrefixRun.from_packed(
+            b"".join(value.to_bytes(width, "big") for value in members), bits)
+        store = RawPrefixStore(run, bits=bits)
+        assert store.values() == [1, 3, 77, 250]
+        store.update(PrefixRun.from_packed((90).to_bytes(width, "big") * 2, bits))
+        assert store.values() == [1, 3, 77, 90, 250]
+        probes = PrefixRun.from_packed(
+            b"".join(value.to_bytes(width, "big") for value in (90, 2, 250, 1)),
+            bits)
+        assert store.contains_many(probes) == 0b1101
+
+    def test_run_of_another_width_is_rejected(self):
+        store = RawPrefixStore(prefixes_of(1), bits=32)
+        with pytest.raises(DataStructureError):
+            store.contains_many(PrefixRun(prefixes_of(1, bits=64)))
