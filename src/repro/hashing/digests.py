@@ -73,6 +73,16 @@ class FullHash:
         return f"0x{self.digest.hex()}"
 
 
+def _valid_full_hash(digest: bytes) -> FullHash:
+    """A :class:`FullHash` of a ``bytes`` digest already known to be 32 bytes.
+
+    Skips ``__post_init__`` for decoders that read a fixed 32-byte field.
+    """
+    full_hash = object.__new__(FullHash)
+    object.__setattr__(full_hash, "digest", digest)
+    return full_hash
+
+
 def full_digest(expression: str | bytes) -> FullHash:
     """Return the :class:`FullHash` of a canonical URL expression."""
     return FullHash.of(expression)

@@ -39,7 +39,7 @@ try:
 except ImportError:  # pragma: no cover - exercised by the numpy-absent CI leg
     _np = None
 from repro.hashing.digests import DEFAULT_PREFIX_BITS, FullHash
-from repro.hashing.prefix import Prefix, PrefixRun
+from repro.hashing.prefix import Prefix, PrefixRun, _valid_prefix
 from repro.hashing.prefix_set import PrefixSet
 from repro.safebrowsing.chunks import Chunk, ChunkKind
 from repro.safebrowsing.lists import ListDescriptor
@@ -75,14 +75,17 @@ class ListDatabase:
 
     A bucket is a tuple of the prefix's full digests, sorted by digest and
     rebuilt whenever it changes (buckets hold one or two digests, and a
-    1-tuple costs a fraction of a set).  Only populated prefixes have a
-    bucket: removing the last digest deletes the key.
+    1-tuple costs a fraction of a set).  Buckets are keyed by the raw prefix
+    bytes: a list stores one width, so the value alone names the bucket, and
+    a query hashes ``bytes`` instead of a :class:`Prefix` dataclass.  Only
+    populated prefixes have a bucket: removing the last digest deletes the
+    key.
     """
 
     descriptor: ListDescriptor
     prefix_bits: int = DEFAULT_PREFIX_BITS
     shard_count: int = DEFAULT_SHARD_COUNT
-    _full_hashes: dict[Prefix, tuple[FullHash, ...]] = field(default_factory=dict)
+    _full_hashes: dict[bytes, tuple[FullHash, ...]] = field(default_factory=dict)
     _orphans: set[Prefix] = field(default_factory=set)
     _expressions: dict[str, FullHash] = field(default_factory=dict)
     _add_chunks: list[Chunk] = field(default_factory=list)
@@ -122,10 +125,10 @@ class ListDatabase:
 
         Returns False (and changes nothing) when the bucket already holds it.
         """
-        bucket = self._full_hashes.get(prefix, ())
+        bucket = self._full_hashes.get(prefix.value, ())
         if full_hash in bucket:
             return False
-        self._full_hashes[prefix] = tuple(
+        self._full_hashes[prefix.value] = tuple(
             sorted((*bucket, full_hash), key=attrgetter("digest")))
         return True
 
@@ -183,7 +186,7 @@ class ListDatabase:
             raise ProtocolError(
                 f"list {self.descriptor.name} stores {self.prefix_bits}-bit prefixes"
             )
-        if prefix not in self._full_hashes:
+        if prefix.value not in self._full_hashes:
             if prefix not in self._orphans:
                 self._orphans.add(prefix)
                 self._pending_additions.append(prefix)
@@ -200,15 +203,15 @@ class ListDatabase:
         else:
             self._record(OP_EXPR_REMOVE, expression)
         prefix = full_hash.prefix(self.prefix_bits)
-        bucket = self._full_hashes.get(prefix, ())
+        bucket = self._full_hashes.get(prefix.value, ())
         if full_hash in bucket:
             remaining = tuple(entry for entry in bucket if entry != full_hash)
             self.version += 1
             self._record(OP_HASH_REMOVE, full_hash.digest)
             if remaining:
-                self._full_hashes[prefix] = remaining
+                self._full_hashes[prefix.value] = remaining
             else:
-                del self._full_hashes[prefix]
+                del self._full_hashes[prefix.value]
                 self._pending_removals.append(prefix)
                 self._record(OP_PENDING_ADD, PENDING_REMOVAL, prefix.value)
                 if prefix not in self._orphans:
@@ -222,7 +225,7 @@ class ListDatabase:
             self.version += 1
             self._record(OP_ORPHAN_REMOVE, prefix.value)
             self._record(OP_PENDING_ADD, PENDING_REMOVAL, prefix.value)
-            if prefix not in self._full_hashes:
+            if prefix.value not in self._full_hashes:
                 self._prefix_index.discard(prefix)
 
     # -- chunk management -----------------------------------------------------
@@ -288,7 +291,7 @@ class ListDatabase:
 
     def full_hashes_for(self, prefix: Prefix) -> tuple[FullHash, ...]:
         """Full digests stored under ``prefix``, digest-sorted (empty for orphans)."""
-        return self._full_hashes.get(prefix, ())
+        return self._full_hashes.get(prefix.value, ())
 
     def full_hashes_matching(self, prefix: Prefix) -> tuple[FullHash, ...]:
         """Full digests whose own prefix is compatible with ``prefix``.
@@ -304,51 +307,52 @@ class ListDatabase:
           bytes.
 
         Prefixes are byte-aligned (multiples of 8 bits), so compatibility
-        is a plain byte-prefix comparison.  One-element wrapper around
+        is a plain byte-prefix comparison.  One-query call of
         :meth:`full_hashes_matching_many`, which the server core calls for
         the whole request batch at once.
         """
-        return self.full_hashes_matching_many((prefix,))[prefix]
+        return self.full_hashes_matching_many((prefix,))[0]
 
     def full_hashes_matching_many(
-            self, prefixes: Sequence[Prefix]
-    ) -> dict[Prefix, tuple[FullHash, ...]]:
-        """Batched :meth:`full_hashes_matching` over unique query prefixes.
+            self, prefixes: Sequence[Prefix]) -> list[tuple[FullHash, ...]]:
+        """Batched :meth:`full_hashes_matching`: one tuple per query, in order.
 
-        Stored-width and longer queries stay dict lookups; the *shorter*
-        (widened privacy) queries of the batch are resolved together — each
-        one is a contiguous range of the sorted wide view, and with numpy
-        present both range endpoints of every query are found by a single
-        vectorized ``searchsorted`` pass instead of a per-prefix scan.
+        Stored-width and longer queries stay bucket lookups by raw bytes;
+        the *shorter* (widened privacy) queries of the batch are resolved
+        together — each one is a contiguous range of the sorted wide view,
+        and with numpy present both range endpoints of every query are
+        found by a single vectorized ``searchsorted`` pass instead of a
+        per-prefix scan.  A repeated query is answered each time it occurs;
+        the server core deduplicates its batch before calling.
         """
-        matches: dict[Prefix, tuple[FullHash, ...]] = {}
+        buckets = self._full_hashes
+        bits = self.prefix_bits
+        width = bits // 8
+        results: list[tuple[FullHash, ...]] = []
         wide: list[Prefix] = []
+        wide_at: list[int] = []
         for prefix in prefixes:
-            if prefix in matches:
-                continue
-            if prefix.bits == self.prefix_bits:
-                matches[prefix] = self.full_hashes_for(prefix)
-            elif prefix.bits > self.prefix_bits:
-                stored = Prefix(prefix.value[: self.prefix_bits // 8],
-                                self.prefix_bits)
-                matches[prefix] = tuple(
-                    full_hash for full_hash in self.full_hashes_for(stored)
-                    if full_hash.digest.startswith(prefix.value))
+            if prefix.bits == bits:
+                results.append(buckets.get(prefix.value, ()))
+            elif prefix.bits > bits:
+                value = prefix.value
+                results.append(tuple(
+                    full_hash for full_hash in buckets.get(value[:width], ())
+                    if full_hash.digest.startswith(value)))
             else:
-                matches[prefix] = ()  # placeholder, filled below
+                wide_at.append(len(results))
                 wide.append(prefix)
+                results.append(())  # placeholder, filled below
         if wide:
             # Buckets of a sorted view range are disjoint and each digest
             # starts with its bucket's prefix, so concatenating them in view
             # order is already digest-sorted.
             view = self._populated_values()
-            buckets = self._full_hashes
-            bits = self.prefix_bits
-            for prefix, (low, high) in zip(wide, self._wide_ranges(wide)):
-                matches[prefix] = tuple(
+            for index, (low, high) in zip(wide_at, self._wide_ranges(wide)):
+                results[index] = tuple(
                     full_hash for value in view[low:high]
-                    for full_hash in buckets[Prefix(value, bits)])
-        return matches
+                    for full_hash in buckets[value])
+        return results
 
     def _wide_ranges(self, prefixes: Sequence[Prefix]) -> list[tuple[int, int]]:
         """Half-open ``[low, high)`` wide-view ranges covered per query.
@@ -394,8 +398,7 @@ class ListDatabase:
     def _populated_values(self) -> list[bytes]:
         """Sorted byte values of the populated buckets (wide-query view)."""
         if self._wide_view_version != self.version:
-            self._wide_view = sorted(
-                stored.value for stored in self._full_hashes)
+            self._wide_view = sorted(self._full_hashes)
             self._wide_view_version = self.version
             self._wide_np = None  # companion array rebuilt on demand
         return self._wide_view
@@ -412,8 +415,10 @@ class ListDatabase:
 
     def prefixes(self) -> PrefixSet:
         """Every prefix in the list (including orphans)."""
-        return PrefixSet(self._full_hashes.keys() | self._orphans,
-                         bits=self.prefix_bits)
+        bits = self.prefix_bits
+        return PrefixSet({_valid_prefix(value, bits)
+                          for value in self._full_hashes} | self._orphans,
+                         bits=bits)
 
     def orphan_prefixes(self) -> PrefixSet:
         """Prefixes with no corresponding full digest."""

@@ -38,6 +38,7 @@ from repro.exceptions import (
     WireError,
 )
 from repro.observability.metrics import MetricsRegistry
+from repro.safebrowsing.netservice import body_length, parse_headers
 from repro.safebrowsing.protocol import (
     FullHashRequest,
     FullHashResponse,
@@ -282,16 +283,14 @@ class HttpTransport(Transport):
         except ValueError as exc:
             raise ConnectionError(
                 f"malformed status code in {lines[0]!r}") from exc
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            name, sep, value = line.partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
+        # Framing errors raise ConnectionError: the stream position is
+        # unknown, so the socket is dropped and the request retried.
         try:
-            length = int(headers.get("content-length", ""))
+            headers = parse_headers(lines[1:])
+            length = body_length(headers, default=None)
         except ValueError as exc:
             raise ConnectionError(
-                "response carries no usable Content-Length") from exc
+                f"response carries no usable Content-Length: {exc}") from exc
 
         body = rest
         if len(body) < length:

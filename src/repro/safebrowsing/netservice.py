@@ -5,7 +5,9 @@ ROADMAP item 1's server half.  :class:`NetService` owns one
 HTTP/1.1 on an asyncio event loop — one coroutine per connection,
 keep-alive by default, stdlib only (the environment has no aiohttp; the
 HTTP framing here is the minimal Content-Length subset both ends of this
-repo speak).
+repo speak, read strictly by :func:`parse_headers` and
+:func:`body_length`: a request whose body length is ambiguous is answered
+with 400 and the connection is closed).
 
 Routes
 ------
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from collections.abc import Iterable
 from contextlib import contextmanager
 
 from repro.clock import ManualClock
@@ -97,6 +100,60 @@ _ERROR_STATUS = {
     ERR_LIST_NOT_FOUND: 404,
     ERR_INTERNAL: 500,
 }
+
+
+def content_length(text: str) -> int:
+    """Parse a Content-Length value: one or more ASCII digits, nothing else.
+
+    ``int()`` would also accept a sign, ``_`` separators, surrounding
+    whitespace and non-ASCII digits.  Any of them in a length field is a
+    framing error: a peer that reads the field another way would split the
+    byte stream somewhere else.  Raises :class:`ValueError`.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"Content-Length must be ASCII digits, got {text!r}")
+    return int(text)
+
+
+def parse_headers(lines: Iterable[str]) -> dict[str, str]:
+    """Header fields of one HTTP message head, keyed by lower-cased name.
+
+    Empty lines are skipped and a repeated field keeps its last value,
+    except Content-Length: two values that disagree leave the body length
+    ambiguous and raise :class:`ValueError` (identical repeats are allowed,
+    as RFC 9112 permits).  A line without a colon raises too.
+    """
+    headers: dict[str, str] = {}
+    for line in lines:
+        if not line:
+            continue
+        name, sep, value = line.partition(":")
+        if not sep:
+            raise ValueError(f"bad header line {line!r}")
+        name = name.strip().lower()
+        value = value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise ValueError(f"conflicting Content-Length headers "
+                             f"{headers[name]!r} and {value!r}")
+        headers[name] = value
+    return headers
+
+
+def body_length(headers: dict[str, str], default: str | None = "0") -> int:
+    """The body length a message head declares, or :class:`ValueError`.
+
+    Only Content-Length framing is spoken: a message carrying
+    ``Transfer-Encoding`` is refused outright, since reading its chunked
+    body as the next message is how a stream falls out of step.  Without
+    a Content-Length field the ``default`` applies (``None``: required).
+    """
+    if "transfer-encoding" in headers:
+        raise ValueError("Transfer-Encoding is not supported; "
+                         "frame the body with Content-Length")
+    text = headers.get("content-length", default)
+    if text is None:
+        raise ValueError("no Content-Length header")
+    return content_length(text)
 
 
 def _http_response(status: int, body: bytes, content_type: str,
@@ -259,6 +316,7 @@ class NetService:
 
         try:
             method, path, headers = self._parse_head(head)
+            length = body_length(headers)
         except ValueError as exc:
             writer.write(_http_response(
                 400, f"malformed request: {exc}\n".encode(), "text/plain",
@@ -267,19 +325,14 @@ class NetService:
             return False
 
         body = b""
-        length_text = headers.get("content-length", "0")
-        try:
-            content_length = int(length_text)
-        except ValueError:
-            content_length = -1
-        if content_length < 0 or content_length > MAX_BODY_BYTES:
+        if length > MAX_BODY_BYTES:
             writer.write(_http_response(
-                413, f"unacceptable content-length {length_text!r}\n".encode(),
+                413, f"unacceptable content-length {length}\n".encode(),
                 "text/plain", keep_alive=False))
             await writer.drain()
             return False
-        if content_length:
-            body = await reader.readexactly(content_length)
+        if length:
+            body = await reader.readexactly(length)
 
         keep_alive = headers.get("connection", "keep-alive") != "close"
         status, payload, content_type = self._route(method, path, body)
@@ -295,15 +348,7 @@ class NetService:
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
             raise ValueError(f"bad request line {lines[0]!r}")
         method, path, _version = parts
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, sep, value = line.partition(":")
-            if not sep:
-                raise ValueError(f"bad header line {line!r}")
-            headers[name.strip().lower()] = value.strip()
-        return method, path, headers
+        return method, path, parse_headers(lines[1:])
 
     # -- routing -----------------------------------------------------------
 

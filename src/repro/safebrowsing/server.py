@@ -11,9 +11,10 @@ log; it never peeks inside the client.
 
 Two provisions keep the core memory-stable and fast under fleet traffic:
 
-* a **TTL'd full-hash response cache** keyed by the request's prefix batch
-  (revisit-heavy fleets resend the same popular batches), invalidated both by
-  the clock and by any database mutation (:attr:`ServerDatabase.version`);
+* a **TTL'd full-hash response cache** keyed by the request's sorted unique
+  prefix values (revisit-heavy fleets resend the same popular batches),
+  invalidated both by the clock and by any database mutation
+  (:attr:`ServerDatabase.version`);
 * a **bounded request log**: ``max_log_entries`` rotates the oldest entries
   out (surfaced as :attr:`ServerStats.log_entries_evicted`), so week-long
   fleet runs do not grow the log without bound.  Analysis experiments keep
@@ -122,9 +123,12 @@ class ServerStats:
 
 @dataclass(slots=True)
 class _CachedResponse:
-    """Per-prefix match tuples computed for one prefix batch."""
+    """Match tuples computed for one prefix batch, keyed by prefix value.
 
-    matches_by_prefix: dict[Prefix, tuple[FullHashMatch, ...]]
+    Only queried values with at least one match have an entry.
+    """
+
+    matches_by_prefix: dict[bytes, tuple[FullHashMatch, ...]]
     expires_at: float
 
 
@@ -138,9 +142,9 @@ class ServerCore:
     response_cache_seconds:
         TTL of the full-hash response cache; ``0`` disables caching.
     response_cache_entries:
-        Upper bound on cached batches; inserts past it first purge expired
-        entries, then evict oldest-first.  A database mutation empties the
-        cache on the next full-hash request.
+        Upper bound on cached batches; inserts past it evict from the
+        oldest end — expired entries first, then live ones.  A database
+        mutation empties the cache on the next full-hash request.
     max_log_entries:
         Upper bound on the request log (``None`` = unbounded).  When the
         bound is hit the oldest entries rotate out and
@@ -181,7 +185,10 @@ class ServerCore:
         self.max_log_entries = max_log_entries
         self.stats = ServerStats()
         self._request_log: deque[RequestLogEntry] = deque()
-        self._response_cache: dict[tuple[Prefix, ...], _CachedResponse] = {}
+        # Key: the sorted unique prefix values of a batch.  Insertion order
+        # is expiry order (fixed TTL, non-decreasing clock), which the
+        # oldest-first prune relies on.
+        self._response_cache: dict[tuple[bytes, ...], _CachedResponse] = {}
         # The database version every cached entry was computed against.
         self._response_cache_version = self.database.version
         self._log_observers: list[Callable[[RequestLogEntry], None]] = []
@@ -322,8 +329,9 @@ class ServerCore:
             matches_by_prefix = self._matches_for_batch(request.prefixes,
                                                         timestamp)
         matches: list[FullHashMatch] = []
+        found = matches_by_prefix.get
         for prefix in request.prefixes:
-            matches.extend(matches_by_prefix[prefix])
+            matches.extend(found(prefix.value, ()))
         self.stats.full_hashes_served += len(matches)
         self._m_full_hashes_served.inc(len(matches))
         return FullHashResponse(matches=tuple(matches), timestamp=timestamp)
@@ -331,8 +339,8 @@ class ServerCore:
     # -- full-hash response cache ---------------------------------------------
 
     def _matches_for_batch(self, prefixes: Sequence[Prefix],
-                           now: float) -> dict[Prefix, tuple[FullHashMatch, ...]]:
-        """Match tuples per unique prefix, served from the TTL'd batch cache.
+                           now: float) -> dict[bytes, tuple[FullHashMatch, ...]]:
+        """Match tuples per unique prefix value, served from the TTL'd cache.
 
         A cached entry is valid only while its TTL holds *and* the database
         has not been mutated since it was computed, so caching can never
@@ -340,23 +348,30 @@ class ServerCore:
         version moves every entry is dead, so the whole cache is dropped
         then rather than left to be pruned entry by entry.
 
-        The key is the *sorted* unique prefixes, so two batches carrying the
-        same prefixes in different orders share one entry: the cached value
-        is keyed per prefix and the response is rebuilt per request in the
-        request's own order, so order cannot change an answer.
+        The batch is deduplicated by raw prefix bytes, and the key is the
+        *sorted* unique values: two batches carrying the same prefixes in
+        different orders share one entry, and the response is rebuilt per
+        request in the request's own order.  Values of different widths
+        have different lengths, so they never collide.  An expired entry
+        is recomputed and re-inserted at the end, behind every entry that
+        expires before it.
         """
-        key = tuple(sorted(set(prefixes), key=lambda p: (p.bits, p.value)))
+        unique = {prefix.value: prefix for prefix in prefixes}
+        key = tuple(sorted(unique))
         ttl = self.response_cache_seconds
+        cache = self._response_cache
         if ttl > 0:
             version = self.database.version
             if version != self._response_cache_version:
-                self._response_cache.clear()
+                cache.clear()
                 self._response_cache_version = version
-            entry = self._response_cache.get(key)
-            if entry is not None and entry.expires_at > now:
-                self.stats.response_cache_hits += 1
-                self._m_cache_hits.inc()
-                return entry.matches_by_prefix
+            entry = cache.get(key)
+            if entry is not None:
+                if entry.expires_at > now:
+                    self.stats.response_cache_hits += 1
+                    self._m_cache_hits.inc()
+                    return entry.matches_by_prefix
+                del cache[key]
             self.stats.response_cache_misses += 1
             self._m_cache_misses.inc()
 
@@ -366,45 +381,43 @@ class ServerCore:
         # exact bucket lookup.  Handing each database the whole batch lets
         # it resolve every widened query's bucket range in one vectorized
         # search instead of scanning per prefix.
-        collected: dict[Prefix, list[FullHashMatch]] = {
-            prefix: [] for prefix in key}
+        queries = tuple(unique.values())
+        collected: dict[bytes, list[FullHashMatch]] = {}
         for database in self.database:
-            by_prefix = database.full_hashes_matching_many(key)
-            for prefix in key:
-                collected[prefix].extend(
-                    FullHashMatch(
-                        list_name=database.descriptor.name,
-                        prefix=prefix,
-                        full_hash=full_hash,
-                    )
-                    for full_hash in by_prefix[prefix]
-                )
-        matches_by_prefix: dict[Prefix, tuple[FullHashMatch, ...]] = {
-            prefix: tuple(found) for prefix, found in collected.items()}
+            name = database.descriptor.name
+            for prefix, found in zip(
+                    queries, database.full_hashes_matching_many(queries)):
+                if found:
+                    collected.setdefault(prefix.value, []).extend([
+                        FullHashMatch(name, prefix, full_hash)
+                        for full_hash in found])
+        matches_by_prefix = {value: tuple(found)
+                             for value, found in collected.items()}
         if ttl > 0:
-            if len(self._response_cache) >= self.response_cache_entries:
+            if len(cache) >= self.response_cache_entries:
                 self._prune_response_cache(now)
-            self._response_cache[key] = _CachedResponse(
+            cache[key] = _CachedResponse(
                 matches_by_prefix=matches_by_prefix,
                 expires_at=now + ttl,
             )
         return matches_by_prefix
 
     def _prune_response_cache(self, now: float) -> None:
-        """Purge expired entries; evict oldest-first if the cache is still full.
+        """Evict from the oldest end until the next insert fits.
 
         Called before an insert would exceed the bound, so the cache never
         grows past ``response_cache_entries`` no matter how diverse the
-        traffic is.
+        traffic is.  Entries sit in expiry order, so expired ones are at
+        the front: popping stops at the first live entry once there is
+        room, which costs O(evicted), not O(cache).
         """
         cache = self._response_cache
-        dead = [key for key, entry in cache.items() if entry.expires_at <= now]
-        for key in dead:
+        while cache:
+            key, entry = next(iter(cache.items()))
+            if (entry.expires_at > now
+                    and len(cache) < self.response_cache_entries):
+                break
             del cache[key]
-        overflow = len(cache) - self.response_cache_entries + 1
-        if overflow > 0:
-            for key in list(cache)[:overflow]:
-                del cache[key]
 
     def clear_response_cache(self) -> None:
         """Drop every cached full-hash response (TTL/version do this lazily)."""

@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING
 
 from repro.exceptions import PrefixError, StorageError
 from repro.hashing.digests import FullHash
-from repro.hashing.prefix import Prefix, PrefixRun
+from repro.hashing.prefix import Prefix, PrefixRun, _valid_prefix
 from repro.safebrowsing.chunks import Chunk, ChunkKind
 from repro.safebrowsing.lists import ListDescriptor, ListProvider, ThreatCategory
 
@@ -681,10 +681,9 @@ def dump_database_to_sqlite(database: "ServerDatabase",
             name = list_db.descriptor.name
             for expression in list_db.expressions():
                 storage.record(name, (OP_EXPR_ADD, expression))
-            for prefix in sorted(list_db._full_hashes,
-                                 key=lambda p: p.value):
-                for full_hash in list_db._full_hashes[prefix]:
-                    storage.record(name, (OP_HASH_ADD, prefix.value,
+            for value in sorted(list_db._full_hashes):
+                for full_hash in list_db._full_hashes[value]:
+                    storage.record(name, (OP_HASH_ADD, value,
                                           full_hash.digest))
             for prefix in sorted(list_db._orphans, key=lambda p: p.value):
                 storage.record(name, (OP_ORPHAN_ADD, prefix.value))
@@ -772,7 +771,10 @@ def materialize_list_database(
     list_db._sub_chunks = list(sub_chunks)
     list_db._pending_additions = list(pending_additions)
     list_db._pending_removals = list(pending_removals)
+    buckets = list_db._full_hashes
     list_db._prefix_index.update(
-        list_db._full_hashes.keys() | list_db._orphans)
+        [*(_valid_prefix(value, bits) for value in buckets),
+         *(orphan for orphan in list_db._orphans
+           if orphan.value not in buckets)])
     list_db.version = version
     return list_db

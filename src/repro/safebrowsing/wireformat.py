@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from repro.exceptions import WireError
-from repro.hashing.digests import FullHash
-from repro.hashing.prefix import Prefix, PrefixRun
+from repro.hashing.digests import _valid_full_hash
+from repro.hashing.prefix import Prefix, PrefixRun, _valid_prefix
 from repro.safebrowsing.chunks import Chunk, ChunkKind, ChunkRange
 from repro.safebrowsing.cookie import SafeBrowsingCookie
 from repro.safebrowsing.protocol import (
@@ -78,6 +78,11 @@ class MessageKind(IntEnum):
     FULL_HASH_REQUEST = 3
     FULL_HASH_RESPONSE = 4
     ERROR = 5
+
+
+#: Kind byte -> :class:`MessageKind`: a dict lookup costs a fraction of
+#: calling the enum on every frame header.
+_KINDS = {int(kind): kind for kind in MessageKind}
 
 
 # -- error frames -----------------------------------------------------------
@@ -154,10 +159,7 @@ class _Reader:
         return self.take(self.u32(f"{what} length"), what)
 
     def text(self, what: str) -> str:
-        try:
-            return self.raw(what).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireError(f"{what} is not valid UTF-8: {exc}") from exc
+        return _utf8(self.raw(what), what)
 
     def finish(self) -> None:
         """Every payload byte must be consumed — trailing bytes are loud."""
@@ -167,6 +169,13 @@ class _Reader:
                 f"payload has {left} trailing byte(s) after a complete "
                 f"message (expected exactly {self._pos} bytes)"
             )
+
+
+def _utf8(data: bytes, what: str) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WireError(f"{what} is not valid UTF-8: {exc}") from exc
 
 
 def _raw(data: bytes) -> bytes:
@@ -185,12 +194,17 @@ def _encode_prefix(prefix: Prefix) -> bytes:
 
 
 def _decode_prefix(reader: _Reader) -> Prefix:
+    """One ``u16 width + value`` prefix; the width is checked here once.
+
+    ``take`` returns exactly ``bits // 8`` bytes of the (``bytes``)
+    payload, so the value needs no re-validation by ``Prefix``.
+    """
     bits = reader.u16("prefix width")
     if bits % 8 != 0 or not (8 <= bits <= 256):
         raise WireError(
             f"prefix width must be a multiple of 8 in [8, 256], got {bits}"
         )
-    return Prefix(reader.take(bits // 8, "prefix value"), bits)
+    return _valid_prefix(reader.take(bits // 8, "prefix value"), bits)
 
 
 def _decode_cookie(reader: _Reader) -> SafeBrowsingCookie:
@@ -397,12 +411,17 @@ def _encode_full_hash_response(response: FullHashResponse) -> bytes:
 def _decode_full_hash_response(reader: _Reader) -> FullHashResponse:
     count = reader.u32("match count")
     matches = []
+    # A response names a handful of lists many times: decode each distinct
+    # name once per frame.
+    names: dict[bytes, str] = {}
     for _ in range(count):
-        list_name = reader.text("match list name")
+        raw_name = reader.raw("match list name")
+        list_name = names.get(raw_name)
+        if list_name is None:
+            list_name = names[raw_name] = _utf8(raw_name, "match list name")
         prefix = _decode_prefix(reader)
-        digest = reader.take(32, "full hash digest")
-        matches.append(FullHashMatch(list_name=list_name, prefix=prefix,
-                                     full_hash=FullHash(digest)))
+        full_hash = _valid_full_hash(reader.take(32, "full hash digest"))
+        matches.append(FullHashMatch(list_name, prefix, full_hash))
     return FullHashResponse(
         matches=tuple(matches),
         cache_lifetime_seconds=reader.f64("cache lifetime"),
@@ -490,13 +509,12 @@ def parse_header(header: bytes) -> tuple[MessageKind, int]:
             f"this codec speaks version {WIRE_VERSION}"
         )
     kind_byte = header[5]
-    try:
-        kind = MessageKind(kind_byte)
-    except ValueError:
+    kind = _KINDS.get(kind_byte)
+    if kind is None:
         raise WireError(
             f"unknown message kind byte {kind_byte}; expected one of "
-            f"{sorted(int(kind) for kind in MessageKind)}"
-        ) from None
+            f"{sorted(_KINDS)}"
+        )
     (length,) = _U32.unpack(header[6:10])
     if length > MAX_PAYLOAD_BYTES:
         raise WireError(
@@ -528,7 +546,9 @@ def decode_message(frame: bytes):
             f"frame checksum mismatch: expected {declared_crc:#010x}, "
             f"computed {actual_crc:#010x}"
         )
-    reader = _Reader(frame[FRAME_HEADER_SIZE:FRAME_HEADER_SIZE + length])
+    # ``bytes`` whatever the frame's type, so every value sliced out of the
+    # payload is hashable ``bytes`` (free when the frame is ``bytes``).
+    reader = _Reader(bytes(frame[FRAME_HEADER_SIZE:FRAME_HEADER_SIZE + length]))
     message = _DECODERS[kind](reader)
     reader.finish()
     return message

@@ -16,6 +16,7 @@ Two halves of the wire-format contract are pinned here:
 from __future__ import annotations
 
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,3 +228,185 @@ class TestCorruption:
                   + struct.pack(">I", MAX_PAYLOAD_BYTES + 1))
         with pytest.raises(WireError, match="exceeds"):
             parse_header(header)
+
+
+# -- gethash frames against a per-value reference decoder -------------------
+
+
+class _ReferenceReader:
+    """Bounds-checked cursor, as the codec's reader words its failures."""
+
+    def __init__(self, data: bytes) -> None:
+        self._data = data
+        self._pos = 0
+
+    def take(self, size: int, what: str) -> bytes:
+        remaining = len(self._data) - self._pos
+        if size > remaining:
+            raise WireError(
+                f"truncated payload: {what} needs {size} bytes "
+                f"at offset {self._pos}, only {remaining} left")
+        chunk = self._data[self._pos:self._pos + size]
+        self._pos += size
+        return chunk
+
+    def unpack(self, fmt: str, what: str):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]
+
+    def text(self, what: str) -> str:
+        raw = self.take(self.unpack(">I", f"{what} length"), what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise WireError(f"{what} is not valid UTF-8: {exc}") from exc
+
+
+def _reference_prefix(reader: _ReferenceReader) -> Prefix:
+    bits = reader.unpack(">H", "prefix width")
+    if bits % 8 != 0 or not (8 <= bits <= 256):
+        raise WireError(
+            f"prefix width must be a multiple of 8 in [8, 256], got {bits}")
+    return Prefix(reader.take(bits // 8, "prefix value"), bits)
+
+
+def _reference_decode(frame: bytes):
+    """Gethash frames decoded value by value, every value validated.
+
+    A self-contained copy of the per-value codec: the enum call on the
+    kind byte, ``Prefix(...)`` and ``FullHash(...)`` constructors for every
+    value and one UTF-8 decode per list name.
+    """
+    if len(frame) < FRAME_HEADER_SIZE:
+        raise WireError(
+            f"truncated frame header: expected {FRAME_HEADER_SIZE} bytes, "
+            f"got {len(frame)}")
+    if frame[:4] != MAGIC:
+        raise WireError(
+            f"bad frame magic: expected {MAGIC!r}, got {bytes(frame[:4])!r}")
+    if frame[4] != WIRE_VERSION:
+        raise WireError(f"unsupported wire version {frame[4]}; "
+                        f"this codec speaks version {WIRE_VERSION}")
+    try:
+        kind = MessageKind(frame[5])
+    except ValueError:
+        raise WireError(
+            f"unknown message kind byte {frame[5]}; expected one of "
+            f"{sorted(int(kind) for kind in MessageKind)}") from None
+    (length,) = struct.unpack(">I", frame[6:10])
+    if length > MAX_PAYLOAD_BYTES:
+        raise WireError(f"declared payload of {length} bytes exceeds the "
+                        f"{MAX_PAYLOAD_BYTES}-byte frame bound")
+    expected = FRAME_HEADER_SIZE + length + FRAME_TRAILER_SIZE
+    if len(frame) != expected:
+        raise WireError(
+            f"frame of {len(frame)} bytes does not match its header: "
+            f"a {length}-byte payload needs exactly {expected} bytes")
+    body = frame[4:FRAME_HEADER_SIZE + length]
+    (declared,) = struct.unpack(">I", frame[FRAME_HEADER_SIZE + length:])
+    if declared != zlib.crc32(body):
+        raise WireError(f"frame checksum mismatch: expected {declared:#010x}, "
+                        f"computed {zlib.crc32(body):#010x}")
+    reader = _ReferenceReader(frame[FRAME_HEADER_SIZE:FRAME_HEADER_SIZE + length])
+    if kind is MessageKind.FULL_HASH_REQUEST:
+        cookie = reader.text("cookie")
+        if not cookie:
+            raise WireError("cookie must not be empty")
+        count = reader.unpack(">I", "prefix count")
+        if count == 0:
+            raise WireError("a full-hash request frame must carry at least "
+                            "one prefix, got 0")
+        prefixes = tuple(_reference_prefix(reader) for _ in range(count))
+        message = FullHashRequest(cookie=SafeBrowsingCookie(cookie),
+                                  prefixes=prefixes,
+                                  timestamp=reader.unpack(">d", "timestamp"))
+    elif kind is MessageKind.FULL_HASH_RESPONSE:
+        matches = []
+        for _ in range(reader.unpack(">I", "match count")):
+            list_name = reader.text("match list name")
+            prefix = _reference_prefix(reader)
+            digest = reader.take(32, "full hash digest")
+            matches.append(FullHashMatch(list_name=list_name, prefix=prefix,
+                                         full_hash=FullHash(digest)))
+        message = FullHashResponse(
+            matches=tuple(matches),
+            cache_lifetime_seconds=reader.unpack(">d", "cache lifetime"),
+            timestamp=reader.unpack(">d", "timestamp"))
+    else:
+        return kind  # another kind: only the header was compared
+    left = len(reader._data) - reader._pos
+    if left:
+        raise WireError(f"payload has {left} trailing byte(s) after a complete "
+                        f"message (expected exactly {reader._pos} bytes)")
+    return message
+
+
+def _outcome(decode, frame: bytes):
+    try:
+        return decode(frame)
+    except WireError as error:
+        return f"WireError: {error}"
+
+
+@st.composite
+def _gethash_frames(draw):
+    """A valid gethash frame, or one with a single corrupted byte.
+
+    Half of the corrupted frames get a fresh CRC, so the corruption reaches
+    the payload decoder instead of stopping at the checksum.
+    """
+    frame = bytearray(encode_message(draw(st.one_of(
+        _full_hash_requests, _full_hash_responses))))
+    if draw(st.booleans()):
+        frame[draw(st.integers(0, len(frame) - 1))] ^= draw(st.integers(1, 255))
+        if draw(st.booleans()):
+            body = bytes(frame[4:-FRAME_TRAILER_SIZE])
+            frame[-FRAME_TRAILER_SIZE:] = struct.pack(">I", zlib.crc32(body))
+    return bytes(frame)
+
+
+class TestGethashDecoderEquivalence:
+    @settings(max_examples=400, deadline=None)
+    @given(_gethash_frames())
+    def test_decoder_equals_the_per_value_reference(self, frame):
+        reference = _outcome(_reference_decode, frame)
+        actual = _outcome(decode_message, frame)
+        if isinstance(reference, MessageKind):
+            # A corrupted kind byte named a kind the gethash path does not
+            # use: the codec raises or decodes a message of that kind.
+            kinds = {UpdateRequest: MessageKind.UPDATE_REQUEST,
+                     UpdateResponse: MessageKind.UPDATE_RESPONSE,
+                     WireErrorMessage: MessageKind.ERROR}
+            assert isinstance(actual, str) or kinds[type(actual)] is reference
+            return
+        assert actual == reference
+
+    def test_every_resealed_byte_edit_matches_the_reference(self):
+        # Each offset of a mixed-width request and a two-list response is
+        # set to boundary values and flipped, with a fresh CRC so the edit
+        # reaches the payload decoder.
+        request = FullHashRequest(
+            cookie=SafeBrowsingCookie("c\u00e9"),
+            prefixes=(Prefix(b"\x01\x02", 16), Prefix(b"\x01\x02\x03\x04", 32),
+                      Prefix(bytes(range(8)), 64)),
+            timestamp=7.5)
+        digest = FullHash(bytes(range(32)))
+        response = FullHashResponse(matches=(
+            FullHashMatch("goog-malware-shavar", Prefix(bytes(range(4)), 32),
+                          digest),
+            FullHashMatch("unicode-листы", Prefix(bytes(range(2)), 16), digest),
+            FullHashMatch("goog-malware-shavar", Prefix(bytes(range(4)), 32),
+                          digest)), timestamp=3.0)
+        for message in (request, response):
+            frame = encode_message(message)
+            for offset in range(len(frame) - FRAME_TRAILER_SIZE):
+                for value in {0x00, 0xFF, frame[offset] ^ 0x01,
+                              frame[offset] ^ 0x20, frame[offset] ^ 0x80}:
+                    edited = bytearray(frame)
+                    edited[offset] = value
+                    body = bytes(edited[4:-FRAME_TRAILER_SIZE])
+                    edited[-FRAME_TRAILER_SIZE:] = struct.pack(
+                        ">I", zlib.crc32(body))
+                    reference = _outcome(_reference_decode, bytes(edited))
+                    if not isinstance(reference, MessageKind):
+                        assert _outcome(decode_message, bytes(edited)) == \
+                            reference, (offset, value)

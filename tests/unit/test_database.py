@@ -119,15 +119,16 @@ class TestBuckets:
     def test_removing_last_digest_drops_the_bucket(self, database: ListDatabase):
         prefix = database.add_expression("evil.example.com/")
         database.remove_expression("evil.example.com/")
-        assert prefix not in database._full_hashes
+        assert prefix.value not in database._full_hashes
         assert database.full_hashes_for(prefix) == ()
         assert not database.contains_prefix(prefix)
 
     def test_prefix_count_matches_dict_with_orphans(self, database: ListDatabase):
         def derived() -> int:
-            populated = {prefix for prefix, bucket
+            populated = {value for value, bucket
                          in database._full_hashes.items() if bucket}
-            return len(populated | database._orphans)
+            return len(populated | {orphan.value
+                                    for orphan in database._orphans})
 
         orphan = Prefix(b"\x00\x00\x00\x01", 32)
         steps = [
@@ -183,10 +184,11 @@ class TestBatchedFullHashMatching:
             full = database.full_hashes_for(prefix)[0]
             queries.append(Prefix(full.digest[:8], 64))   # narrowed (longer)
         queries.append(Prefix.from_int(0xDEADBEEF, 32))   # absent
+        queries.append(Prefix(stored[0].value[:1], 8))    # wider still
         batch = database.full_hashes_matching_many(queries)
-        assert set(batch) == set(queries)
-        for query in queries:
-            assert batch[query] == database.full_hashes_matching(query)
+        assert len(batch) == len(queries)
+        for query, found in zip(queries, batch):
+            assert found == database.full_hashes_matching(query)
 
     def test_widened_query_unions_matching_buckets(self, database: ListDatabase):
         stored = self._populated(database)
@@ -198,11 +200,18 @@ class TestBatchedFullHashMatching:
         }
         assert set(database.full_hashes_matching(wide)) == expected
 
-    def test_duplicate_queries_collapse(self, database: ListDatabase):
+    def test_duplicate_and_mixed_width_queries_answer_in_order(
+            self, database: ListDatabase):
         stored = self._populated(database)
-        batch = database.full_hashes_matching_many([stored[0]] * 3)
-        assert list(batch) == [stored[0]]
-        assert batch[stored[0]] == database.full_hashes_for(stored[0])
+        wide = Prefix(stored[0].value[:2], 16)
+        queries = [stored[0], wide, stored[0], stored[1], wide, stored[0]]
+        batch = database.full_hashes_matching_many(queries)
+        assert len(batch) == len(queries)
+        for query, found in zip(queries, batch):
+            assert found == database.full_hashes_matching(query)
+        assert batch[0] == batch[2] == batch[5] == database.full_hashes_for(
+            stored[0])
+        assert batch[1] == batch[4] and set(batch[0]) <= set(batch[1])
 
     def test_all_ff_wide_query_has_no_upper_bound(self, database: ListDatabase):
         # A widened value of all 0xFF bytes has no successor; the range must

@@ -181,6 +181,29 @@ class TestConnectionFaults:
         finally:
             server.close()
 
+    @pytest.mark.parametrize("framing", [
+        b"Content-Length: +5",
+        b"Content-Length: 5\r\nContent-Length: 6",
+        b"Transfer-Encoding: chunked\r\nContent-Length: 5",
+        b"X-No-Length: 1",
+    ])
+    def test_malformed_response_length_is_retried(self, framing):
+        def misframe(conn):
+            _drain_request(conn)
+            conn.sendall(b"HTTP/1.1 200 X\r\n" + framing + b"\r\n\r\nhello")
+
+        server = ScriptedServer(misframe, misframe)
+        try:
+            transport = _transport(server.address, retries=1)
+            with pytest.raises(TransportError,
+                               match="no usable Content-Length"):
+                transport.send_update(_request())
+            # A framing fault is connection-level: dropped and retried.
+            assert transport.stats.retries == 1
+            assert transport.stats.connections_opened == 2
+        finally:
+            server.close()
+
     def test_multi_megabyte_body_arrives_in_small_pieces(self):
         body = bytes(range(256)) * (3 * 4096)  # 3 MiB
         head = (f"HTTP/1.1 200 X\r\nContent-Length: {len(body)}\r\n\r\n"

@@ -164,6 +164,51 @@ class TestWireErrors:
         assert _status_of(raw) == 413
 
 
+class TestStrictFraming:
+    """Ambiguous body lengths get one 400 and a closed connection."""
+
+    @staticmethod
+    def _refused(raw: bytes, reason: str) -> None:
+        # Exactly one response: nothing after the refusal is parsed as a
+        # further request on the same connection.
+        assert raw.count(b"HTTP/1.1 ") == 1
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert _status_of(raw) == 400
+        assert b"Connection: close" in head
+        assert reason.encode() in body
+
+    def test_chunked_request_is_refused_not_parsed_twice(self, http_service):
+        raw = _http(http_service.address,
+                    b"POST /safebrowsing/gethash HTTP/1.1\r\nHost: t\r\n"
+                    b"Transfer-Encoding: chunked\r\n\r\n"
+                    b"5\r\nhello\r\n0\r\n\r\n")
+        self._refused(raw, "Transfer-Encoding")
+
+    def test_conflicting_content_lengths_are_refused(self, http_service):
+        raw = _http(http_service.address,
+                    b"POST /safebrowsing/gethash HTTP/1.1\r\nHost: t\r\n"
+                    b"Content-Length: 0\r\nContent-Length: 5\r\n\r\n"
+                    b"hello")
+        self._refused(raw, "conflicting Content-Length")
+
+    @pytest.mark.parametrize("length", [b"+5", b"5_0", b"-1", b"five"])
+    def test_non_digit_content_length_is_refused(self, http_service, length):
+        raw = _http(http_service.address,
+                    b"POST /safebrowsing/gethash HTTP/1.1\r\nHost: t\r\n"
+                    b"Content-Length: " + length + b"\r\n\r\nhello")
+        self._refused(raw, "ASCII digits")
+
+    def test_identical_repeated_lengths_are_served(self, http_service):
+        body = _update_request()
+        head = (f"POST /safebrowsing/downloads HTTP/1.1\r\nHost: t\r\n"
+                f"Content-Length: {len(body)}\r\n"
+                f"Content-Length: {len(body)}\r\n"
+                f"Connection: close\r\n\r\n").encode("ascii")
+        raw = _http(http_service.address, head + body)
+        assert _status_of(raw) == 200
+        assert isinstance(decode_message(_body_of(raw)), UpdateResponse)
+
+
 class TestConnections:
     def test_keep_alive_reuses_one_connection(self, http_service,
                                               http_transport):

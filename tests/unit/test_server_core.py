@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.clock import ManualClock
-from repro.hashing.digests import url_prefix
+from repro.hashing.digests import FullHash, url_prefix
 from repro.hashing.prefix import Prefix
 from repro.safebrowsing.cookie import SafeBrowsingCookie
 from repro.safebrowsing.lists import GOOGLE_LISTS
@@ -91,6 +91,72 @@ class TestResponseCache:
         server.handle_full_hash(request_for("evil.example.com/",
                                             "bad.example.org/x"))
         assert len(server._response_cache) == 1
+
+    def test_refreshed_entry_moves_to_the_end(self):
+        """A recomputed expired entry is the newest: the prune evicts others."""
+        server = make_server(response_cache_entries=3,
+                             response_cache_seconds=100.0)
+        a, b = request_for("evil.example.com/"), request_for("bad.example.org/x")
+        c = request_for("evil.example.com/", "bad.example.org/x")
+        d = FullHashRequest(cookie=COOKIE, prefixes=(Prefix.from_int(7, 32),))
+        server.handle_full_hash(a)                     # t=0, expires at 100
+        server.clock.advance(1.0)
+        server.handle_full_hash(b)                     # t=1, expires at 101
+        server.clock.advance(99.5)
+        server.handle_full_hash(a)                     # t=100.5: recomputed
+        server.handle_full_hash(c)
+        server.handle_full_hash(d)                     # full: evicts B, not A
+        assert server.stats.response_cache_hits == 0
+        server.handle_full_hash(a)
+        assert server.stats.response_cache_hits == 1
+        server.handle_full_hash(b)
+        assert server.stats.response_cache_hits == 1
+
+    def test_prune_stops_at_the_first_live_entry(self):
+        server = make_server(response_cache_entries=3,
+                             response_cache_seconds=10.0)
+        requests = [FullHashRequest(cookie=COOKIE,
+                                    prefixes=(Prefix.from_int(value, 32),))
+                    for value in range(4)]
+        server.handle_full_hash(requests[0])           # expires at 10
+        server.clock.advance(5.0)
+        server.handle_full_hash(requests[1])           # expires at 15
+        server.clock.advance(7.0)
+        server.handle_full_hash(requests[2])           # t=12: no prune yet
+        server.handle_full_hash(requests[3])           # full: pops only [0]
+        assert len(server._response_cache) == 3
+        for request in requests[1:]:
+            server.handle_full_hash(request)
+        assert server.stats.response_cache_hits == 3
+
+    def test_widened_and_stored_width_prefixes_keep_their_own_matches(self):
+        """A 16-bit query and a 32-bit query sharing leading bytes."""
+        server = make_server()
+        narrow = url_prefix("evil.example.com/")
+        wide = Prefix(narrow.value[:2], 16)
+        database = server.database["goog-malware-shavar"]
+        neighbour = FullHash(narrow.value[:2] + bytes(30))
+        database.add_full_hash(neighbour)
+        database.commit_pending()
+        evil = database.full_hashes_for(narrow)
+        expected = {
+            wide: tuple(sorted((*evil, neighbour), key=lambda fh: fh.digest)),
+            narrow: evil,
+        }
+        for prefixes in ((wide, narrow), (narrow, wide)):
+            request = FullHashRequest(cookie=COOKIE, prefixes=prefixes)
+            for _ in range(2):                         # uncached, then cached
+                response = server.handle_full_hash(request)
+                assert [match.prefix for match in response.matches] == [
+                    prefix for prefix in prefixes for _ in expected[prefix]]
+                for prefix in prefixes:
+                    found = response.matches_for(prefix)
+                    assert tuple(match.full_hash for match in found) == \
+                        expected[prefix]
+                    assert all(match.prefix.bits == prefix.bits
+                               for match in found)
+        assert server.stats.response_cache_hits == 3
+        assert server.stats.response_cache_misses == 1
 
     def test_invalid_cache_bound_rejected(self):
         with pytest.raises(ValueError):

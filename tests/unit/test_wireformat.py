@@ -14,12 +14,15 @@ import zlib
 import pytest
 
 from repro.exceptions import ProtocolError, WireError
+from repro.hashing.digests import FullHash
 from repro.hashing.prefix import Prefix, PrefixRun
 from repro.safebrowsing import wireformat
 from repro.safebrowsing.chunks import Chunk, ChunkKind, ChunkRange
 from repro.safebrowsing.cookie import SafeBrowsingCookie
 from repro.safebrowsing.protocol import (
+    FullHashMatch,
     FullHashRequest,
+    FullHashResponse,
     ListState,
     ListUpdate,
     UpdateRequest,
@@ -185,6 +188,63 @@ def _golden_update_response() -> UpdateResponse:
             ListUpdate("ydx-porno-hosts-top"),
         ),
         next_poll_seconds=1800.0, timestamp=1234.5)
+
+
+def _golden_full_hash_request() -> FullHashRequest:
+    """Mixed 16/32/64-bit prefixes, as a widening client sends them."""
+    return FullHashRequest(
+        cookie=SafeBrowsingCookie("golden-cookie-7f3a"),
+        prefixes=(Prefix(bytes.fromhex("e70e"), 16),
+                  Prefix.from_int(0xE70EE6D1, 32),
+                  Prefix(bytes.fromhex("0011223344556677"), 64),
+                  Prefix.from_int(0x00000001, 32),
+                  Prefix(bytes.fromhex("ffff"), 16)),
+        timestamp=98765.25)
+
+
+def _golden_full_hash_response() -> FullHashResponse:
+    """Matches from two lists, interleaved, at three prefix widths."""
+    def match(list_name: str, expression: str, bits: int) -> FullHashMatch:
+        full_hash = FullHash.of(expression)
+        return FullHashMatch(list_name, full_hash.prefix(bits), full_hash)
+
+    return FullHashResponse(
+        matches=(match("goog-malware-shavar", "evil.example.com/", 32),
+                 match("goog-malware-shavar", "bad.example.org/x", 32),
+                 match("googpub-phish-shavar", "phishy.example.net/login", 32),
+                 match("googpub-phish-shavar", "evil.example.com/", 16),
+                 match("goog-malware-shavar", "evil.example.com/", 64)),
+        cache_lifetime_seconds=2700.0, timestamp=1234.5)
+
+
+class TestGoldenGethashFrames:
+    """Pinned from the per-value codec: lean decoding must not move a byte."""
+
+    def test_golden_full_hash_request_bytes(self):
+        frame = encode_message(_golden_full_hash_request())
+        assert len(frame) == 78
+        assert hashlib.sha256(frame).hexdigest() == (
+            "faaffd956b8a21ac19becbf42053cb49970dc7c75c43a509173c1550d2521407")
+        assert decode_message(frame) == _golden_full_hash_request()
+
+    def test_golden_full_hash_response_bytes(self):
+        frame = encode_message(_golden_full_hash_response())
+        assert len(frame) == 343
+        assert hashlib.sha256(frame).hexdigest() == (
+            "e07b6af778dc275df1a8f0b679912a6a73a9d498cfc6ee8643569f497636d5d2")
+        decoded = decode_message(frame)
+        assert decoded == _golden_full_hash_response()
+        # Repeated list names decode to one string per frame.
+        names = {id(match.list_name) for match in decoded.matches}
+        assert len(names) == 2
+
+    def test_decoded_values_are_hashable_bytes(self):
+        frame = bytearray(encode_message(_golden_full_hash_response()))
+        decoded = decode_message(frame)
+        for match in decoded.matches:
+            assert type(match.prefix.value) is bytes
+            assert type(match.full_hash.digest) is bytes
+        assert len({match.prefix for match in decoded.matches}) == 5
 
 
 def _chunk_frame(prefixes) -> tuple[bytes, int]:
