@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 pytest.importorskip("numpy")  # the corpus/fleet/analysis layers are numpy-backed
@@ -14,6 +18,7 @@ from repro.experiments.fleet import (
     _throughput,
     run_fleet,
 )
+from repro.experiments.parallel import run_parallel_fleet
 from repro.experiments.scale import SMALL, Scale
 
 #: A deliberately tiny scale so unit tests stay fast.
@@ -458,3 +463,73 @@ class TestChurn:
     def test_report_carries_update_request_totals(self, warm_and_cold):
         warm, _ = warm_and_cold
         assert warm.client_update_requests >= warm.server_update_requests > 0
+
+
+def report_digest(report: FleetReport) -> str:
+    """SHA-256 over every report field a run determines.
+
+    Wall-clock fields (``elapsed_seconds``, ``urls_per_second``), the pool
+    size (``workers``) and the metrics snapshot are left out; everything
+    else — counters, pair sets, digests, configuration echoes — is pinned.
+    """
+    fields = dataclasses.asdict(report)
+    for name in ("elapsed_seconds", "urls_per_second", "workers", "metrics"):
+        del fields[name]
+    return hashlib.sha256(
+        json.dumps(fields, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+class TestGoldenReports:
+    """Whole-report digests recorded before the fleet was restructured.
+
+    Any change to what a fleet run counts, detects or echoes changes one of
+    these digests; a refactor of the simulator must leave all of them as
+    they are.
+    """
+
+    GOLDEN = {
+        "default": (
+            FleetConfig(),
+            "5abfbaa0bce13947febb6b45a9ac91198fb577c1124ca8d80f93cf94b9a0209d"),
+        "adversary-dummy": (
+            FleetConfig(adversary=True, privacy_policy="dummy"),
+            "4b89f1bfa6d79d9da889227f6211195565239e928e971425ac742ac6cbcd057b"),
+        "global-mix-churn": (
+            FleetConfig(profile="global-mix", churn_fraction=0.5,
+                        restart_interval=2),
+            "85e6e9571ada27e0bc1032f2628267a3bb0d79f3b0bf24af1d67a8e15ddeffa3"),
+        "simulated-failures": (
+            FleetConfig(transport="simulated", failure_rate=0.05),
+            "0e73cde57dd1ceb9d23bbef754e7b590a570c07b8fcb7a8b837076c7fea97103"),
+    }
+
+    PARALLEL_GOLDEN = {
+        "default": (
+            FleetConfig(),
+            "177ff0f84c625782163254b1ccd1177e42020e47828168874c9d87d88479a120"),
+        "adversary-churn": (
+            FleetConfig(adversary=True, churn_fraction=0.5, restart_interval=2),
+            "443ecbf68f1fc6fefcfc307b79a03fdf6e4fdb335764baab96b447b1255f3eea"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_monolithic_report_digest(self, name):
+        config, expected = self.GOLDEN[name]
+        assert report_digest(run_fleet(TINY, config)) == expected
+
+    @pytest.mark.parametrize("name", sorted(PARALLEL_GOLDEN))
+    def test_two_shard_report_digest(self, name):
+        config, expected = self.PARALLEL_GOLDEN[name]
+        report = run_parallel_fleet(TINY, config, workers=2, shards=2,
+                                    inline=True)
+        assert report.shards == 2
+        assert report_digest(report) == expected
+
+    def test_golden_profile_run_exercises_restart_counters(self):
+        """The global-mix digest pins non-trivial offline/restart values."""
+        config, _ = self.GOLDEN["global-mix-churn"]
+        report = run_fleet(TINY, config)
+        assert report.offline_client_rounds == 1
+        assert report.reconnect_restarts == 1
+        assert report.client_restarts == 2
+        assert report.warm_start_prefixes_resumed == 1335
