@@ -19,16 +19,23 @@ semantics:
 
 Every client reaches the server through a
 :class:`~repro.safebrowsing.transport.Transport`: ``"in-process"`` (direct
-dispatch, the reference behaviour) or ``"simulated"`` (seeded latency and
-failure injection over the shared clock).  The server itself runs the
-sharded core — ``shard_count`` partitions per list index, a TTL'd full-hash
-response cache, and a rotating request log bounded by ``max_log_entries``
-so fleet runs stay memory-stable.
+dispatch, the reference behaviour), ``"simulated"`` (seeded latency and
+failure injection over the shared clock) or ``"http"`` (real sockets to a
+co-hosted service).  The server runs the sharded core with a TTL'd
+full-hash response cache and a request log bounded by ``max_log_entries``,
+so fleet runs stay memory-stable.  ``benchmarks/bench_fleet_throughput.py``
+asserts the batched mode's >= 10x speedup at ``MEDIUM`` scale.
 
-The simulator reports wall-clock throughput (URLs/s), the server's request
-counters and the fleet's cache behaviour; ``benchmarks/bench_fleet_throughput.py``
-asserts the batched mode's >= 10x speedup at ``MEDIUM`` scale and the perf
-smoke test holds the two modes to identical traffic totals.
+:class:`FleetConfig` holds only what callers vary.  Each client browses the
+default :class:`~repro.experiments.profiles.ClientProfile` as its population
+profile varies it; the rest of the traffic shape is fixed by module
+constants (Google's lists, a 25-URL malicious pool per client, 120 logical
+seconds per round, 10% update jitter, 2% tracked visits).  Each
+:class:`FleetReport` field declares in its metadata how shard reports merge
+it and, where a run copies it from the config or a stats snapshot, its
+source; :meth:`FleetReport.merge` and the report a run builds both follow
+that one declaration.  A run is set-up, one pass per round
+(online/reconnect, lookups, clock, churn), then accounting.
 
 **The adversary rides along.**  With ``FleetConfig(adversary=True)`` the
 simulator runs the paper's tracking attack *online* against its own
@@ -75,7 +82,8 @@ import hashlib
 import tempfile
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 try:
@@ -110,7 +118,7 @@ from repro.safebrowsing.lists import ListProvider, lists_for_provider
 from repro.safebrowsing.privacy import build_policy
 from repro.safebrowsing.server import DEFAULT_RESPONSE_CACHE_SECONDS, SafeBrowsingServer
 from repro.safebrowsing.storage import STORAGE_KINDS
-from repro.safebrowsing.transport import TRANSPORT_KINDS
+from repro.safebrowsing.transport import TRANSPORT_KINDS, build_transport
 
 #: Execution modes understood by the simulator.
 FLEET_MODES = ("scalar", "batched")
@@ -134,6 +142,27 @@ DEFAULT_FLEET_LOG_BOUND = 10_000
 #: workload noise.
 TRACKED_TARGET_TEMPLATE = "http://fleet-tracked-{index:03d}.example/visit.html"
 
+#: Whose lists the simulated server serves.
+_PROVIDER = ListProvider.GOOGLE
+
+#: Size of the per-client sample of the blacklist that its malicious visits
+#: come from (a user keeps running into the same few bad sites, not uniform
+#: draws over the provider's whole list).
+_MALICIOUS_POOL_SIZE = 25
+
+#: Logical seconds the shared clock advances between rounds (drives update
+#: polls, full-hash cache expiry and the profiles' activity schedule).
+_ROUND_SECONDS = 120.0
+
+#: Per-client update jitter, so the fleet desynchronizes its polls.
+_UPDATE_JITTER_FRACTION = 0.1
+
+#: Fraction of each client's stream replaced by visits to tracked targets
+#: (a population profile may override it per client).  Every exposed client
+#: plants at least one visit, so an adversary run always has ground truth to
+#: score against.
+_TRACKED_VISIT_FRACTION = 0.02
+
 
 @dataclass(frozen=True, slots=True)
 class FleetConfig:
@@ -143,31 +172,10 @@ class FleetConfig:
     ----------
     mode:
         ``"scalar"`` (per-URL oracle) or ``"batched"``.
-    provider:
-        Whose lists the simulated server serves.
     store_backend:
         Client-side store backend, a key of
         :data:`~repro.datastructures.memory.STORE_FACTORIES` (default
         :data:`~repro.datastructures.memory.DEFAULT_STORE_BACKEND`).
-    working_set_size:
-        Size of each client's personal working set of revisited URLs.
-    working_set_fraction:
-        Fraction of each stream drawn from the working set (browsing is
-        revisit-heavy); the rest explores the whole corpus pool.
-    malicious_fraction:
-        Fraction of each stream replaced by blacklisted URLs, so full-hash
-        traffic actually flows.
-    malicious_pool_size:
-        Size of the per-client sample of the blacklist that its malicious
-        visits come from (a user keeps running into the same few bad sites,
-        not uniform draws over the provider's whole list).
-    zipf_exponent:
-        Popularity skew inside the working set.
-    round_seconds:
-        Logical seconds the shared clock advances between rounds (drives
-        update polls and full-hash cache expiry).
-    update_jitter_fraction:
-        Per-client update jitter, so the fleet desynchronizes its polls.
     seed:
         Master seed; client ``i`` derives its stream from ``seed + i``.
     transport:
@@ -203,10 +211,6 @@ class FleetConfig:
     tracked_target_count:
         How many synthetic targets the adversary tracks (``None`` uses the
         scale's ``tracked_targets``).
-    tracked_visit_fraction:
-        Fraction of each client's stream replaced by visits to tracked
-        targets; every client plants at least one visit, so an adversary
-        run always has ground truth to score against.
     privacy_policy:
         Client-side defense installed on every simulated client — a name
         from :data:`repro.safebrowsing.privacy.POLICY_FACTORIES`
@@ -248,15 +252,7 @@ class FleetConfig:
     """
 
     mode: str = "batched"
-    provider: ListProvider = ListProvider.GOOGLE
     store_backend: str = DEFAULT_STORE_BACKEND
-    working_set_size: int = 40
-    working_set_fraction: float = 0.95
-    malicious_fraction: float = 0.03
-    malicious_pool_size: int = 25
-    zipf_exponent: float = 1.1
-    round_seconds: float = 120.0
-    update_jitter_fraction: float = 0.1
     seed: int = 20160628
     transport: str = "in-process"
     latency_seconds: float = 0.05
@@ -269,7 +265,6 @@ class FleetConfig:
     max_log_entries: int | None = DEFAULT_FLEET_LOG_BOUND
     adversary: bool = False
     tracked_target_count: int | None = None
-    tracked_visit_fraction: float = 0.02
     privacy_policy: str = "none"
     dummy_count: int = 4
     widen_bits: int = 16
@@ -312,8 +307,6 @@ class FleetConfig:
             raise ExperimentError(str(exc)) from exc
         if self.tracked_target_count is not None and self.tracked_target_count < 1:
             raise ExperimentError("tracked_target_count must be positive or None")
-        if not (0.0 <= self.tracked_visit_fraction <= 1.0):
-            raise ExperimentError("tracked_visit_fraction must be in [0, 1]")
         if self.mode not in FLEET_MODES:
             raise ExperimentError(
                 f"unknown fleet mode {self.mode!r}; expected one of {FLEET_MODES}"
@@ -342,19 +335,6 @@ class FleetConfig:
             raise ExperimentError("server_cache_seconds must be non-negative")
         if self.max_log_entries is not None and self.max_log_entries < 1:
             raise ExperimentError("max_log_entries must be positive or None")
-        if self.working_set_size <= 0 or self.malicious_pool_size <= 0:
-            raise ExperimentError("working_set_size and malicious_pool_size "
-                                  "must be positive")
-        if not (0.0 <= self.working_set_fraction <= 1.0):
-            raise ExperimentError("working_set_fraction must be in [0, 1]")
-        if not (0.0 <= self.malicious_fraction <= 1.0):
-            raise ExperimentError("malicious_fraction must be in [0, 1]")
-        if self.malicious_fraction + self.working_set_fraction > 1.0 + 1e-9:
-            raise ExperimentError("stream fractions must not exceed 1")
-        if self.zipf_exponent <= 0:
-            raise ExperimentError("zipf_exponent must be positive")
-        if self.round_seconds < 0:
-            raise ExperimentError("round_seconds must be non-negative")
         if not (0.0 <= self.churn_fraction <= 1.0):
             raise ExperimentError("churn_fraction must be in [0, 1]")
         if self.restart_interval < 0:
@@ -394,109 +374,130 @@ def pair_digest(pairs) -> str:
     ).hexdigest()[:16]
 
 
-#: Report fields that must agree for two shard reports to be mergeable —
-#: mixed-configuration reports have no exact merged meaning.
-_MERGE_MATCH_FIELDS = (
-    "mode", "scale", "transport", "shard_count", "adversary",
-    "tracked_targets", "privacy_policy", "profile", "churn_fraction",
-    "restart_interval", "warm_start",
-)
+def _rule(merge: str, *, config: bool = False, client: str | None = None,
+          server: str | None = None, **kwargs):
+    """A :class:`FleetReport` field that declares its merge rule and source.
 
-#: Report counters that sum exactly across disjoint client shards.
-_MERGE_SUM_FIELDS = (
-    "clients", "urls_checked", "server_update_requests",
-    "server_full_hash_requests", "server_prefixes_received", "local_hits",
-    "cache_hits", "malicious_verdicts", "server_cache_hits",
-    "server_cache_misses", "log_entries_evicted", "transport_failures",
-    "tracking_detections", "tracking_true_pairs", "tracking_correct_pairs",
-    "client_prefixes_sent", "client_dummy_prefixes_sent",
-    "client_full_hash_requests", "client_extra_round_trips",
-    "policy_delay_seconds", "client_restarts", "reconnect_restarts",
-    "offline_client_rounds", "warm_start_prefixes_resumed",
-    "client_update_prefixes_received", "client_update_requests", "shards",
-)
+    ``merge`` says how :meth:`FleetReport.merge` combines the field across
+    shard reports: ``"match"`` (the shards must agree; the merge keeps the
+    common value), ``"derived"`` (recomputed from the merged fields by
+    :meth:`FleetReport._completed`), or a key of :data:`_MERGE_RULES`.  The
+    source says where :meth:`FleetSimulator.run` reads the value:
+    ``config=True`` copies the same-named :class:`FleetConfig` field, and
+    ``client``/``server`` name a key of ``ClientStats.aggregate`` /
+    ``ServerStats.as_dict``.  A field with no source is measured by the run.
+    """
+    return field(metadata={"merge": merge, "config": config,
+                           "client": client, "server": server}, **kwargs)
+
+
+def _merge_metrics(snapshots: list[dict | None]) -> dict | None:
+    """Exact merge of the shards' metrics snapshots (``None`` when no shard
+    collected metrics)."""
+    collected = [snapshot for snapshot in snapshots if snapshot is not None]
+    return merge_snapshots(collected) if collected else None
+
+
+#: How a merge combines one field's per-shard values, by rule name.
+#: Counters sum exactly across disjoint client shards; ``elapsed_seconds``
+#: is the slowest shard (the shards ran concurrently); the detected pairs
+#: are unioned (client indices are global, so shards union disjointly into
+#: exactly the monolithic set).
+_MERGE_RULES = {
+    "sum": sum,
+    "max": max,
+    "union": lambda pair_sets: tuple(sorted(set().union(*pair_sets))),
+    "snapshots": _merge_metrics,
+}
 
 
 @dataclass(frozen=True, slots=True)
 class FleetReport:
-    """Everything one fleet run measured."""
+    """Everything one fleet run measured.
 
-    mode: str
-    scale: str
-    clients: int
-    urls_checked: int
-    rounds: int
-    elapsed_seconds: float
-    urls_per_second: float
-    server_update_requests: int
-    server_full_hash_requests: int
-    server_prefixes_received: int
-    local_hits: int
-    cache_hits: int
-    malicious_verdicts: int
-    transport: str = "in-process"
-    shard_count: int = DEFAULT_SHARD_COUNT
-    server_cache_hits: int = 0
-    server_cache_misses: int = 0
-    log_entries_evicted: int = 0
-    transport_failures: int = 0
-    adversary: bool = False
-    tracked_targets: int = 0
-    tracking_detections: int = 0
-    tracking_detected_pairs: int = 0
-    tracking_true_pairs: int = 0
-    tracking_precision: float = 1.0
-    tracking_recall: float = 1.0
+    Each field declares its merge rule, and where a run reads it, in its
+    metadata (see :func:`_rule`).
+    """
+
+    mode: str = _rule("match", config=True)
+    scale: str = _rule("match")
+    clients: int = _rule("sum")
+    urls_checked: int = _rule("sum")
+    rounds: int = _rule("max")
+    elapsed_seconds: float = _rule("max")
+    urls_per_second: float = _rule("derived")
+    server_update_requests: int = _rule("sum", server="update_requests")
+    server_full_hash_requests: int = _rule("sum", server="full_hash_requests")
+    server_prefixes_received: int = _rule("sum", server="prefixes_received")
+    local_hits: int = _rule("sum", client="local_hits")
+    cache_hits: int = _rule("sum", client="cache_hits")
+    malicious_verdicts: int = _rule("sum", client="malicious_verdicts")
+    transport: str = _rule("match", config=True, default="in-process")
+    shard_count: int = _rule("match", config=True, default=DEFAULT_SHARD_COUNT)
+    server_cache_hits: int = _rule("sum", server="response_cache_hits", default=0)
+    server_cache_misses: int = _rule("sum", server="response_cache_misses", default=0)
+    log_entries_evicted: int = _rule("sum", server="log_entries_evicted", default=0)
+    transport_failures: int = _rule("sum", default=0)
+    adversary: bool = _rule("match", config=True, default=False)
+    tracked_targets: int = _rule("match", default=0)
+    tracking_detections: int = _rule("sum", default=0)
+    tracking_detected_pairs: int = _rule("derived", default=0)
+    tracking_true_pairs: int = _rule("sum", default=0)
+    tracking_precision: float = _rule("derived", default=1.0)
+    tracking_recall: float = _rule("derived", default=1.0)
     #: Digest of the sorted detected (client, target) pairs, so "the modes
     #: detected the *same* pairs" is checkable from two reports without
     #: carrying the sets themselves (equal counts or ratios would not
     #: distinguish different pair sets of the same size).
-    tracking_pair_digest: str = ""
-    privacy_policy: str = "none"
-    client_prefixes_sent: int = 0
-    client_dummy_prefixes_sent: int = 0
-    client_full_hash_requests: int = 0
-    client_extra_round_trips: int = 0
-    policy_delay_seconds: float = 0.0
-    churn_fraction: float = 0.0
-    restart_interval: int = 0
-    warm_start: bool = True
-    client_restarts: int = 0
+    tracking_pair_digest: str = _rule("derived", default="")
+    privacy_policy: str = _rule("match", config=True, default="none")
+    client_prefixes_sent: int = _rule("sum", client="prefixes_sent", default=0)
+    client_dummy_prefixes_sent: int = _rule(
+        "sum", client="dummy_prefixes_sent", default=0)
+    client_full_hash_requests: int = _rule(
+        "sum", client="full_hash_requests", default=0)
+    client_extra_round_trips: int = _rule("sum", client="extra_round_trips", default=0)
+    policy_delay_seconds: float = _rule(
+        "sum", client="policy_delay_seconds", default=0.0)
+    churn_fraction: float = _rule("match", config=True, default=0.0)
+    restart_interval: int = _rule("match", config=True, default=0)
+    warm_start: bool = _rule("match", config=True, default=True)
+    client_restarts: int = _rule("sum", default=0)
     #: Prefixes the restarted clients resumed from their snapshots instead
     #: of re-downloading (0 for cold restarts — that is the saving).
-    warm_start_prefixes_resumed: int = 0
+    warm_start_prefixes_resumed: int = _rule("sum", default=0)
     #: Fleet-wide sync bandwidth: every prefix carried by update-protocol
     #: chunks, across original and restarted clients.
-    client_update_prefixes_received: int = 0
-    client_update_requests: int = 0
+    client_update_prefixes_received: int = _rule(
+        "sum", client="update_prefixes_received", default=0)
+    client_update_requests: int = _rule("sum", client="update_requests", default=0)
     #: Population profile the fleet ran under (``PROFILE_FACTORIES`` name).
-    profile: str = "uniform"
+    profile: str = _rule("match", config=True, default="uniform")
     #: Client shards this report aggregates (1 for a monolithic run; a
     #: merged report sums its inputs', so hierarchy levels stay exact).
-    shards: int = 1
+    shards: int = _rule("sum", default=1)
     #: Worker processes that produced this report (1 for in-process runs;
     #: the parallel engine stamps the pool size on the merged report).
-    workers: int = 1
+    workers: int = _rule("max", default=1)
     #: Detected pairs that were planted ground truth — carried as a counter
     #: (not just the precision ratio) so merges recompute ratios from
     #: counters instead of averaging ratios.
-    tracking_correct_pairs: int = 0
+    tracking_correct_pairs: int = _rule("sum", default=0)
     #: The detected ``(global client index, target URL)`` pairs themselves.
     #: A digest cannot be combined from shard digests, so merging needs the
-    #: union of the actual pairs; indices are global, so shard reports union
-    #: disjointly into exactly the monolithic set.
-    tracking_pairs: tuple[tuple[int, str], ...] = ()
+    #: union of the actual pairs.
+    tracking_pairs: tuple[tuple[int, str], ...] = _rule("union", default=())
     #: Restarts triggered by intermittent clients coming back online
     #: (profile-driven), a subset of ``client_restarts``.
-    reconnect_restarts: int = 0
+    reconnect_restarts: int = _rule("sum", default=0)
     #: (client, round) slots skipped because the profile put the client
     #: offline — the activity/connectivity model's footprint.
-    offline_client_rounds: int = 0
+    offline_client_rounds: int = _rule("sum", default=0)
     #: Metrics-registry snapshot of the run (``FleetConfig.collect_metrics``),
     #: ``None`` when collection was off.  Shard snapshots merge exactly —
     #: counters and histogram buckets summed, never averaged — so a merged
     #: report's registry equals a monolithic run's.
-    metrics: dict | None = None
+    metrics: dict | None = _rule("snapshots", default=None)
 
     @property
     def warm_start_bandwidth_saved_fraction(self) -> float:
@@ -573,74 +574,99 @@ class FleetReport:
     def merge(cls, reports: Sequence["FleetReport"]) -> "FleetReport":
         """Exactly aggregate per-shard reports into one fleet-wide report.
 
-        The merge is *exact*, never statistical: counters are summed, the
-        detected tracking pairs are unioned (indices are global, shards are
-        disjoint) and their digest recomputed, and every derived ratio —
-        precision, recall, cache hit rates, throughput — is recomputed from
-        the merged counters, never averaged from per-shard ratios (the
-        shards are not equally weighted).  ``elapsed_seconds`` is the *max*
-        across shards — the shards ran concurrently, so the fleet's wall
-        clock is the slowest shard, not the sum — and ``urls_per_second``
-        is recomputed from the summed URL count over that max.
+        The merge is *exact*, never statistical: every field follows the
+        merge rule its metadata declares.  Counters are summed, the detected
+        tracking pairs are unioned (indices are global, shards are
+        disjoint), and every derived field — precision, recall, the pair
+        digest, throughput — is recomputed from the merged counters, never
+        averaged from per-shard ratios (the shards are not equally
+        weighted).  ``elapsed_seconds`` is the *max* across shards — the
+        shards ran concurrently, so the fleet's wall clock is the slowest
+        shard, not the sum — and ``urls_per_second`` is recomputed from the
+        summed URL count over that max.
 
         The operation is associative, so hierarchical merges (pairs of
         pairs, a worker tree) produce the same report as one flat merge.
-        Reports with mismatched run configurations are rejected.
+        Reports with mismatched run configurations (any ``"match"`` field)
+        are rejected: mixed-configuration reports have no exact merged
+        meaning.
         """
         reports = list(reports)
         if not reports:
             raise ExperimentError("cannot merge zero fleet reports")
-        first = reports[0]
-        for other in reports[1:]:
-            for field_name in _MERGE_MATCH_FIELDS:
-                mine, theirs = getattr(first, field_name), getattr(other, field_name)
-                if mine != theirs:
-                    raise ExperimentError(
-                        f"cannot merge fleet reports with mismatched "
-                        f"{field_name}: {mine!r} != {theirs!r}"
-                    )
+        values = {}
+        for spec in fields(cls):
+            rule = spec.metadata["merge"]
+            column = [getattr(report, spec.name) for report in reports]
+            if rule == "match":
+                for theirs in column[1:]:
+                    if theirs != column[0]:
+                        raise ExperimentError(
+                            f"cannot merge fleet reports with mismatched "
+                            f"{spec.name}: {column[0]!r} != {theirs!r}"
+                        )
+                values[spec.name] = column[0]
+            elif rule != "derived":
+                values[spec.name] = _MERGE_RULES[rule](column)
+        return cls._completed(values)
 
-        def total(name: str):
-            return sum(getattr(report, name) for report in reports)
+    @classmethod
+    def _completed(cls, values: dict) -> "FleetReport":
+        """A report from ``values`` — every field except the derived ones.
 
-        pairs = sorted(set().union(*(set(report.tracking_pairs)
-                                     for report in reports)))
-        detected = len(pairs)
-        correct = total("tracking_correct_pairs")
-        true_pairs = total("tracking_true_pairs")
-        precision = correct / detected if detected else 1.0
-        recall = correct / true_pairs if true_pairs else 1.0
-        digest = pair_digest(pairs) if first.adversary else first.tracking_pair_digest
-        elapsed = max(report.elapsed_seconds for report in reports)
-        urls_checked = total("urls_checked")
-        summed = {name: total(name) for name in _MERGE_SUM_FIELDS}
-        snapshots = [report.metrics for report in reports
-                     if report.metrics is not None]
-        merged_metrics = merge_snapshots(snapshots) if snapshots else None
+        The one place the derived fields are computed, for a run's own
+        counters and for merged ones alike: throughput from ``urls_checked``
+        over ``elapsed_seconds``, and the tracking scores (detected count,
+        precision, recall, pair digest) from the detected pairs and the
+        ground-truth counters.
+        """
+        pairs = values["tracking_pairs"]
+        correct = values["tracking_correct_pairs"]
+        true_pairs = values["tracking_true_pairs"]
         return cls(
-            mode=first.mode,
-            scale=first.scale,
-            rounds=max(report.rounds for report in reports),
-            elapsed_seconds=elapsed,
-            urls_per_second=_throughput(urls_checked, elapsed),
-            transport=first.transport,
-            shard_count=first.shard_count,
-            adversary=first.adversary,
-            tracked_targets=first.tracked_targets,
-            tracking_detected_pairs=detected,
-            tracking_precision=precision,
-            tracking_recall=recall,
-            tracking_pair_digest=digest,
-            tracking_pairs=tuple(pairs),
-            privacy_policy=first.privacy_policy,
-            churn_fraction=first.churn_fraction,
-            restart_interval=first.restart_interval,
-            warm_start=first.warm_start,
-            profile=first.profile,
-            workers=max(report.workers for report in reports),
-            metrics=merged_metrics,
-            **summed,
+            **values,
+            urls_per_second=_throughput(values["urls_checked"],
+                                        values["elapsed_seconds"]),
+            tracking_detected_pairs=len(pairs),
+            tracking_precision=correct / len(pairs) if pairs else 1.0,
+            tracking_recall=correct / true_pairs if true_pairs else 1.0,
+            tracking_pair_digest=pair_digest(pairs) if values["adversary"] else "",
         )
+
+
+@dataclass(slots=True)
+class _Tally:
+    """The counters a run's round loop accumulates, named as the
+    :class:`FleetReport` fields they fill."""
+
+    urls_checked: int = 0
+    transport_failures: int = 0
+    client_restarts: int = 0
+    reconnect_restarts: int = 0
+    warm_start_prefixes_resumed: int = 0
+    offline_client_rounds: int = 0
+
+
+@dataclass(slots=True)
+class _FleetRun:
+    """What one :meth:`FleetSimulator.run` carries between its stages."""
+
+    server: SafeBrowsingServer
+    clock: ManualClock
+    detector: StreamingTrackingDetector | None
+    clients: list[SafeBrowsingClient]
+    streams: list[list[str]]
+    profiles: list[ClientProfile]
+    ground_truth: set[tuple[int, str]]
+    rounds: int
+    #: Where restarting clients leave their snapshots (``None`` when no
+    #: churn or reconnect restart can fire).
+    snapshot_dir: Path | None
+    #: Consecutive offline rounds per client, reset when it browses again.
+    offline_streaks: list[int]
+    #: Stats of clients that restarted, so fleet totals survive restarts.
+    retired_stats: list = field(default_factory=list)
+    tally: _Tally = field(default_factory=_Tally)
 
 
 class FleetSimulator:
@@ -686,16 +712,10 @@ class FleetSimulator:
         self.metrics: MetricsRegistry = (
             MetricsRegistry() if self.config.collect_metrics else NULL_REGISTRY)
         self._population = build_profile(self.config.profile)
-        self._base_profile = ClientProfile(
-            working_set_size=self.config.working_set_size,
-            working_set_fraction=self.config.working_set_fraction,
-            malicious_fraction=self.config.malicious_fraction,
-            zipf_exponent=self.config.zipf_exponent,
-        )
 
     def profile_for(self, index: int) -> ClientProfile:
         """The population-assigned profile of global client ``index``."""
-        return self._population.profile_for(self._base_profile,
+        return self._population.profile_for(ClientProfile(),
                                             self.config.seed, index)
 
     # -- workload construction ------------------------------------------------
@@ -712,7 +732,7 @@ class FleetSimulator:
 
     def _blacklisted_urls(self) -> list[str]:
         """URLs whose canonical expressions the provider blacklists."""
-        snapshot = self._context.snapshot(self.config.provider)
+        snapshot = self._context.snapshot(_PROVIDER)
         urls = [f"http://{expression}"
                 for expressions in snapshot.ground_truth.values()
                 for expression in expressions]
@@ -731,7 +751,7 @@ class FleetSimulator:
         """
         config = self.config
         return self._context.provision_server(
-            config.provider, clock=clock,
+            _PROVIDER, clock=clock,
             shard_count=config.shard_count,
             response_cache_seconds=config.server_cache_seconds,
             max_log_entries=config.max_log_entries,
@@ -750,10 +770,10 @@ class FleetSimulator:
         config = self.config
         client_config = ClientConfig(
             store_backend=config.store_backend,
-            update_jitter_fraction=config.update_jitter_fraction,
+            update_jitter_fraction=_UPDATE_JITTER_FRACTION,
         )
-        transport = self._context.transport_for(
-            server, kind=config.transport,
+        transport = build_transport(
+            config.transport, server,
             latency_seconds=config.latency_seconds,
             jitter_seconds=config.latency_jitter_seconds,
             failure_rate=config.failure_rate,
@@ -787,13 +807,6 @@ class FleetSimulator:
                                   privacy_policy=policy,
                                   metrics=self.metrics)
 
-    def build_clients(self, server: SafeBrowsingServer,
-                      clock: ManualClock) -> list[SafeBrowsingClient]:
-        """One client per entry of ``client_indices``, each behind its own
-        transport."""
-        return [self._build_client(server, clock, index)
-                for index in self.client_indices]
-
     def client_stream(self, index: int) -> list[str]:
         """The deterministic URL stream of global client ``index``.
 
@@ -822,7 +835,7 @@ class FleetSimulator:
         ranks = np.arange(1, working_size + 1, dtype=float)
         zipf_weights = ranks ** -profile.zipf_exponent
         zipf_weights /= zipf_weights.sum()
-        malicious_size = min(config.malicious_pool_size, len(malicious))
+        malicious_size = min(_MALICIOUS_POOL_SIZE, len(malicious))
         malicious_indexes = rng.choice(len(malicious), size=malicious_size,
                                        replace=False)
 
@@ -853,7 +866,7 @@ class FleetSimulator:
         if targets:
             visit_fraction = (profile.tracked_visit_fraction
                               if profile.tracked_visit_fraction is not None
-                              else config.tracked_visit_fraction)
+                              else _TRACKED_VISIT_FRACTION)
             plant_count = (0 if visit_fraction <= 0.0 else
                            min(length, max(1, round(length * visit_fraction))))
             if plant_count:
@@ -910,7 +923,7 @@ class FleetSimulator:
         if not decisions:
             return
         list_name = next(descriptor.name
-                         for descriptor in lists_for_provider(self.config.provider)
+                         for descriptor in lists_for_provider(_PROVIDER)
                          if descriptor.is_url_list)
         for decision in decisions:
             server.push_tracking_prefixes(list_name, decision.expressions)
@@ -937,59 +950,6 @@ class FleetSimulator:
         detector.watch_many(decisions)
         return detector.attach(server)
 
-    def _restart_client_at(self, position: int,
-                           clients: list[SafeBrowsingClient],
-                           server: SafeBrowsingServer, clock: ManualClock,
-                           snapshot_dir: Path, retired_stats: list) -> int:
-        """Restart the client at local ``position`` in place.
-
-        The old client is torn down (its stats retired so fleet totals
-        survive the restart) and replaced by a fresh instance with the same
-        name/cookie.  With ``warm_start`` the old client's snapshot is
-        saved and restored into the replacement, so its next poll is
-        incremental; otherwise the replacement cold-starts empty.  Returns
-        the prefixes resumed from the snapshot.  Shared by churn restarts
-        and profile-driven reconnect restarts.
-        """
-        index = self.client_indices[position]
-        old = clients[position]
-        retired_stats.append(old.stats)
-        replacement = self._build_client(server, clock, index)
-        resumed = 0
-        if self.config.warm_start:
-            path = snapshot_dir / f"client-{index}.snap"
-            old.save_snapshot(path)
-            resumed = replacement.restore_snapshot(path)
-        clients[position] = replacement
-        return resumed
-
-    def _restart_clients(self, clients: list[SafeBrowsingClient],
-                         server: SafeBrowsingServer, clock: ManualClock,
-                         round_index: int, snapshot_dir: Path,
-                         retired_stats: list) -> tuple[int, int]:
-        """Churn: restart a deterministic subset of the fleet in place.
-
-        Churn draws are shard-*local* randomness: under the parallel engine
-        each shard restarts its own subset, seeded by its
-        :attr:`shard_seed` (derived from the fleet seed), so shards don't
-        all churn the same local positions.  A monolithic run (``shard_seed
-        None``) keeps the legacy fleet-wide seeding.  Returns ``(restarts,
-        prefixes resumed from snapshots)``.
-        """
-        config = self.config
-        churn_seed = config.seed if self.shard_seed is None else self.shard_seed
-        rng = np.random.default_rng([churn_seed, round_index, 0xC4A8])
-        count = min(len(clients),
-                    max(1, round(config.churn_fraction * len(clients))))
-        chosen = sorted(int(position) for position in
-                        rng.choice(len(clients), size=count, replace=False))
-        resumed = 0
-        for position in chosen:
-            resumed += self._restart_client_at(position, clients, server,
-                                               clock, snapshot_dir,
-                                               retired_stats)
-        return len(chosen), resumed
-
     def run(self, *, server: SafeBrowsingServer | None = None,
             clock: ManualClock | None = None) -> FleetReport:
         """Build the fleet, replay every stream, and measure.
@@ -1000,6 +960,28 @@ class FleetSimulator:
         parent's snapshot (already provisioned, adversary prefixes
         included) together with the replica's ``clock``; the simulator then
         only attaches its detector and drives its shard of clients.
+
+        The run is set-up, then one pass per round — every online client
+        browses its next batch, the shared clock advances, and churn
+        restarts clients between rounds — then accounting.
+        """
+        with ExitStack() as cleanup:
+            state = self._set_up(server, clock, cleanup)
+            started = time.perf_counter()
+            for round_index in range(state.rounds):
+                self._browse_round(state, round_index)
+                state.clock.advance(_ROUND_SECONDS)
+                if self._churn_due(round_index, state.rounds):
+                    self._restart_clients(state, round_index)
+        return self._account(state, time.perf_counter() - started)
+
+    def _set_up(self, server: SafeBrowsingServer | None,
+                clock: ManualClock | None, cleanup: ExitStack) -> _FleetRun:
+        """Provision (or adopt) the server, then build clients and streams.
+
+        What must not outlive the run — the co-hosted service, the restart
+        snapshots — is registered on ``cleanup``, so it is released even
+        when set-up itself fails.
         """
         config = self.config
         if server is None:
@@ -1017,7 +999,6 @@ class FleetSimulator:
         # would break shard-merge ≡ monolithic exactness.
         if config.collect_metrics:
             server.set_metrics(self.metrics)
-        service = None
         if config.transport == "http":
             # Co-host the network service on a loopback ephemeral port, in
             # a thread of this process, over the *same* server core and the
@@ -1029,17 +1010,12 @@ class FleetSimulator:
                 server,
                 metrics=self.metrics if config.collect_metrics else None,
             ).start()
+            cleanup.callback(self._stop_service, service)
             self._http_address = service.address
-        clients = self.build_clients(server, clock)
+        clients = [self._build_client(server, clock, index)
+                   for index in self.client_indices]
         streams = [self.client_stream(index) for index in self.client_indices]
         profiles = [self.profile_for(index) for index in self.client_indices]
-        ground_truth = self.planted_ground_truth(streams) if detector else set()
-
-        batch_size = self.scale.fleet_batch_size
-        length = self.scale.fleet_urls_per_client
-        rounds = (length + batch_size - 1) // batch_size
-
-        churn_enabled = config.churn_fraction > 0 and config.restart_interval > 0
         # Profile-driven reconnect restarts go through the same snapshot
         # machinery as churn, so the temp dir is needed whenever either can
         # fire.
@@ -1047,86 +1023,141 @@ class FleetSimulator:
             profile.reconnect_restart
             and (profile.connectivity < 1.0 or profile.activity_amplitude > 0.0)
             for profile in profiles)
-        snapshot_tmp = (tempfile.TemporaryDirectory(prefix="fleet-snapshots-")
-                        if churn_enabled or may_reconnect else None)
-        snapshot_dir = Path(snapshot_tmp.name) if snapshot_tmp else None
-        retired_stats: list = []
-        client_restarts = 0
-        reconnect_restarts = 0
-        warm_start_prefixes_resumed = 0
-        offline_client_rounds = 0
-        offline_streaks = [0] * len(clients)
+        snapshot_dir = None
+        if config.churn_fraction > 0 or may_reconnect:
+            snapshot_dir = Path(cleanup.enter_context(
+                tempfile.TemporaryDirectory(prefix="fleet-snapshots-")))
+        batch_size = self.scale.fleet_batch_size
+        return _FleetRun(
+            server=server, clock=clock, detector=detector,
+            clients=clients, streams=streams, profiles=profiles,
+            ground_truth=(self.planted_ground_truth(streams)
+                          if detector else set()),
+            rounds=(self.scale.fleet_urls_per_client + batch_size - 1) // batch_size,
+            snapshot_dir=snapshot_dir,
+            offline_streaks=[0] * len(clients),
+        )
 
-        transport_failures = 0
-        urls_checked = 0
-        started = time.perf_counter()
+    def _browse_round(self, state: _FleetRun, round_index: int) -> None:
+        """Every client that is online this round checks its next batch."""
+        batch_size = self.scale.fleet_batch_size
+        start = round_index * batch_size
+        stop = min(start + batch_size, self.scale.fleet_urls_per_client)
+        for position, stream in enumerate(state.streams):
+            if self._comes_online(state, position, round_index):
+                self._check_batch(state, state.clients[position],
+                                  stream[start:stop])
+
+    def _comes_online(self, state: _FleetRun, position: int,
+                      round_index: int) -> bool:
+        """Whether the client at local ``position`` browses this round.
+
+        An offline client (its profile's diurnal cycle or connectivity
+        dropped it) simply never browses its batch — phones asleep don't
+        retry.  Back online after an outage, a client whose profile says so
+        first restarts mobile-style, through the churn/warm-start machinery.
+        """
+        profile = state.profiles[position]
+        tally = state.tally
+        if not profile.online(self.config.seed, self.client_indices[position],
+                              round_index, _ROUND_SECONDS):
+            state.offline_streaks[position] += 1
+            tally.offline_client_rounds += 1
+            return False
+        if (state.offline_streaks[position] and profile.reconnect_restart
+                and state.snapshot_dir is not None):
+            self._restart_client_at(state, position)
+            tally.reconnect_restarts += 1
+        state.offline_streaks[position] = 0
+        return True
+
+    def _check_batch(self, state: _FleetRun, client: SafeBrowsingClient,
+                     batch: Sequence[str]) -> None:
+        """One client's lookups for one round, in the configured mode."""
+        tally = state.tally
         try:
-            for round_index in range(rounds):
-                start = round_index * batch_size
-                stop = min(start + batch_size, length)
-                for position, stream in enumerate(streams):
-                    profile = profiles[position]
-                    if not profile.online(config.seed,
-                                          self.client_indices[position],
-                                          round_index, config.round_seconds):
-                        # Offline this round: the profile's diurnal cycle or
-                        # connectivity dropped the client.  Its batch is
-                        # simply never browsed (phones asleep don't retry).
-                        offline_streaks[position] += 1
-                        offline_client_rounds += 1
-                        continue
-                    if (offline_streaks[position] and profile.reconnect_restart
-                            and snapshot_dir is not None):
-                        # Back online after an outage: mobile-style browser
-                        # restart through the churn/warm-start machinery.
-                        warm_start_prefixes_resumed += self._restart_client_at(
-                            position, clients, server, clock, snapshot_dir,
-                            retired_stats)
-                        client_restarts += 1
-                        reconnect_restarts += 1
-                    offline_streaks[position] = 0
-                    client = clients[position]
-                    batch = stream[start:stop]
-                    try:
-                        if config.mode == "batched":
-                            urls_checked += len(client.check_urls(batch))
-                        else:
-                            for url in batch:
-                                client.check_url(url)
-                                urls_checked += 1
-                    except TransportError:
-                        # An injected network failure loses the rest of this
-                        # client's batch (a real browser would retry later);
-                        # the fleet carries on, as the deployed service does
-                        # under partial outages.  Only URLs whose check
-                        # *completed* count as checked, whichever endpoint
-                        # failed.
-                        transport_failures += 1
-                clock.advance(config.round_seconds)
-                # Churn between rounds (never after the last: a restart
-                # nothing observes would only skew the accounting).
-                if (churn_enabled and round_index + 1 < rounds
-                        and (round_index + 1) % config.restart_interval == 0):
-                    restarts, resumed = self._restart_clients(
-                        clients, server, clock, round_index,
-                        snapshot_dir, retired_stats,
-                    )
-                    client_restarts += restarts
-                    warm_start_prefixes_resumed += resumed
-        finally:
-            if service is not None:
-                self.http_peak_connections = service.service.peak_connections
-                service.stop()
-                self._http_address = None
-            if snapshot_tmp is not None:
-                snapshot_tmp.cleanup()
-        elapsed = time.perf_counter() - started
-        all_stats = [client.stats for client in clients] + retired_stats
+            if self.config.mode == "batched":
+                tally.urls_checked += len(client.check_urls(batch))
+            else:
+                for url in batch:
+                    client.check_url(url)
+                    tally.urls_checked += 1
+        except TransportError:
+            # An injected network failure loses the rest of this client's
+            # batch (a real browser would retry later); the fleet carries
+            # on, as the deployed service does under partial outages.  Only
+            # URLs whose check *completed* count as checked, whichever
+            # endpoint failed.
+            tally.transport_failures += 1
+
+    def _churn_due(self, round_index: int, rounds: int) -> bool:
+        """Whether churn restarts clients after ``round_index``.
+
+        Never after the last round: a restart nothing observes would only
+        skew the accounting.
+        """
+        config = self.config
+        next_round = round_index + 1
+        return (config.churn_fraction > 0 and next_round < rounds
+                and next_round % config.restart_interval == 0)
+
+    def _restart_clients(self, state: _FleetRun, round_index: int) -> None:
+        """Churn: restart a deterministic subset of the fleet in place.
+
+        Churn draws are shard-*local* randomness: under the parallel engine
+        each shard restarts its own subset, seeded by its
+        :attr:`shard_seed` (derived from the fleet seed), so shards don't
+        all churn the same local positions.  A monolithic run (``shard_seed
+        None``) keeps the legacy fleet-wide seeding.
+        """
+        config = self.config
+        churn_seed = config.seed if self.shard_seed is None else self.shard_seed
+        rng = np.random.default_rng([churn_seed, round_index, 0xC4A8])
+        size = len(state.clients)
+        count = min(size, max(1, round(config.churn_fraction * size)))
+        for position in sorted(int(position) for position in
+                               rng.choice(size, size=count, replace=False)):
+            self._restart_client_at(state, position)
+
+    def _restart_client_at(self, state: _FleetRun, position: int) -> None:
+        """Restart the client at local ``position`` in place.
+
+        The old client is torn down (its stats retired so fleet totals
+        survive the restart) and replaced by a fresh instance with the same
+        name/cookie.  With ``warm_start`` the old client's snapshot is
+        saved and restored into the replacement, so its next poll is
+        incremental; otherwise the replacement cold-starts empty.  Shared
+        by churn restarts and profile-driven reconnect restarts.
+        """
+        index = self.client_indices[position]
+        old = state.clients[position]
+        state.retired_stats.append(old.stats)
+        replacement = self._build_client(state.server, state.clock, index)
+        if self.config.warm_start:
+            path = state.snapshot_dir / f"client-{index}.snap"
+            old.save_snapshot(path)
+            state.tally.warm_start_prefixes_resumed += (
+                replacement.restore_snapshot(path))
+        state.clients[position] = replacement
+        state.tally.client_restarts += 1
+
+    def _stop_service(self, service) -> None:
+        """Stop the co-hosted service of an http run, keeping its peak."""
+        self.http_peak_connections = service.service.peak_connections
+        service.stop()
+        self._http_address = None
+
+    def _account(self, state: _FleetRun, elapsed: float) -> FleetReport:
+        """Fold the run's counters, stats snapshots and detections into a
+        report, reading every sourced field as its metadata declares."""
+        config = self.config
+        tally = state.tally
         # The one summation path (ClientStats.aggregate) and the one field
         # list (ServerStats.as_dict): report totals, the CLI and the metrics
         # exporter all read the same snapshots, so they can never disagree.
-        client_totals = ClientStats.aggregate(all_stats)
-        server_totals = server.stats.as_dict()
+        client_totals = ClientStats.aggregate(
+            [client.stats for client in state.clients] + state.retired_stats)
+        server_totals = state.server.stats.as_dict()
 
         if config.collect_metrics:
             # Fleet-level counters are all per-client quantities (never
@@ -1135,93 +1166,56 @@ class FleetSimulator:
             # run keeps them off the hot loop entirely.
             fleet = self.metrics
             fleet.gauge("fleet_clients",
-                        "Clients this registry's run drove").inc(len(clients))
+                        "Clients this registry's run drove"
+                        ).inc(len(state.clients))
             fleet.counter("fleet_urls_checked_total",
-                          "URLs the fleet checked").inc(urls_checked)
+                          "URLs the fleet checked").inc(tally.urls_checked)
             fleet.counter("fleet_transport_failures_total",
                           "Client batches lost to injected failures"
-                          ).inc(transport_failures)
+                          ).inc(tally.transport_failures)
             fleet.counter("fleet_client_restarts_total",
                           "Client restarts (churn + reconnect)"
-                          ).inc(client_restarts)
+                          ).inc(tally.client_restarts)
             fleet.counter("fleet_offline_client_rounds_total",
                           "(client, round) slots skipped offline"
-                          ).inc(offline_client_rounds)
+                          ).inc(tally.offline_client_rounds)
 
         detections = 0
         detected_pairs: set[tuple[int, str]] = set()
-        correct_pairs = 0
-        digest = ""
-        precision = recall = 1.0
-        if detector is not None:
+        if state.detector is not None:
             client_by_cookie = {client.cookie.value: client_index
                                 for client_index, client in
-                                zip(self.client_indices, clients)}
-            detections = detector.detections
+                                zip(self.client_indices, state.clients)}
+            detections = state.detector.detections
             detected_pairs = {
                 (client_by_cookie[cookie_value], target_url)
-                for cookie_value, target_url in detector.detected_pairs()
+                for cookie_value, target_url in state.detector.detected_pairs()
                 if cookie_value in client_by_cookie
             }
-            correct = detected_pairs & ground_truth
-            correct_pairs = len(correct)
-            if detected_pairs:
-                precision = correct_pairs / len(detected_pairs)
-            if ground_truth:
-                recall = correct_pairs / len(ground_truth)
-            digest = pair_digest(detected_pairs)
-            detector.detach()
+            state.detector.detach()
 
-        return FleetReport(
-            mode=config.mode,
+        values = asdict(tally)
+        for spec in fields(FleetReport):
+            source = spec.metadata
+            if source["config"]:
+                values[spec.name] = getattr(config, spec.name)
+            elif source["client"] is not None:
+                values[spec.name] = client_totals[source["client"]]
+            elif source["server"] is not None:
+                values[spec.name] = server_totals[source["server"]]
+        return FleetReport._completed(dict(
+            values,
             scale=self.scale.name,
-            clients=len(clients),
-            urls_checked=urls_checked,
-            rounds=rounds,
+            clients=len(state.clients),
+            rounds=state.rounds,
             elapsed_seconds=elapsed,
-            urls_per_second=_throughput(urls_checked, elapsed),
-            server_update_requests=server_totals["update_requests"],
-            server_full_hash_requests=server_totals["full_hash_requests"],
-            server_prefixes_received=server_totals["prefixes_received"],
-            local_hits=client_totals["local_hits"],
-            cache_hits=client_totals["cache_hits"],
-            malicious_verdicts=client_totals["malicious_verdicts"],
-            transport=config.transport,
-            shard_count=config.shard_count,
-            server_cache_hits=server_totals["response_cache_hits"],
-            server_cache_misses=server_totals["response_cache_misses"],
-            log_entries_evicted=server_totals["log_entries_evicted"],
-            transport_failures=transport_failures,
-            adversary=config.adversary,
             tracked_targets=len(self.tracked_targets()),
             tracking_detections=detections,
-            tracking_detected_pairs=len(detected_pairs),
-            tracking_true_pairs=len(ground_truth),
-            tracking_correct_pairs=correct_pairs,
-            tracking_precision=precision,
-            tracking_recall=recall,
-            tracking_pair_digest=digest,
+            tracking_true_pairs=len(state.ground_truth),
+            tracking_correct_pairs=len(detected_pairs & state.ground_truth),
             tracking_pairs=tuple(sorted(detected_pairs)),
-            privacy_policy=config.privacy_policy,
-            client_prefixes_sent=client_totals["prefixes_sent"],
-            client_dummy_prefixes_sent=client_totals["dummy_prefixes_sent"],
-            client_full_hash_requests=client_totals["full_hash_requests"],
-            client_extra_round_trips=client_totals["extra_round_trips"],
-            policy_delay_seconds=client_totals["policy_delay_seconds"],
-            churn_fraction=config.churn_fraction,
-            restart_interval=config.restart_interval,
-            warm_start=config.warm_start,
-            client_restarts=client_restarts,
-            reconnect_restarts=reconnect_restarts,
-            offline_client_rounds=offline_client_rounds,
-            profile=config.profile,
-            warm_start_prefixes_resumed=warm_start_prefixes_resumed,
-            client_update_prefixes_received=(
-                client_totals["update_prefixes_received"]),
-            client_update_requests=client_totals["update_requests"],
-            metrics=(self.metrics.snapshot()
-                     if config.collect_metrics else None),
-        )
+            metrics=self.metrics.snapshot() if config.collect_metrics else None,
+        ))
 
 
 def run_fleet(scale: Scale = SMALL, config: FleetConfig | None = None,
@@ -1289,17 +1283,16 @@ def fleet_adversary_table(scale: Scale = SMALL, config: FleetConfig | None = Non
     across modes; the note records that check.
     """
     base = config if config is not None else FleetConfig()
-    base = replace(base, adversary=True)
-    reports = [run_fleet(scale, replace(base, mode=mode), context=context)
-               for mode in FLEET_MODES]
+    scalar, batched = fleet_comparison(scale, replace(base, adversary=True),
+                                       context=context)
     table = Table(
         title=(f"Streaming tracking adversary over fleet traffic "
-               f"({scale.name} scale, {reports[0].clients} clients, "
-               f"{reports[0].tracked_targets} targets)"),
+               f"({scale.name} scale, {scalar.clients} clients, "
+               f"{scalar.tracked_targets} targets)"),
         columns=["mode", "URLs", "entries seen", "detections", "detected pairs",
                  "true pairs", "precision", "recall"],
     )
-    for report in reports:
+    for report in (scalar, batched):
         table.add_row(
             report.mode,
             report.urls_checked,
@@ -1310,7 +1303,6 @@ def fleet_adversary_table(scale: Scale = SMALL, config: FleetConfig | None = Non
             report.tracking_precision,
             report.tracking_recall,
         )
-    scalar, batched = reports
     # Digest equality certifies the *sets* are identical, not merely their
     # sizes or the derived ratios.
     pairs_match = (scalar.tracking_pair_digest == batched.tracking_pair_digest

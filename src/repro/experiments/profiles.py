@@ -19,8 +19,8 @@ SHA-256-derived uniform that is independent of process, platform and
 ``PYTHONHASHSEED`` — ``hash()`` is none of those things.
 
 The ``"uniform"`` profile reproduces the legacy homogeneous fleet
-bit-for-bit: every client receives the base profile built from the
-``FleetConfig`` knobs, with the full corpus pool and no activity gating.
+bit-for-bit: every client receives the default :class:`ClientProfile`,
+with the full corpus pool and no activity gating.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class ClientProfile:
     ----------
     working_set_size / working_set_fraction / malicious_fraction /
     zipf_exponent:
-        Per-client stream shape (the knobs ``FleetConfig`` applies
-        fleet-wide; a population profile varies them per client).
+        Per-client stream shape.  The defaults are the fleet's base
+        profile; a population profile varies them per client.
     locale_lo / locale_hi:
         The slice of the shared URL pool this client browses, as fractions
         of the pool — a locale-skewed corpus.  ``(0.0, 1.0)`` is the whole
@@ -238,7 +238,7 @@ def _global_mix(base: ClientProfile, seed: int, index: int) -> ClientProfile:
 PROFILE_FACTORIES: dict[str, PopulationProfile] = {
     "uniform": PopulationProfile(
         name="uniform",
-        description="every client identical to the FleetConfig base "
+        description="every client identical to the default ClientProfile "
                     "(the legacy homogeneous fleet)",
         assign=_uniform,
     ),

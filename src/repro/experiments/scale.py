@@ -19,7 +19,6 @@ from functools import lru_cache
 from repro.analysis.inverted_index import PrefixInvertedIndex
 from repro.corpus.datasets import BlacklistSnapshot, DatasetBundle, build_blacklist_snapshot, build_dataset_bundle
 from repro.safebrowsing.lists import ListProvider
-from repro.safebrowsing.transport import Transport, build_transport
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,32 +212,6 @@ class ExperimentContext:
             if expressions:
                 server.blacklist(list_name, expressions)
         return server
-
-    def transport_for(self, server, kind: str = "in-process", *,
-                      latency_seconds: float = 0.05,
-                      jitter_seconds: float = 0.0,
-                      failure_rate: float = 0.0,
-                      seed: int | str = 0,
-                      metrics=None,
-                      address: tuple[str, int] | None = None,
-                      timeout_seconds: float = 5.0,
-                      retries: int = 2) -> Transport:
-        """A client transport onto ``server``, named by kind.
-
-        Experiments never hand a raw server to a client: they go through
-        this factory so one scale-level switch ("in-process" / "simulated"
-        / "http") flips every client of every experiment onto a modelled —
-        or real — network.  ``address``/``timeout_seconds``/``retries``
-        configure the http kind (ignored by the local ones); ``metrics``
-        (a :class:`~repro.observability.MetricsRegistry`) instruments the
-        transport's deliveries.
-        """
-        return build_transport(
-            kind, server, latency_seconds=latency_seconds,
-            jitter_seconds=jitter_seconds, failure_rate=failure_rate,
-            seed=seed, metrics=metrics, address=address,
-            timeout_seconds=timeout_seconds, retries=retries,
-        )
 
 
 @lru_cache(maxsize=8)

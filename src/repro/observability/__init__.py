@@ -1,4 +1,4 @@
-"""Unified metrics & tracing for the whole stack.
+"""Unified metrics for the whole stack.
 
 One accounting surface instead of five: the client, server core, transports,
 durable storage, ingestion pipeline and fleet engines all record into a
@@ -37,7 +37,6 @@ from repro.observability.export import (
     render_prometheus,
     snapshot_samples,
 )
-from repro.observability.tracing import Span, Tracer
 
 __all__ = [
     "Counter",
@@ -47,8 +46,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "NullRegistry",
-    "Span",
-    "Tracer",
     "log_bounds",
     "merge_snapshots",
     "parse_prometheus_text",

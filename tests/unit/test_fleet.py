@@ -20,6 +20,7 @@ from repro.experiments.fleet import (
 )
 from repro.experiments.parallel import run_parallel_fleet
 from repro.experiments.scale import SMALL, Scale
+from repro.safebrowsing.lists import ListProvider
 
 #: A deliberately tiny scale so unit tests stay fast.
 TINY = Scale(
@@ -52,18 +53,6 @@ class TestFleetConfig:
         with pytest.raises(ExperimentError):
             FleetConfig(mode="turbo")
 
-    def test_fraction_bounds_enforced(self):
-        with pytest.raises(ExperimentError):
-            FleetConfig(working_set_fraction=1.2)
-        with pytest.raises(ExperimentError):
-            FleetConfig(working_set_fraction=0.9, malicious_fraction=0.2)
-
-    def test_sizes_must_be_positive(self):
-        with pytest.raises(ExperimentError):
-            FleetConfig(working_set_size=0)
-        with pytest.raises(ExperimentError):
-            FleetConfig(malicious_pool_size=0)
-
     def test_unknown_transport_rejected(self):
         with pytest.raises(ExperimentError):
             FleetConfig(transport="tcp")
@@ -88,10 +77,6 @@ class TestFleetConfig:
     def test_adversary_parameters_validated(self):
         with pytest.raises(ExperimentError):
             FleetConfig(tracked_target_count=0)
-        with pytest.raises(ExperimentError):
-            FleetConfig(tracked_visit_fraction=1.5)
-        with pytest.raises(ExperimentError):
-            FleetConfig(tracked_visit_fraction=-0.1)
 
     def test_unknown_privacy_policy_rejected_with_known_names(self):
         with pytest.raises(ExperimentError) as excinfo:
@@ -181,7 +166,7 @@ class TestRun:
 
     def test_fleet_server_isolated_from_context_snapshot(self):
         simulator = FleetSimulator(TINY)
-        snapshot_server = simulator._context.snapshot(simulator.config.provider).server
+        snapshot_server = simulator._context.snapshot(ListProvider.GOOGLE).server
         before = snapshot_server.stats.full_hash_requests
         simulator.run()
         assert snapshot_server.stats.full_hash_requests == before
@@ -236,6 +221,43 @@ class TestPrivacyPolicyRuns:
         )
         assert report.bandwidth_overhead_ratio == 0.0
         assert report.single_prefix_k_anonymity == 1.0
+
+
+class TestReportMergeRules:
+    RULES = {"match", "sum", "max", "union", "snapshots", "derived"}
+
+    def test_every_field_declares_exactly_one_merge_rule(self):
+        for spec in dataclasses.fields(FleetReport):
+            assert spec.metadata.get("merge") in self.RULES, spec.name
+
+    def test_every_field_declares_at_most_one_source(self):
+        for spec in dataclasses.fields(FleetReport):
+            sources = [name for name in ("config", "client", "server")
+                       if spec.metadata.get(name)]
+            assert len(sources) <= 1, spec.name
+            if sources:
+                # A copied value is either a counter (summed across shards)
+                # or a configuration echo (which shards must agree on).
+                assert spec.metadata["merge"] == (
+                    "match" if sources == ["config"] else "sum"), spec.name
+
+    def test_config_sources_name_real_config_fields(self):
+        config_fields = {spec.name for spec in dataclasses.fields(FleetConfig)}
+        for spec in dataclasses.fields(FleetReport):
+            if spec.metadata.get("config"):
+                assert spec.name in config_fields, spec.name
+
+    def test_client_and_server_sources_name_real_stats_keys(self):
+        from repro.safebrowsing.protocol import ClientStats
+        from repro.safebrowsing.server import ServerStats
+
+        client_keys = set(ClientStats.aggregate([ClientStats()]))
+        server_keys = set(ServerStats().as_dict())
+        for spec in dataclasses.fields(FleetReport):
+            if spec.metadata.get("client"):
+                assert spec.metadata["client"] in client_keys, spec.name
+            if spec.metadata.get("server"):
+                assert spec.metadata["server"] in server_keys, spec.name
 
 
 class TestThroughputReporting:
@@ -381,6 +403,24 @@ class TestTransports:
         # batches whose delivery failed are lost.
         assert 0 < report.urls_checked <= TINY.clients * TINY.fleet_urls_per_client
 
+    @pytest.mark.network
+    def test_failed_set_up_stops_the_co_hosted_service(self, monkeypatch):
+        import threading
+
+        from repro.exceptions import TransportError
+
+        simulator = FleetSimulator(TINY, FleetConfig(transport="http"))
+        threads_before = threading.active_count()
+
+        def refuse(*args, **kwargs):
+            raise TransportError("client construction failed")
+
+        monkeypatch.setattr(simulator, "_build_client", refuse)
+        with pytest.raises(TransportError):
+            simulator.run()
+        assert simulator._http_address is None
+        assert threading.active_count() == threads_before
+
     def test_bounded_log_rotates_under_fleet_traffic(self):
         report = run_fleet(TINY, FleetConfig(max_log_entries=2))
         assert report.log_entries_evicted > 0
@@ -524,6 +564,17 @@ class TestGoldenReports:
                                     inline=True)
         assert report.shards == 2
         assert report_digest(report) == expected
+
+    def test_long_schedule_report_digest(self):
+        """Thirty one-URL rounds: the round length reaches the activity
+        schedule, and clients poll for updates more than once."""
+        scale = dataclasses.replace(TINY, fleet_batch_size=1)
+        report = run_fleet(scale, FleetConfig(profile="global-mix",
+                                              churn_fraction=0.5,
+                                              restart_interval=4))
+        assert report.offline_client_rounds == 13
+        assert report_digest(report) == (
+            "1c015e91c0d2df38e707f62ad98453d2c12fd4a56e26f0d8f992139504e7be6c")
 
     def test_golden_profile_run_exercises_restart_counters(self):
         """The global-mix digest pins non-trivial offline/restart values."""

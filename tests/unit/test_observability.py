@@ -1,5 +1,5 @@
 """Unit tests for the observability layer: metrics core, quantiles,
-export round-trips, tracing spans, and the shared stats snapshot paths.
+export round-trips, and the shared stats snapshot paths.
 """
 
 from __future__ import annotations
@@ -8,7 +8,6 @@ import math
 
 import pytest
 
-from repro.clock import ManualClock
 from repro.observability.export import (
     parse_prometheus_text,
     render_json,
@@ -27,7 +26,6 @@ from repro.observability.metrics import (
     registry_or_null,
 )
 from repro.observability.quantiles import histogram_quantile, percentile
-from repro.observability.tracing import Tracer
 from repro.safebrowsing.protocol import ClientStats
 from repro.safebrowsing.server import ServerStats
 from repro.safebrowsing.transport import TransportStats
@@ -323,45 +321,6 @@ class TestExport:
             parse_prometheus_text('x{label=unquoted} 1')
         with pytest.raises(ValueError):
             parse_prometheus_text("lonely_name")
-
-
-# -- tracing ---------------------------------------------------------------
-
-
-class TestTracer:
-    def test_span_records_wall_and_logical(self):
-        registry = MetricsRegistry()
-        clock = ManualClock()
-        tracer = Tracer(registry, clock=clock)
-        assert tracer
-        with tracer.span("lookup"):
-            clock.advance(2.5)
-        assert len(tracer.spans) == 1
-        span = tracer.spans[0]
-        assert span.name == "lookup"
-        assert span.logical_seconds == pytest.approx(2.5)
-        assert span.wall_seconds >= 0.0
-        families = registry.snapshot()["families"]
-        assert families["lookup_wall_seconds"]["children"][0][
-            "state"]["counts"]
-        logical = families["lookup_logical_seconds"]["children"][0]["state"]
-        assert sum(logical["counts"]) == 1
-        assert logical["sum"] == pytest.approx(2.5)
-
-    def test_null_tracer_is_falsy_and_records_nothing(self):
-        tracer = Tracer(None)
-        assert not tracer
-        with tracer.span("lookup"):
-            pass
-        assert len(tracer.spans) == 0
-
-    def test_span_records_on_exception(self):
-        registry = MetricsRegistry()
-        tracer = Tracer(registry)
-        with pytest.raises(RuntimeError):
-            with tracer.span("lookup"):
-                raise RuntimeError("boom")
-        assert len(tracer.spans) == 1
 
 
 # -- the shared stats snapshot paths (satellite: one field list) -----------

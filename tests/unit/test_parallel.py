@@ -12,8 +12,8 @@ from repro.exceptions import ExperimentError
 from repro.experiments.fleet import (
     FleetConfig,
     FleetReport,
-    _MERGE_SUM_FIELDS,
     pair_digest,
+    run_fleet,
 )
 from repro.experiments.parallel import (
     _merge_hierarchically,
@@ -23,6 +23,11 @@ from repro.experiments.parallel import (
     shard_seed,
 )
 from repro.experiments.scale import LARGE, XLARGE, Scale
+
+#: Report counters that sum exactly across disjoint client shards, as the
+#: report's field metadata declares them.
+_MERGE_SUM_FIELDS = tuple(spec.name for spec in dataclasses.fields(FleetReport)
+                          if spec.metadata["merge"] == "sum")
 
 TINY = Scale(
     name="tiny-parallel",
@@ -183,6 +188,19 @@ class TestMerge:
 class TestEngine:
     def test_default_worker_count_positive(self):
         assert default_worker_count() >= 1
+
+    def test_zero_target_adversary_digest_matches_monolithic(self):
+        # An adversary with nothing to track reports the empty-set digest,
+        # monolithic and merged alike.
+        scale = dataclasses.replace(TINY, name="tiny-no-targets",
+                                    tracked_targets=0)
+        config = FleetConfig(adversary=True)
+        monolithic = run_fleet(scale, config)
+        merged = run_parallel_fleet(scale, config, workers=2, shards=2,
+                                    inline=True)
+        assert monolithic.tracked_targets == merged.tracked_targets == 0
+        assert (merged.tracking_pair_digest == monolithic.tracking_pair_digest
+                == pair_digest(()))
 
     def test_inline_engine_produces_full_fleet_report(self):
         config = FleetConfig(adversary=True, server_cache_seconds=0.0)

@@ -96,6 +96,7 @@ class TestClientProfileValidation:
         {"activity_amplitude": 1.5},
         {"connectivity": 0.0},
         {"tracked_visit_fraction": 2.0},
+        {"tracked_visit_fraction": -0.1},
     ])
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ExperimentError):
