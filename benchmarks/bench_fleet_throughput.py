@@ -43,7 +43,6 @@ def test_bench_fleet_throughput(benchmark, record_result, record_json):
         "batched_urls_per_second": round(batched_report.urls_per_second, 1),
         "speedup": round(speedup, 2),
         "transport": batched_report.transport,
-        "shard_count": batched_report.shard_count,
         "server_cache_hit_rate": round(batched_report.server_cache_hit_rate, 4),
         "client_cache_hit_rate": round(batched_report.cache_hit_rate, 4),
         "server_full_hash_requests": batched_report.server_full_hash_requests,

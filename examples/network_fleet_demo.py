@@ -29,7 +29,6 @@ from repro.experiments.scale import SMALL
 def show(report, label: str) -> None:
     print(f"--- {label} ---")
     print(f"  transport        : {report.transport}")
-    print(f"  server shards    : {report.shard_count}")
     print(f"  URLs checked     : {report.urls_checked}")
     print(f"  full-hash reqs   : {report.server_full_hash_requests}")
     print(f"  server cache rate: {report.server_cache_hit_rate:.2f}")

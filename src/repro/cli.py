@@ -184,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--http-retries", type=int, default=None, metavar="N",
                        help="connection-level retries for --transport http "
                             "(default 2)")
-    fleet.add_argument("--shards", type=int, default=None,
-                       help="server-side prefix index shard count")
     fleet.add_argument("--server-cache-seconds", type=float, default=None,
                        help="TTL of the server full-hash response cache "
                             "(0 disables)")
@@ -402,8 +400,6 @@ def _command_fleet(args: argparse.Namespace) -> int:
         config = dc_replace(config, http_timeout_seconds=args.http_timeout)
     if args.http_retries is not None:
         config = dc_replace(config, http_retries=args.http_retries)
-    if args.shards is not None:
-        config = dc_replace(config, shard_count=args.shards)
     if args.server_cache_seconds is not None:
         config = dc_replace(config, server_cache_seconds=args.server_cache_seconds)
     if args.server_storage is not None:
@@ -485,7 +481,6 @@ def _write_metrics_json(report, path: str | None) -> None:
 def _print_fleet_report(report) -> None:
     print(f"mode            : {report.mode}")
     print(f"transport       : {report.transport}")
-    print(f"server shards   : {report.shard_count}")
     print(f"clients         : {report.clients}")
     if report.workers > 1 or report.shards > 1:
         print(f"workers         : {report.workers}")
@@ -632,8 +627,6 @@ def _command_snapshot(args: argparse.Namespace) -> int:
         print("checksum        : OK")
     print(f"prefix bits     : {info.prefix_bits}")
     print(f"backend         : {info.backend}")
-    if info.kind == "server":
-        print(f"shard count     : {info.shard_count}")
     print(f"payload bytes   : {info.payload_bytes}")
     print(f"total prefixes  : {info.total_prefixes}")
     if args.summary:

@@ -19,15 +19,9 @@ one vectorized gather per batch.  numpy is strictly optional — without it
 the registry simply omits the name and everything else works unchanged.
 :data:`DEFAULT_STORE_BACKEND` is ``numpy`` when it imports, ``raw``
 otherwise.
-
-The server side builds on the same interface: :class:`ShardedPrefixIndex`
-partitions raw stores by leading prefix byte so the provider's per-list
-membership indexes scale horizontally (the storage layer of the sharded
-server core).
 """
 
 from repro.datastructures.store import PrefixStore, RawPrefixStore
-from repro.datastructures.sharded import DEFAULT_SHARD_COUNT, ShardedPrefixIndex
 from repro.datastructures.bloom import BloomFilter, BloomPrefixStore, optimal_bloom_parameters
 from repro.datastructures.delta import DeltaCodedTable, DeltaCodedPrefixStore
 from repro.datastructures.vectorized import NUMPY_AVAILABLE, NumpyPrefixStore
@@ -41,7 +35,6 @@ from repro.datastructures.memory import (
 __all__ = [
     "BloomFilter",
     "BloomPrefixStore",
-    "DEFAULT_SHARD_COUNT",
     "DEFAULT_STORE_BACKEND",
     "DeltaCodedPrefixStore",
     "DeltaCodedTable",
@@ -51,7 +44,6 @@ __all__ = [
     "PrefixStore",
     "RawPrefixStore",
     "STORE_FACTORIES",
-    "ShardedPrefixIndex",
     "optimal_bloom_parameters",
     "store_memory_report",
 ]

@@ -21,7 +21,7 @@ Every client reaches the server through a
 :class:`~repro.safebrowsing.transport.Transport`: ``"in-process"`` (direct
 dispatch, the reference behaviour), ``"simulated"`` (seeded latency and
 failure injection over the shared clock) or ``"http"`` (real sockets to a
-co-hosted service).  The server runs the sharded core with a TTL'd
+co-hosted service).  The server runs the core with a TTL'd
 full-hash response cache and a request log bounded by ``max_log_entries``,
 so fleet runs stay memory-stable.  ``benchmarks/bench_fleet_throughput.py``
 asserts the batched mode's >= 10x speedup at ``MEDIUM`` scale.
@@ -96,7 +96,6 @@ from repro.analysis.streaming import StreamingTrackingDetector
 from repro.analysis.tracking import TrackingDecision, tracking_prefixes
 from repro.clock import ManualClock
 from repro.datastructures.memory import DEFAULT_STORE_BACKEND
-from repro.datastructures.sharded import DEFAULT_SHARD_COUNT
 from repro.exceptions import (
     ExperimentError,
     PolicyError,
@@ -194,8 +193,6 @@ class FleetConfig:
     http_timeout_seconds / http_retries:
         Socket timeout and connection-level retry budget of the HTTP
         transport (ignored by the other kinds).
-    shard_count:
-        Partitions of every server-side list membership index.
     server_cache_seconds:
         TTL of the server's full-hash response cache (``0`` disables it).
     max_log_entries:
@@ -260,7 +257,6 @@ class FleetConfig:
     failure_rate: float = 0.0
     http_timeout_seconds: float = 10.0
     http_retries: int = 2
-    shard_count: int = DEFAULT_SHARD_COUNT
     server_cache_seconds: float = DEFAULT_RESPONSE_CACHE_SECONDS
     max_log_entries: int | None = DEFAULT_FLEET_LOG_BOUND
     adversary: bool = False
@@ -321,8 +317,6 @@ class FleetConfig:
                 f"unknown server storage {self.server_storage!r}; "
                 f"expected one of {STORAGE_KINDS}"
             )
-        if self.shard_count < 1:
-            raise ExperimentError("shard_count must be positive")
         if self.latency_seconds < 0 or self.latency_jitter_seconds < 0:
             raise ExperimentError("latency parameters must be non-negative")
         if self.http_timeout_seconds <= 0:
@@ -433,7 +427,6 @@ class FleetReport:
     cache_hits: int = _rule("sum", client="cache_hits")
     malicious_verdicts: int = _rule("sum", client="malicious_verdicts")
     transport: str = _rule("match", config=True, default="in-process")
-    shard_count: int = _rule("match", config=True, default=DEFAULT_SHARD_COUNT)
     server_cache_hits: int = _rule("sum", server="response_cache_hits", default=0)
     server_cache_misses: int = _rule("sum", server="response_cache_misses", default=0)
     log_entries_evicted: int = _rule("sum", server="log_entries_evicted", default=0)
@@ -712,6 +705,7 @@ class FleetSimulator:
         self.metrics: MetricsRegistry = (
             MetricsRegistry() if self.config.collect_metrics else NULL_REGISTRY)
         self._population = build_profile(self.config.profile)
+        self._malicious_urls: tuple[str, ...] | None = None
 
     def profile_for(self, index: int) -> ClientProfile:
         """The population-assigned profile of global client ``index``."""
@@ -730,15 +724,18 @@ class FleetSimulator:
         return tuple(TRACKED_TARGET_TEMPLATE.format(index=index)
                      for index in range(count))
 
-    def _blacklisted_urls(self) -> list[str]:
-        """URLs whose canonical expressions the provider blacklists."""
-        snapshot = self._context.snapshot(_PROVIDER)
-        urls = [f"http://{expression}"
-                for expressions in snapshot.ground_truth.values()
-                for expression in expressions]
-        if not urls:
-            raise ExperimentError("snapshot has no blacklisted expressions")
-        return urls
+    def _blacklisted_urls(self) -> tuple[str, ...]:
+        """URLs whose canonical expressions the provider blacklists (built
+        once per simulator: every client stream draws from the same list)."""
+        if self._malicious_urls is None:
+            snapshot = self._context.snapshot(_PROVIDER)
+            urls = tuple(f"http://{expression}"
+                         for expressions in snapshot.ground_truth.values()
+                         for expression in expressions)
+            if not urls:
+                raise ExperimentError("snapshot has no blacklisted expressions")
+            self._malicious_urls = urls
+        return self._malicious_urls
 
     def build_server(self, clock: ManualClock) -> SafeBrowsingServer:
         """A fresh provisioned server on ``clock``.
@@ -752,7 +749,6 @@ class FleetSimulator:
         config = self.config
         return self._context.provision_server(
             _PROVIDER, clock=clock,
-            shard_count=config.shard_count,
             response_cache_seconds=config.server_cache_seconds,
             max_log_entries=config.max_log_entries,
             storage=config.server_storage,
@@ -1259,7 +1255,6 @@ def fleet_table(scale: Scale = SMALL, config: FleetConfig | None = None,
     table.add_note("traffic signatures match: "
                    f"{scalar.traffic_signature() == batched.traffic_signature()}")
     table.add_note(f"transport: {batched.transport}, "
-                   f"server shards: {batched.shard_count}, "
                    f"server cache hit rate: {batched.server_cache_hit_rate:.2f}")
     if batched.adversary:
         table.add_note(

@@ -125,7 +125,6 @@ def _run_shard(task: _ShardTask) -> FleetReport:
     clock = ManualClock()
     server = load_server(
         task.snapshot_path, clock=clock,
-        shard_count=task.config.shard_count,
         response_cache_seconds=task.config.server_cache_seconds,
         max_log_entries=task.config.max_log_entries,
     )

@@ -195,7 +195,7 @@ class ExperimentContext:
         truth — the one provisioning sequence shared by the fleet
         simulator, the CLI's ``snapshot save`` and the benchmarks, so the
         three can never drift apart.  ``clock`` and any extra keyword
-        arguments (``shard_count``, ``response_cache_seconds``, ...) are
+        arguments (``response_cache_seconds``, ``storage``, ...) are
         forwarded to the server constructor.  The context's own cached
         snapshot server is never returned: callers get a private instance
         they may freely mutate.

@@ -13,9 +13,9 @@ This package implements both sides of the protocol the paper analyzes:
   flow-chart of the paper's Figure 3 — canonicalize, decompose, look up the
   local database and, only on a hit, ask the server for full hashes.
 
-The server stack is layered: **storage** (sharded per-list prefix indexes,
-:mod:`repro.safebrowsing.database` over
-:class:`~repro.datastructures.sharded.ShardedPrefixIndex`), **service**
+The server stack is layered: **storage** (per-list full-hash buckets and
+orphan prefixes in :mod:`repro.safebrowsing.database`, persisted by
+:mod:`repro.safebrowsing.storage`), **service**
 (:class:`ServerCore` with the endpoint handlers in
 :mod:`repro.safebrowsing.protocol`, a TTL'd full-hash response cache and a
 bounded request log), and **transport** (:class:`Transport` —

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from time import perf_counter
 
-from repro.datastructures.sharded import DEFAULT_SHARD_COUNT, ShardedPrefixIndex
-from repro.exceptions import ListNotFoundError, ProtocolError
+from repro.exceptions import DataStructureError, ListNotFoundError, ProtocolError
 from repro.observability.metrics import (
     LATENCY_BOUNDS,
     MetricsRegistry,
@@ -66,27 +65,24 @@ from repro.safebrowsing.storage import (
 class ListDatabase:
     """One blacklist: prefixes, full digests, and chunk history.
 
-    Membership queries go through a :class:`ShardedPrefixIndex` that mirrors
-    the populated-or-orphan prefix set (``shard_count`` partitions of a raw
-    sorted array), so the storage layer scales horizontally
-    while the full-digest buckets stay a plain mapping.  Every mutation bumps
-    :attr:`version`, which the server core uses to invalidate its full-hash
-    response cache.
+    A prefix is in the list when it names a full-digest bucket or is an
+    orphan; membership queries read those two mappings directly.  Every
+    mutation bumps :attr:`version`, which the server core uses to invalidate
+    its full-hash response cache.
 
     A bucket is a tuple of the prefix's full digests, sorted by digest and
     rebuilt whenever it changes (buckets hold one or two digests, and a
-    1-tuple costs a fraction of a set).  Buckets are keyed by the raw prefix
-    bytes: a list stores one width, so the value alone names the bucket, and
-    a query hashes ``bytes`` instead of a :class:`Prefix` dataclass.  Only
-    populated prefixes have a bucket: removing the last digest deletes the
-    key.
+    1-tuple costs a fraction of a set).  Buckets and orphans are keyed by
+    the raw prefix bytes: a list stores one width, so the value alone names
+    the prefix, and a query hashes ``bytes`` instead of a :class:`Prefix`
+    dataclass.  Only populated prefixes have a bucket: removing the last
+    digest deletes the key.
     """
 
     descriptor: ListDescriptor
     prefix_bits: int = DEFAULT_PREFIX_BITS
-    shard_count: int = DEFAULT_SHARD_COUNT
     _full_hashes: dict[bytes, tuple[FullHash, ...]] = field(default_factory=dict)
-    _orphans: set[Prefix] = field(default_factory=set)
+    _orphans: set[bytes] = field(default_factory=set)
     _expressions: dict[str, FullHash] = field(default_factory=dict)
     _add_chunks: list[Chunk] = field(default_factory=list)
     _sub_chunks: list[Chunk] = field(default_factory=list)
@@ -95,9 +91,6 @@ class ListDatabase:
     version: int = 0
 
     def __post_init__(self) -> None:
-        self._prefix_index = ShardedPrefixIndex(
-            bits=self.prefix_bits, shard_count=self.shard_count,
-        )
         # Durable-storage sink (attached by the owning ServerDatabase):
         # every logical mutation below is also journalled through it, so
         # persisting costs O(changed) rather than O(database).
@@ -148,12 +141,11 @@ class ListDatabase:
             self._record(OP_EXPR_ADD, expression)
         if self._add_to_bucket(prefix, full_hash):
             self._pending_additions.append(prefix)
-            self._prefix_index.add(prefix)
             self.version += 1
             self._record(OP_HASH_ADD, prefix.value, full_hash.digest)
             self._record(OP_PENDING_ADD, PENDING_ADDITION, prefix.value)
-        if prefix in self._orphans:
-            self._orphans.discard(prefix)
+        if prefix.value in self._orphans:
+            self._orphans.discard(prefix.value)
             self._record(OP_ORPHAN_REMOVE, prefix.value)
         return prefix
 
@@ -166,12 +158,11 @@ class ListDatabase:
         prefix = full_hash.prefix(self.prefix_bits)
         if self._add_to_bucket(prefix, full_hash):
             self._pending_additions.append(prefix)
-            self._prefix_index.add(prefix)
             self.version += 1
             self._record(OP_HASH_ADD, prefix.value, full_hash.digest)
             self._record(OP_PENDING_ADD, PENDING_ADDITION, prefix.value)
-        if prefix in self._orphans:
-            self._orphans.discard(prefix)
+        if prefix.value in self._orphans:
+            self._orphans.discard(prefix.value)
             self._record(OP_ORPHAN_REMOVE, prefix.value)
         return prefix
 
@@ -186,14 +177,13 @@ class ListDatabase:
             raise ProtocolError(
                 f"list {self.descriptor.name} stores {self.prefix_bits}-bit prefixes"
             )
-        if prefix.value not in self._full_hashes:
-            if prefix not in self._orphans:
-                self._orphans.add(prefix)
-                self._pending_additions.append(prefix)
-                self._prefix_index.add(prefix)
-                self.version += 1
-                self._record(OP_ORPHAN_ADD, prefix.value)
-                self._record(OP_PENDING_ADD, PENDING_ADDITION, prefix.value)
+        value = prefix.value
+        if value not in self._full_hashes and value not in self._orphans:
+            self._orphans.add(value)
+            self._pending_additions.append(prefix)
+            self.version += 1
+            self._record(OP_ORPHAN_ADD, value)
+            self._record(OP_PENDING_ADD, PENDING_ADDITION, value)
 
     def remove_expression(self, expression: str) -> None:
         """Remove a previously blacklisted expression (creates a sub chunk)."""
@@ -214,19 +204,16 @@ class ListDatabase:
                 del self._full_hashes[prefix.value]
                 self._pending_removals.append(prefix)
                 self._record(OP_PENDING_ADD, PENDING_REMOVAL, prefix.value)
-                if prefix not in self._orphans:
-                    self._prefix_index.discard(prefix)
 
     def remove_orphan_prefix(self, prefix: Prefix) -> None:
         """Remove an orphan prefix."""
-        if prefix in self._orphans:
-            self._orphans.remove(prefix)
+        value = prefix.value
+        if value in self._orphans:
+            self._orphans.remove(value)
             self._pending_removals.append(prefix)
             self.version += 1
-            self._record(OP_ORPHAN_REMOVE, prefix.value)
-            self._record(OP_PENDING_ADD, PENDING_REMOVAL, prefix.value)
-            if prefix.value not in self._full_hashes:
-                self._prefix_index.discard(prefix)
+            self._record(OP_ORPHAN_REMOVE, value)
+            self._record(OP_PENDING_ADD, PENDING_REMOVAL, value)
 
     # -- chunk management -----------------------------------------------------
 
@@ -416,13 +403,15 @@ class ListDatabase:
     def prefixes(self) -> PrefixSet:
         """Every prefix in the list (including orphans)."""
         bits = self.prefix_bits
-        return PrefixSet({_valid_prefix(value, bits)
-                          for value in self._full_hashes} | self._orphans,
+        return PrefixSet((_valid_prefix(value, bits)
+                          for value in (*self._full_hashes, *self._orphans)),
                          bits=bits)
 
     def orphan_prefixes(self) -> PrefixSet:
         """Prefixes with no corresponding full digest."""
-        return PrefixSet(self._orphans, bits=self.prefix_bits)
+        bits = self.prefix_bits
+        return PrefixSet((_valid_prefix(value, bits)
+                          for value in self._orphans), bits=bits)
 
     def expressions(self) -> tuple[str, ...]:
         """The cleartext expressions known to the provider (ground truth)."""
@@ -431,23 +420,27 @@ class ListDatabase:
     def contains_prefix(self, prefix: Prefix) -> bool:
         """Whether ``prefix`` is in the list (populated or orphan).
 
-        Routed through the sharded membership index; the property suite pins
-        it to the dict-derived answer.
+        Raises :class:`~repro.exceptions.DataStructureError` for a prefix
+        whose width is not the list's.
         """
-        return prefix in self._prefix_index
+        if prefix.bits != self.prefix_bits:
+            raise DataStructureError(
+                f"list {self.descriptor.name} holds {self.prefix_bits}-bit "
+                f"prefixes, got a {prefix.bits}-bit one")
+        value = prefix.value
+        return value in self._full_hashes or value in self._orphans
 
     def contains_many(self, prefixes: Sequence[Prefix]) -> int:
-        """Batched membership bitmask over the sharded index.
+        """Batched membership bitmask.
 
-        Bit ``i`` is set iff ``prefixes[i]`` is in the list, routed shard by
-        shard exactly like :meth:`contains_prefix`.
+        Bit ``i`` is set iff ``prefixes[i]`` is in the list, with the width
+        check of :meth:`contains_prefix`.
         """
-        return self._prefix_index.contains_many(prefixes)
-
-    @property
-    def prefix_index(self) -> ShardedPrefixIndex:
-        """The sharded membership index (storage layer of the server core)."""
-        return self._prefix_index
+        bitmask = 0
+        for position, prefix in enumerate(prefixes):
+            if self.contains_prefix(prefix):
+                bitmask |= 1 << position
+        return bitmask
 
     def prefix_count(self) -> int:
         """Number of prefixes in the list (the paper's Table 1/3 metric)."""
@@ -464,9 +457,6 @@ class ListDatabase:
 class ServerDatabase:
     """All the lists one provider serves.
 
-    Built on one :class:`ShardedPrefixIndex` per list: ``shard_count``
-    chooses the partitioning of every list's membership index.
-
     ``storage`` picks the durable layer (a kind from
     :data:`~repro.safebrowsing.storage.STORAGE_KINDS`, or a built
     :class:`~repro.safebrowsing.storage.ServerStorage`); the default
@@ -478,17 +468,13 @@ class ServerDatabase:
 
     def __init__(self, descriptors: Iterable[ListDescriptor],
                  prefix_bits: int = DEFAULT_PREFIX_BITS, *,
-                 shard_count: int = DEFAULT_SHARD_COUNT,
                  storage: "str | ServerStorage" = "memory",
                  storage_path=None,
                  metrics: "MetricsRegistry | None" = None) -> None:
-        self._lists: dict[str, ListDatabase] = {}
-        for descriptor in descriptors:
-            self._lists[descriptor.name] = ListDatabase(
-                descriptor, prefix_bits, shard_count=shard_count,
-            )
+        self._lists: dict[str, ListDatabase] = {
+            descriptor.name: ListDatabase(descriptor, prefix_bits)
+            for descriptor in descriptors}
         self.prefix_bits = prefix_bits
-        self.shard_count = shard_count
         self.storage = build_server_storage(storage, storage_path)
         self.storage.bind(self)
         for database in self._lists.values():

@@ -1,9 +1,9 @@
 """The Safe Browsing server core (service layer).
 
 :class:`ServerCore` answers the two requests of the v3 API — list updates and
-full-hash lookups — over a :class:`ServerDatabase` whose per-list membership
-indexes are sharded (:class:`~repro.datastructures.sharded.ShardedPrefixIndex`).
-It also plays the adversary of the paper's threat model: every full-hash
+full-hash lookups — over a :class:`ServerDatabase`, which answers list
+membership from its per-list full-hash buckets and orphan prefixes.  It
+also plays the adversary of the paper's threat model: every full-hash
 request is appended to a request log (cookie, timestamp, prefixes), which is
 exactly the information an honest-but-curious (or coerced) provider can
 exploit for re-identification and tracking.  The analysis layer consumes that
@@ -50,7 +50,6 @@ from repro.observability.metrics import (
     MetricsRegistry,
     registry_or_null,
 )
-from repro.datastructures.sharded import DEFAULT_SHARD_COUNT
 from repro.hashing.prefix import Prefix
 from repro.safebrowsing.cookie import SafeBrowsingCookie
 from repro.safebrowsing.database import ServerDatabase
@@ -137,8 +136,6 @@ class ServerCore:
 
     Parameters
     ----------
-    shard_count:
-        Partitioning of every list's membership index (storage layer).
     response_cache_seconds:
         TTL of the full-hash response cache; ``0`` disables caching.
     response_cache_entries:
@@ -161,7 +158,6 @@ class ServerCore:
                  clock: Clock | None = None,
                  poll_interval: float = DEFAULT_POLL_INTERVAL,
                  prefix_bits: int = 32,
-                 shard_count: int = DEFAULT_SHARD_COUNT,
                  response_cache_seconds: float = DEFAULT_RESPONSE_CACHE_SECONDS,
                  response_cache_entries: int = DEFAULT_RESPONSE_CACHE_ENTRIES,
                  max_log_entries: int | None = None,
@@ -175,7 +171,6 @@ class ServerCore:
         if response_cache_entries < 1:
             raise ValueError("response_cache_entries must be positive")
         self.database = ServerDatabase(descriptors, prefix_bits,
-                                       shard_count=shard_count,
                                        storage=storage,
                                        storage_path=storage_path)
         self.clock = clock if clock is not None else ManualClock()

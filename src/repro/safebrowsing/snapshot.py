@@ -13,7 +13,7 @@ reproduction the same property end to end, with one format per side:
   (:mod:`repro.safebrowsing.storage`) holding a whole
   :class:`~repro.safebrowsing.database.ServerDatabase` — full-hash
   buckets, orphans, expressions, the add/sub chunk history, pending
-  mutations, shard layout;
+  mutations and per-list versions;
 * **warm start**: :func:`restore_client_snapshot` reloads a freshly
   constructed :class:`~repro.safebrowsing.client.SafeBrowsingClient` so its
   next update poll fetches only the chunks committed since the snapshot.
@@ -490,19 +490,15 @@ def save_server_snapshot(server: "ServerCore | ServerDatabase",
 
 
 def load_server_database(path: str | Path, *,
-                         shard_count: int | None = None,
                          writable: bool = False) -> ServerDatabase:
     """Rebuild a :class:`ServerDatabase` from the SQLite file at ``path``.
 
     Loads go through
     :func:`~repro.safebrowsing.storage.load_sqlite_server_database`
     (read-only attach by default; ``writable=True`` keeps the file as the
-    live storage of the result).  ``shard_count`` overrides the recorded
-    membership-index layout (the indexes are rebuilt on load either way, so
-    re-sharding a restored database is free); the restored content —
-    membership, versions, chunk history — is observationally identical to
-    the database that was saved, which the property suite pins across
-    shard counts.
+    live storage of the result).  The restored content — membership,
+    versions, chunk history — is observationally identical to the database
+    that was saved, which the property suite pins.
     Every unusable file raises :class:`SnapshotError`.
     """
     path = Path(path)
@@ -513,14 +509,12 @@ def load_server_database(path: str | Path, *,
             f"{path}: expected a server snapshot (a SQLite storage file), "
             f"found {found}")
     try:
-        return load_sqlite_server_database(
-            path, shard_count=shard_count, writable=writable)
+        return load_sqlite_server_database(path, writable=writable)
     except StorageError as exc:
         raise SnapshotError(str(exc)) from exc
 
 
 def load_server(path: str | Path, *, clock: "Clock | None" = None,
-                shard_count: int | None = None,
                 writable: bool = False,
                 **server_kwargs) -> "SafeBrowsingServer":
     """Build a ready-to-serve :class:`SafeBrowsingServer` from a snapshot.
@@ -533,12 +527,11 @@ def load_server(path: str | Path, *, clock: "Clock | None" = None,
     """
     from repro.safebrowsing.server import SafeBrowsingServer
 
-    database = load_server_database(path, shard_count=shard_count,
-                                    writable=writable)
+    database = load_server_database(path, writable=writable)
     descriptors = [list_db.descriptor for list_db in database]
     server = SafeBrowsingServer(
         descriptors, clock=clock, prefix_bits=database.prefix_bits,
-        shard_count=database.shard_count, **server_kwargs,
+        **server_kwargs,
     )
     server.database = database
     return server
@@ -580,10 +573,8 @@ class SnapshotInfo:
     prefix_bits:
         Width of the stored prefixes.
     backend:
-        Client store backend; ``"raw"`` for server files, whose membership
-        indexes are always sharded raw stores.
-    shard_count:
-        Server-side shard count (1 for client snapshots).
+        Client store backend; ``"raw"`` for server files, which hold raw
+        prefix bytes and no store.
     lists:
         One :class:`ListSummary` per stored list — name, prefix count,
         and (server snapshots) full-hash count and mutation ``version``.
@@ -595,7 +586,6 @@ class SnapshotInfo:
     format_version: int
     prefix_bits: int
     backend: str
-    shard_count: int
     lists: tuple[ListSummary, ...]
     payload_bytes: int
     container: str = "binary"
@@ -635,7 +625,6 @@ def inspect_snapshot(path: str | Path) -> SnapshotInfo:
             format_version=int(meta.get("schema_version", 0)),
             prefix_bits=int(meta["prefix_bits"]),
             backend="raw",
-            shard_count=int(meta["shard_count"]),
             lists=tuple(ListSummary(row["name"], row["prefixes"],
                                     row["full_hashes"], row["version"])
                         for row in rows),
@@ -657,5 +646,5 @@ def inspect_snapshot(path: str | Path) -> SnapshotInfo:
         count = len(state) if encoding == _STORE_PACKED else state[2]
         lists.append(ListSummary(name, count))
     reader.expect_end()
-    return SnapshotInfo("client", FORMAT_VERSION, bits, backend, 1,
+    return SnapshotInfo("client", FORMAT_VERSION, bits, backend,
                         tuple(lists), len(payload))

@@ -9,8 +9,8 @@ exemplar keeps its blocklists in SQLite while queries keep flowing:
 
 * the **working set** stays in memory — every
   :class:`~repro.safebrowsing.database.ListDatabase` keeps its full-hash
-  buckets and its sharded membership index exactly as before, so lookups
-  never touch the durable layer;
+  buckets and orphan prefixes exactly as before, so lookups never touch
+  the durable layer;
 * **durability is a write-through journal**: each logical mutation the
   database applies is also recorded with its storage
   (:meth:`ServerStorage.record`), and :meth:`ServerStorage.flush` commits
@@ -18,9 +18,7 @@ exemplar keeps its blocklists in SQLite while queries keep flowing:
   to *what changed*, never to the size of the database;
 * **loads rebuild the working set** from the durable tables
   (:meth:`SQLiteServerStorage.load_database`): buckets, orphans, chunk
-  history, pending mutations and per-list versions are read back and the
-  membership indexes are reconstructed, optionally under a different shard
-  count or index backend (re-sharding on load is free).
+  history, pending mutations and per-list versions are read back.
 
 A SQLite file is also the one server snapshot format:
 :func:`~repro.safebrowsing.snapshot.save_server_snapshot` flushes (or, for a
@@ -48,10 +46,9 @@ Two backends are registered in :data:`STORAGE_KINDS`:
 
 The property suite (``tests/property/test_prop_server_storage.py``) pins a
 database round-tripped through SQLite observationally identical to its
-memory-backed twin — membership, buckets, chunk history, versions — across
-index backends, shard counts and re-shard/re-backend loads, and pins fleet
-traffic signatures invariant under the server-storage choice on every
-transport.
+memory-backed twin — membership, buckets, chunk history, versions — and
+pins fleet traffic signatures invariant under the server-storage choice on
+every transport.
 """
 
 from __future__ import annotations
@@ -63,7 +60,7 @@ from typing import TYPE_CHECKING
 
 from repro.exceptions import PrefixError, StorageError
 from repro.hashing.digests import FullHash
-from repro.hashing.prefix import Prefix, PrefixRun, _valid_prefix
+from repro.hashing.prefix import Prefix, PrefixRun
 from repro.safebrowsing.chunks import Chunk, ChunkKind
 from repro.safebrowsing.lists import ListDescriptor, ListProvider, ThreatCategory
 
@@ -300,8 +297,7 @@ class SQLiteServerStorage(ServerStorage):
             self._connection.executemany(
                 "INSERT INTO meta (key, value) VALUES (?, ?)",
                 [("schema_version", str(SQLITE_SCHEMA_VERSION)),
-                 ("prefix_bits", str(database.prefix_bits)),
-                 ("shard_count", str(database.shard_count))],
+                 ("prefix_bits", str(database.prefix_bits))],
             )
             self._connection.executemany(
                 "INSERT INTO lists (name, position, provider, category, "
@@ -431,16 +427,14 @@ class SQLiteServerStorage(ServerStorage):
 
     # -- loading ---------------------------------------------------------------
 
-    def load_database(self, *, shard_count: int | None = None
-                      ) -> "ServerDatabase":
+    def load_database(self) -> "ServerDatabase":
         """Rebuild a :class:`ServerDatabase` from the stored tables.
 
-        ``shard_count`` overrides the stored membership index layout (the
-        indexes are rebuilt from the tables either way; the index-backend
-        meta row that older builds wrote is ignored);
-        content — buckets, orphans, chunk history, pending mutations,
+        Content — buckets, orphans, chunk history, pending mutations,
         versions — is observationally identical to the database that wrote
-        the file, which the property suite pins.  The returned database
+        the file, which the property suite pins; the ``index_backend`` and
+        ``shard_count`` meta rows that older builds wrote are ignored.  The
+        returned database
         keeps *this* storage attached: read-write attachments continue to
         persist future mutations, read-only ones serve a load and then drop
         records.
@@ -450,9 +444,7 @@ class SQLiteServerStorage(ServerStorage):
         try:
             meta = self._read_meta()
             bits = int(meta["prefix_bits"])
-            shard_count = (int(meta["shard_count"]) if shard_count is None
-                           else shard_count)
-            lists = self._load_lists(bits, shard_count)
+            lists = self._load_lists(bits)
         except sqlite3.DatabaseError as exc:
             raise self._unreadable(exc) from exc
 
@@ -460,7 +452,7 @@ class SQLiteServerStorage(ServerStorage):
         try:
             database = ServerDatabase(
                 [list_db.descriptor for list_db in lists.values()], bits,
-                shard_count=shard_count, storage=self,
+                storage=self,
             )
         finally:
             self._loading = False
@@ -491,8 +483,7 @@ class SQLiteServerStorage(ServerStorage):
         return StorageError(
             f"cannot read SQLite storage at {self.path or ':memory:'}: {exc}")
 
-    def _load_lists(self, bits: int, shard_count: int
-                    ) -> dict[str, "ListDatabase"]:
+    def _load_lists(self, bits: int) -> dict[str, "ListDatabase"]:
         """Every stored list, rebuilt in its stored order."""
         lists: dict[str, "ListDatabase"] = {}
         rows = self._connection.execute(
@@ -527,7 +518,7 @@ class SQLiteServerStorage(ServerStorage):
             pending_removals = self._load_pending(name, PENDING_REMOVAL,
                                                   bits)
             lists[name] = materialize_list_database(
-                descriptor, bits, shard_count=shard_count, version=version,
+                descriptor, bits, version=version,
                 expressions=expressions, digests=digests, orphans=orphans,
                 add_chunks=add_chunks, sub_chunks=sub_chunks,
                 pending_additions=pending_additions,
@@ -621,7 +612,6 @@ def is_sqlite_file(path: str | Path) -> bool:
 
 
 def load_sqlite_server_database(path: str | Path, *,
-                                shard_count: int | None = None,
                                 writable: bool = False) -> "ServerDatabase":
     """Open the SQLite storage at ``path`` and rebuild its database.
 
@@ -642,7 +632,7 @@ def load_sqlite_server_database(path: str | Path, *,
         raise StorageError(f"{path} is not a SQLite storage file")
     storage = SQLiteServerStorage(path, readonly=not writable)
     try:
-        database = storage.load_database(shard_count=shard_count)
+        database = storage.load_database()
     except StorageError:
         storage.close()
         raise
@@ -685,8 +675,8 @@ def dump_database_to_sqlite(database: "ServerDatabase",
                 for full_hash in list_db._full_hashes[value]:
                     storage.record(name, (OP_HASH_ADD, value,
                                           full_hash.digest))
-            for prefix in sorted(list_db._orphans, key=lambda p: p.value):
-                storage.record(name, (OP_ORPHAN_ADD, prefix.value))
+            for value in sorted(list_db._orphans):
+                storage.record(name, (OP_ORPHAN_ADD, value))
             for chunk in (*list_db.add_chunks, *list_db.sub_chunks):
                 storage.record(name, (OP_CHUNK, CHUNK_KIND_CODES[chunk.kind],
                                       chunk.number,
@@ -738,8 +728,7 @@ def sqlite_storage_summary(path: str | Path) -> tuple[dict, list[dict]]:
 
 
 def materialize_list_database(
-        descriptor: ListDescriptor, bits: int, *, shard_count: int,
-        version: int,
+        descriptor: ListDescriptor, bits: int, *, version: int,
         expressions: Sequence[str] | Mapping[str, FullHash],
         digests: Iterable[bytes], orphans: Iterable[Prefix],
         add_chunks: Sequence[Chunk], sub_chunks: Sequence[Chunk],
@@ -747,14 +736,13 @@ def materialize_list_database(
         pending_removals: Sequence[Prefix]) -> "ListDatabase":
     """Build one :class:`ListDatabase` from durable state.
 
-    Full-hash buckets are regrouped from the digest list, the expression
+    Full-hash buckets are regrouped from the digest list and the expression
     map is re-derived (an expression's digest is a pure function of the
-    expression), and the sharded membership index is reconstructed from
-    populated-or-orphan prefixes under the requested layout.
+    expression).
     """
     from repro.safebrowsing.database import ListDatabase
 
-    list_db = ListDatabase(descriptor, bits, shard_count=shard_count)
+    list_db = ListDatabase(descriptor, bits)
     known = {expression: FullHash.of(expression)
              for expression in expressions}
     list_db._expressions.update(known)
@@ -766,15 +754,10 @@ def materialize_list_database(
         if digest not in seen:
             full_hash = FullHash(digest)
             list_db._add_to_bucket(full_hash.prefix(bits), full_hash)
-    list_db._orphans = set(orphans)
+    list_db._orphans = {orphan.value for orphan in orphans}
     list_db._add_chunks = list(add_chunks)
     list_db._sub_chunks = list(sub_chunks)
     list_db._pending_additions = list(pending_additions)
     list_db._pending_removals = list(pending_removals)
-    buckets = list_db._full_hashes
-    list_db._prefix_index.update(
-        [*(_valid_prefix(value, bits) for value in buckets),
-         *(orphan for orphan in list_db._orphans
-           if orphan.value not in buckets)])
     list_db.version = version
     return list_db

@@ -20,7 +20,7 @@ EXAMPLES = [
     ("mitigation_comparison.py", ["baseline", "dummy queries", "one prefix at a time"]),
     ("fleet_demo.py", ["coalesced", "Fleet throughput", "traffic signatures match: True"]),
     ("network_fleet_demo.py", ["in-process (the reference)", "simulated network",
-                               "server shards"]),
+                               "server cache rate"]),
     ("adversary_fleet_demo.py", ["streaming detections: 3", "rotated out",
                                  "precision        : 1.00",
                                  "recall           : 1.00"]),

@@ -4,10 +4,10 @@ The durable-server contract, pinned two ways:
 
 * **database equivalence** — a server built over SQLite storage answers
   exactly like its memory-backed twin (membership, single and batched;
-  buckets; chunk history; versions) for shard counts {1, 16}; and a
-  database *reloaded* from its SQLite file — including under a different
-  shard count — matches the database that wrote it.  This mirrors ``test_prop_snapshot.py``, which
-  pins the same property for the binary container;
+  buckets; chunk history; versions); and a database *reloaded* from its
+  SQLite file matches the database that wrote it.  This mirrors
+  ``test_prop_snapshot.py``, which pins the same property for snapshot
+  save/load;
 * **fleet signatures** — a fleet's traffic signature (prefixes revealed,
   local hits, verdicts) does not depend on the server's storage backend, on
   either transport, with or without churn: durability decides what a
@@ -29,7 +29,6 @@ from repro.safebrowsing.storage import load_sqlite_server_database
 
 from tests.property.test_prop_snapshot import TINY_CHURN, _CHURN
 
-SHARD_COUNTS = (1, 16)
 TRANSPORTS = ("in-process", "simulated")
 
 EXPRESSIONS = (
@@ -41,10 +40,9 @@ EXPRESSIONS = (
 )
 
 
-def _build_server(shard_count: int, *, storage: str = "memory",
+def _build_server(*, storage: str = "memory",
                   storage_path=None) -> SafeBrowsingServer:
     server = SafeBrowsingServer(GOOGLE_LISTS, clock=ManualClock(),
-                                shard_count=shard_count,
                                 storage=storage, storage_path=storage_path)
     server.blacklist("goog-malware-shavar", EXPRESSIONS[:3])
     server.blacklist("googpub-phish-shavar", EXPRESSIONS[3:])
@@ -81,42 +79,24 @@ def _assert_databases_identical(reference, candidate) -> None:
 
 
 class TestStorageBackendEquivalence:
-    @pytest.mark.parametrize("shard_count", SHARD_COUNTS)
-    def test_sqlite_backed_server_matches_memory_twin(self, shard_count):
+    def test_sqlite_backed_server_matches_memory_twin(self):
         """Same mutations through both storages: identical observables."""
-        memory = _build_server(shard_count)
-        sqlite = _build_server(shard_count, storage="sqlite")
+        memory = _build_server()
+        sqlite = _build_server(storage="sqlite")
         _assert_databases_identical(memory.database, sqlite.database)
         sqlite.database.storage.close()
 
-    @pytest.mark.parametrize("shard_count", SHARD_COUNTS)
-    def test_reloaded_database_matches_the_writer(self, shard_count,
-                                                  tmp_path):
-        server = _build_server(shard_count, storage="sqlite",
+    def test_reloaded_database_matches_the_writer(self, tmp_path):
+        server = _build_server(storage="sqlite",
                                storage_path=tmp_path / "server.sqlite")
         server.database.commit()
         server.database.storage.close()
         restored = load_sqlite_server_database(tmp_path / "server.sqlite")
-        assert restored.shard_count == shard_count
         _assert_databases_identical(server.database, restored)
-
-    def test_reshard_on_load_keeps_membership(self, tmp_path):
-        server = _build_server(16, storage="sqlite",
-                               storage_path=tmp_path / "server.sqlite")
-        server.database.commit()
-        server.database.storage.close()
-        for shard_count in SHARD_COUNTS:
-            restored = load_sqlite_server_database(
-                tmp_path / "server.sqlite", shard_count=shard_count)
-            assert restored.shard_count == shard_count
-            for list_db in server.database:
-                copy = restored[list_db.descriptor.name]
-                members = sorted(list_db.prefixes())
-                assert copy.contains_many(members) == list_db.contains_many(members)
 
     def test_replica_serves_full_hash_requests_identically(self, tmp_path):
         """A worker's read-only replica is protocol-indistinguishable."""
-        server = _build_server(16, storage="sqlite",
+        server = _build_server(storage="sqlite",
                                storage_path=tmp_path / "server.sqlite")
         server.database.commit()
         replica_db = load_sqlite_server_database(tmp_path / "server.sqlite")

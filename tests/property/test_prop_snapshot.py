@@ -6,10 +6,10 @@ Two layers of the persistence contract are pinned here:
   :class:`ServerDatabase` or a client's local database reproduces the exact
   observable state (membership answers, single and batched; per-list
   versions; full-hash buckets; chunk history) for **every registered store
-  backend** on the client side and shard counts {1, 16} on the server side;
+  backend** on the client side and for the server database;
 * **fleet signatures** — a churning fleet's traffic signature (prefixes
-  revealed, local hits, verdicts) does not depend on the shard count, the
-  execution mode, or whether restarts are warm or cold: persistence decides
+  revealed, local hits, verdicts) does not depend on the execution mode or
+  on whether restarts are warm or cold: persistence decides
   how much *update* bandwidth a restart costs, never what the lookups
   reveal.
 """
@@ -40,7 +40,6 @@ CLIENT_BACKENDS = sorted(STORE_FACTORIES)
 #: Exact client backends answer membership byte-for-byte after a restore;
 #: the Bloom backend is pinned separately (bit-array identity).
 EXACT_CLIENT_BACKENDS = [name for name in CLIENT_BACKENDS if name != "bloom"]
-SHARD_COUNTS = (1, 16)
 
 EXPRESSIONS = (
     "evil.example.com/malware/dropper.exe",
@@ -53,10 +52,9 @@ EXPRESSIONS = (
 _values32 = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def _build_server(shard_count: int, extra_orphans: tuple[int, ...] = (), *,
+def _build_server(extra_orphans: tuple[int, ...] = (), *,
                   with_subs: bool = True) -> SafeBrowsingServer:
-    server = SafeBrowsingServer(GOOGLE_LISTS, clock=ManualClock(),
-                                shard_count=shard_count)
+    server = SafeBrowsingServer(GOOGLE_LISTS, clock=ManualClock())
     server.blacklist("goog-malware-shavar", EXPRESSIONS[:3])
     server.blacklist("googpub-phish-shavar", EXPRESSIONS[3:])
     if with_subs:
@@ -73,14 +71,10 @@ def _build_server(shard_count: int, extra_orphans: tuple[int, ...] = (), *,
 
 
 class TestServerDatabaseEquivalence:
-    @pytest.mark.parametrize("shard_count", SHARD_COUNTS)
-    def test_restored_database_is_observationally_identical(
-            self, shard_count, tmp_path):
-        server = _build_server(shard_count,
-                               extra_orphans=(0xDEADBEEF, 0x00C0FFEE))
+    def test_restored_database_is_observationally_identical(self, tmp_path):
+        server = _build_server(extra_orphans=(0xDEADBEEF, 0x00C0FFEE))
         path = save_server_snapshot(server, tmp_path / "server.sqlite")
         restored = load_server_database(path)
-        assert restored.shard_count == shard_count
         assert restored.version == server.database.version
 
         probes = [Prefix.from_int(value, 32)
@@ -101,19 +95,9 @@ class TestServerDatabaseEquivalence:
             batch = members + probes
             assert copy.contains_many(batch) == list_db.contains_many(batch)
 
-    def test_resharding_on_load_keeps_membership(self, tmp_path):
-        server = _build_server(16)
-        path = save_server_snapshot(server, tmp_path / "server.sqlite")
-        for shard_count in SHARD_COUNTS:
-            restored = load_server_database(path, shard_count=shard_count)
-            for list_db in server.database:
-                copy = restored[list_db.descriptor.name]
-                members = sorted(list_db.prefixes())
-                assert copy.contains_many(members) == list_db.contains_many(members)
-
     def test_restored_server_answers_full_hash_requests_identically(
             self, tmp_path):
-        server = _build_server(16)
+        server = _build_server()
         path = save_server_snapshot(server, tmp_path / "server.sqlite")
         restored = load_server(path, clock=ManualClock())
         client_a = SafeBrowsingClient(server, name="orig")
@@ -133,7 +117,7 @@ class TestClientDatabaseEquivalence:
     def test_round_trip_preserves_membership_and_verdicts(self, backend,
                                                           tmp_path):
         clock = ManualClock()
-        server = _build_server(16, with_subs=backend != "bloom")
+        server = _build_server(with_subs=backend != "bloom")
         config = ClientConfig(store_backend=backend)
         original = SafeBrowsingClient(server, name="orig", clock=clock,
                                       config=config)
@@ -194,13 +178,6 @@ _CHURN = dict(churn_fraction=0.5, restart_interval=2)
 @pytest.mark.skipif(not NUMPY_AVAILABLE,
                     reason="the fleet simulation is numpy-backed")
 class TestChurningFleetSignatures:
-    def test_signature_is_shard_count_invariant_under_churn(self):
-        reports = [run_fleet(TINY_CHURN, FleetConfig(**_CHURN,
-                                                     shard_count=shard_count))
-                   for shard_count in SHARD_COUNTS]
-        assert reports[0].traffic_signature() == reports[1].traffic_signature()
-        assert reports[0].client_restarts == reports[1].client_restarts > 0
-
     def test_signature_is_mode_invariant_under_churn(self):
         scalar = run_fleet(TINY_CHURN, FleetConfig(**_CHURN, mode="scalar"))
         batched = run_fleet(TINY_CHURN, FleetConfig(**_CHURN, mode="batched"))

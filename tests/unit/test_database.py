@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from repro.exceptions import ListNotFoundError, ProtocolError
+from repro.exceptions import DataStructureError, ListNotFoundError, ProtocolError
 from repro.hashing.digests import FullHash, url_prefix
 from repro.hashing.prefix import Prefix
 from repro.safebrowsing.database import ListDatabase, ServerDatabase
@@ -53,6 +53,18 @@ class TestListDatabase:
     def test_orphan_with_wrong_width_rejected(self, database: ListDatabase):
         with pytest.raises(ProtocolError):
             database.add_orphan_prefix(Prefix.from_int(1, 64))
+
+    @pytest.mark.parametrize("bits", [16, 64])
+    def test_membership_probe_of_wrong_width_rejected(
+            self, database: ListDatabase, bits: int):
+        stored = database.add_expression("evil.example.com/")
+        wrong = Prefix(FullHash.of("evil.example.com/").digest[:bits // 8],
+                       bits)
+        with pytest.raises(DataStructureError):
+            database.contains_prefix(wrong)
+        with pytest.raises(DataStructureError):
+            database.contains_many([stored, wrong])
+        assert database.contains_many([stored]) == 1
 
     def test_adding_expression_clears_orphan_status(self, database: ListDatabase):
         expression = "evil.example.com/"
@@ -127,8 +139,7 @@ class TestBuckets:
         def derived() -> int:
             populated = {value for value, bucket
                          in database._full_hashes.items() if bucket}
-            return len(populated | {orphan.value
-                                    for orphan in database._orphans})
+            return len(populated | database._orphans)
 
         orphan = Prefix(b"\x00\x00\x00\x01", 32)
         steps = [

@@ -70,8 +70,6 @@ class TestFleetConfig:
         with pytest.raises(ExperimentError):
             FleetConfig(latency_seconds=-0.1)
         with pytest.raises(ExperimentError):
-            FleetConfig(shard_count=0)
-        with pytest.raises(ExperimentError):
             FleetConfig(max_log_entries=0)
 
     def test_adversary_parameters_validated(self):
@@ -383,7 +381,6 @@ class TestTransports:
     def test_in_process_report_carries_layer_metadata(self):
         report = run_fleet(TINY, FleetConfig())
         assert report.transport == "in-process"
-        assert report.shard_count == FleetConfig().shard_count
         assert report.transport_failures == 0
 
     def test_simulated_transport_completes_the_fleet(self):
@@ -530,26 +527,26 @@ class TestGoldenReports:
     GOLDEN = {
         "default": (
             FleetConfig(),
-            "5abfbaa0bce13947febb6b45a9ac91198fb577c1124ca8d80f93cf94b9a0209d"),
+            "d82e180c5745b1d723d5a95398cc2672ea31294df8871e2dbe71cfa433bc3e1c"),
         "adversary-dummy": (
             FleetConfig(adversary=True, privacy_policy="dummy"),
-            "4b89f1bfa6d79d9da889227f6211195565239e928e971425ac742ac6cbcd057b"),
+            "76028f9dd4bc05df8e5841fc9949286afd71c8f5c151867a7a6f4e86b82ee920"),
         "global-mix-churn": (
             FleetConfig(profile="global-mix", churn_fraction=0.5,
                         restart_interval=2),
-            "85e6e9571ada27e0bc1032f2628267a3bb0d79f3b0bf24af1d67a8e15ddeffa3"),
+            "792bcd10824f5ee210c69685eb37ca563f8e33752aab680db3bef1ee34a068b3"),
         "simulated-failures": (
             FleetConfig(transport="simulated", failure_rate=0.05),
-            "0e73cde57dd1ceb9d23bbef754e7b590a570c07b8fcb7a8b837076c7fea97103"),
+            "2b06a83f9cbb2fe4a35bc25196fe008d9c492e6034d8edfc11c002e2bc42abc8"),
     }
 
     PARALLEL_GOLDEN = {
         "default": (
             FleetConfig(),
-            "177ff0f84c625782163254b1ccd1177e42020e47828168874c9d87d88479a120"),
+            "b8c9074aeb60ad63c873979b9c4c4791783137aedfc04ad27508e52e94ceb569"),
         "adversary-churn": (
             FleetConfig(adversary=True, churn_fraction=0.5, restart_interval=2),
-            "443ecbf68f1fc6fefcfc307b79a03fdf6e4fdb335764baab96b447b1255f3eea"),
+            "93e48762c3e21517ad29de79c2be72a5fef338c5a06301b95b43c097baf3b769"),
     }
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -574,7 +571,7 @@ class TestGoldenReports:
                                               restart_interval=4))
         assert report.offline_client_rounds == 13
         assert report_digest(report) == (
-            "1c015e91c0d2df38e707f62ad98453d2c12fd4a56e26f0d8f992139504e7be6c")
+            "ddfdfc44b24cacfac3ee8d7a40ddc5632577a5119558fe8d4751bfb707133730")
 
     def test_golden_profile_run_exercises_restart_counters(self):
         """The global-mix digest pins non-trivial offline/restart values."""

@@ -275,10 +275,9 @@ class TestEndpointHandlers:
         assert server.stats.full_hash_requests == 1
 
 
-class TestShardedCore:
-    @pytest.mark.parametrize("shard_count", [1, 4, 16])
-    def test_shard_count_does_not_change_answers(self, shard_count):
-        server = make_server(shard_count=shard_count)
+class TestCoreMembership:
+    def test_full_hash_answer_agrees_with_membership(self):
+        server = make_server()
         prefix = url_prefix("evil.example.com/")
         response = server.handle_full_hash(request_for("evil.example.com/"))
         assert {match.prefix for match in response.matches} == {prefix}

@@ -230,15 +230,14 @@ class TestLoad:
         assert "torn.example/x" in reader[LIST].expressions()
         database.storage.close()
 
-    def test_reshard_on_load(self, tmp_path):
+    def test_reload_keeps_membership(self, tmp_path):
         path = tmp_path / "s.sqlite"
         database = _sqlite_database(path)
         _populate(database)
         database.commit()
         database.storage.close()
 
-        restored = load_sqlite_server_database(path, shard_count=4)
-        assert restored.shard_count == 4
+        restored = load_sqlite_server_database(path)
         members = sorted(database[LIST].prefixes())
         assert (restored[LIST].contains_many(members)
                 == database[LIST].contains_many(members))
@@ -290,8 +289,9 @@ class TestDumpAndSummary:
 
         meta, lists = sqlite_storage_summary(path)
         assert meta["prefix_bits"] == "32"
-        # The server index is always sharded raw stores: no backend row.
+        # New files carry no index-layout rows.
         assert "index_backend" not in meta
+        assert "shard_count" not in meta
         by_name = {entry["name"]: entry for entry in lists}
         assert by_name[LIST]["prefixes"] == database[LIST].prefix_count()
         assert by_name[LIST]["version"] == database[LIST].version

@@ -369,10 +369,9 @@ class TestServerRoundTrip:
         assert client.lookup("http://evil.example.com/").is_malicious
         assert not client.lookup("http://fine.example.org/").contacted_server
 
-    def test_load_can_reshard(self, server, tmp_path):
+    def test_load_keeps_membership(self, server, tmp_path):
         path = save_server_snapshot(server, tmp_path / "server.sqlite")
-        restored = load_server_database(path, shard_count=4)
-        assert restored.shard_count == 4
+        restored = load_server_database(path)
         for list_db in server.database:
             copy = restored[list_db.descriptor.name]
             for prefix in list_db.prefixes():
@@ -400,6 +399,27 @@ class TestServerRoundTrip:
             assert sorted(copy.prefixes()) == sorted(list_db.prefixes())
         assert inspect_snapshot(path).backend == "raw"
 
+    @pytest.mark.parametrize("shard_count", ["1", "4", "16", "256"])
+    def test_file_with_shard_count_meta_row_still_loads(self, server,
+                                                        tmp_path,
+                                                        shard_count):
+        """Files saved while the server index was sharded carry a
+        ``shard_count`` meta row; loading and inspecting ignore it."""
+        path = save_server_snapshot(server, tmp_path / "server.sqlite")
+        with sqlite3.connect(path) as connection:
+            connection.execute("INSERT INTO meta (key, value) "
+                               "VALUES ('shard_count', ?)", (shard_count,))
+        connection.close()
+        restored = load_server(path, clock=ManualClock())
+        assert restored.database.version == server.database.version
+        for list_db in server.database:
+            copy = restored.database[list_db.descriptor.name]
+            assert sorted(copy.prefixes()) == sorted(list_db.prefixes())
+        info = inspect_snapshot(path)
+        assert info.kind == "server"
+        assert info.total_prefixes == sum(
+            list_db.prefix_count() for list_db in server.database)
+
     def test_pending_mutations_survive(self, server, tmp_path, clock):
         database = server.database["goog-malware-shavar"]
         database.add_expression("pending.example/x")  # not committed
@@ -423,7 +443,6 @@ class TestInspect:
         info = inspect_snapshot(path)
         assert info.kind == "server"
         assert info.backend == "raw"
-        assert info.shard_count == 16
         assert info.total_prefixes == sum(
             list_db.prefix_count() for list_db in server.database)
 
