@@ -16,12 +16,19 @@ its orphan prefixes.  Whatever sequence of ``add_expression``,
 
 Operations draw from a small pool of prefixes so that digests, expressions
 and orphans collide on the same prefix often.
+
+A second suite pins the server's answers against the client side: over the
+same prefix set, single and batched, after adds and removals, a
+``ListDatabase`` answers byte-for-byte like every exact registered client
+store backend.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.datastructures import STORE_FACTORIES
 from repro.hashing.digests import FullHash
 from repro.hashing.prefix import Prefix
 from repro.safebrowsing.database import ListDatabase
@@ -45,6 +52,19 @@ _operation = st.one_of(
     st.tuples(st.just("remove_orphan_prefix"), _pool_index),
 )
 _values32 = st.integers(min_value=0, max_value=2**32 - 1)
+
+#: Client stores that answer membership exactly (the Bloom backend may
+#: report false positives, so it has no byte-for-byte answer to compare).
+EXACT_BACKENDS = [name for name in sorted(STORE_FACTORIES)
+                  if not STORE_FACTORIES[name].approximate]
+
+
+def _prefixes(values: list[int]) -> list[Prefix]:
+    return [Prefix.from_int(value, 32) for value in values]
+
+
+def _empty_list_database() -> ListDatabase:
+    return ListDatabase(get_list("goog-malware-shavar", ListProvider.GOOGLE))
 
 
 def _colliding_hash(prefix: Prefix, tail: int) -> FullHash:
@@ -104,8 +124,7 @@ class TestListDatabaseMembership:
            st.lists(_values32, max_size=20))
     @settings(max_examples=150, deadline=None)
     def test_membership_tracks_every_mutation(self, operations, probe_values):
-        database = ListDatabase(
-            get_list("goog-malware-shavar", ListProvider.GOOGLE))
+        database = _empty_list_database()
         model = _Model()
         random_probes = [Prefix.from_int(value, 32) for value in probe_values]
         for operation in operations:
@@ -122,3 +141,51 @@ class TestListDatabaseMembership:
                 if prefix in members:
                     expected_mask |= 1 << position
             assert database.contains_many(batch) == expected_mask
+
+
+class TestListDatabaseAgreesWithExactStores:
+    @pytest.mark.parametrize("backend", EXACT_BACKENDS)
+    @given(members=st.lists(_values32, max_size=200),
+           probes=st.lists(_values32, max_size=50))
+    @settings(max_examples=60, deadline=None)
+    def test_membership_matches_client_store(self, backend, members, probes):
+        member_prefixes = _prefixes(members)
+        database = _empty_list_database()
+        for prefix in member_prefixes:
+            database.add_orphan_prefix(prefix)
+        store = STORE_FACTORIES[backend](member_prefixes, 32)
+        assert database.prefix_count() == len(store)
+        # Probe both known members and arbitrary values, single and batched.
+        probe_prefixes = _prefixes(probes + members[:10])
+        for prefix in probe_prefixes:
+            assert database.contains_prefix(prefix) == (prefix in store)
+        assert (database.contains_many(probe_prefixes)
+                == store.contains_many(probe_prefixes))
+
+    @pytest.mark.parametrize("backend", EXACT_BACKENDS)
+    @given(expressions=st.lists(st.sampled_from(EXPRESSIONS), max_size=6),
+           members=st.lists(_values32, max_size=120),
+           removals=st.lists(_values32, max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_mutations_match_client_store(self, backend, expressions,
+                                          members, removals):
+        database = _empty_list_database()
+        store = STORE_FACTORIES[backend]([], 32)
+        for expression in expressions:
+            store.update([database.add_expression(expression)])
+        member_prefixes = _prefixes(members)
+        for prefix in member_prefixes:
+            database.add_orphan_prefix(prefix)
+        store.update(member_prefixes)
+        # Orphan removals only: the expressions' prefixes stay populated.
+        populated = {FullHash.of(expression).prefix(32)
+                     for expression in expressions}
+        removal_prefixes = [prefix
+                            for prefix in _prefixes(removals + members[:10])
+                            if prefix not in populated]
+        for prefix in removal_prefixes:
+            database.remove_orphan_prefix(prefix)
+        store.discard_many(removal_prefixes)
+        assert database.prefix_count() == len(store)
+        probes = [*member_prefixes, *removal_prefixes, *POOL]
+        assert database.contains_many(probes) == store.contains_many(probes)

@@ -300,6 +300,24 @@ class TestServerDatabase:
             "goog-malware-shavar", "googpub-phish-shavar",
         }
 
+    def test_lists_containing_includes_orphans(self):
+        server_db = ServerDatabase(GOOGLE_LISTS)
+        orphan = Prefix.from_int(0xDEADBEEF, 32)
+        server_db["goog-malware-shavar"].add_orphan_prefix(orphan)
+        assert server_db.lists_containing(orphan) == ["goog-malware-shavar"]
+        server_db["goog-malware-shavar"].remove_orphan_prefix(orphan)
+        assert server_db.lists_containing(orphan) == []
+
+    def test_contains_many_is_the_union_of_the_lists(self):
+        server_db = ServerDatabase(GOOGLE_LISTS)
+        populated = server_db["googpub-phish-shavar"].add_expression("evil.com/")
+        orphan = Prefix.from_int(0xDEADBEEF, 32)
+        server_db["goog-malware-shavar"].add_orphan_prefix(orphan)
+        absent = Prefix.from_int(0x00C0FFEE, 32)
+        assert server_db.contains_many([absent, populated, orphan]) == 0b110
+        assert server_db.contains_many([absent]) == 0
+        assert server_db.contains_many([]) == 0
+
     def test_commit_all(self):
         server_db = ServerDatabase(GOOGLE_LISTS)
         server_db["goog-malware-shavar"].add_expression("evil.com/")

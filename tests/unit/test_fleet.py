@@ -122,6 +122,15 @@ class TestStreams:
         simulator = FleetSimulator(TINY)
         assert len(simulator.client_stream(0)) == TINY.fleet_urls_per_client
 
+    def test_blacklisted_urls_built_once(self):
+        """Every client stream draws from one blacklisted-URL tuple."""
+        simulator = FleetSimulator(TINY)
+        urls = simulator._blacklisted_urls()
+        assert urls
+        simulator.client_stream(0)
+        simulator.client_stream(1)
+        assert simulator._blacklisted_urls() is urls
+
     def test_seed_changes_streams(self):
         base = FleetSimulator(TINY, FleetConfig(seed=1))
         other = FleetSimulator(TINY, FleetConfig(seed=2))

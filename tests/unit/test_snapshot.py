@@ -420,6 +420,21 @@ class TestServerRoundTrip:
         assert info.total_prefixes == sum(
             list_db.prefix_count() for list_db in server.database)
 
+    def test_cli_summarizes_file_with_shard_count_meta_row(self, server,
+                                                          tmp_path, capsys):
+        path = save_server_snapshot(server, tmp_path / "server.sqlite")
+        with sqlite3.connect(path) as connection:
+            connection.execute("INSERT INTO meta (key, value) "
+                               "VALUES ('shard_count', '16')")
+        connection.close()
+        assert main(["snapshot", "load", str(path), "--summary"]) == 0
+        loaded = capsys.readouterr().out
+        assert "kind            : server" in loaded
+        assert "shard" not in loaded
+        for list_db in server.database:
+            assert (f"  {list_db.descriptor.name}: version={list_db.version} "
+                    f"prefixes={list_db.prefix_count()}") in loaded
+
     def test_pending_mutations_survive(self, server, tmp_path, clock):
         database = server.database["goog-malware-shavar"]
         database.add_expression("pending.example/x")  # not committed
