@@ -8,6 +8,11 @@ larger scale and records timings.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+from enum import Enum
+
 import pytest
 
 pytest.importorskip("numpy")  # the corpus/fleet/analysis layers are numpy-backed
@@ -234,3 +239,64 @@ class TestTrackingAndMitigationExperiments:
         assert one_prefix.mitigated_domain_rate == pytest.approx(1.0)
         assert one_prefix.average_prefixes_sent_mitigated < \
             one_prefix.average_prefixes_sent_baseline
+
+
+def _canonical(value):
+    """A JSON-ready form of an experiment result with a stable order.
+
+    Dataclasses become field dicts, enums their values, bytes hex; sets
+    and dict items are sorted by their JSON text, so the digest does not
+    depend on hash seeds.
+    """
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {field.name: _canonical(getattr(value, field.name))
+                for field in dataclasses.fields(value)}
+    if isinstance(value, Enum):
+        return _canonical(value.value)
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, dict):
+        return sorted(([_canonical(key), _canonical(item)]
+                       for key, item in value.items()), key=json.dumps)
+    if isinstance(value, (set, frozenset)):
+        return sorted((_canonical(item) for item in value), key=json.dumps)
+    if isinstance(value, (list, tuple)):
+        return [_canonical(item) for item in value]
+    assert value is None or isinstance(value, (str, int, float)), type(value)
+    return value
+
+
+def result_digest(result) -> str:
+    """SHA-256 over every field of an experiment result, nested included."""
+    return hashlib.sha256(
+        json.dumps(_canonical(result), sort_keys=True).encode("utf-8")).hexdigest()
+
+
+class TestGoldenExperimentDigests:
+    """Whole-result digests of the experiments that drive the client lookup.
+
+    Recorded before the client's scalar and batched lookup paths were made
+    one; a refactor of the client must leave every one of them as it is.
+    The mitigation result carries each visit's ``LookupResult``, so its
+    digest pins ``sent_prefixes`` and ``served_from_cache`` per URL.
+    """
+
+    GOLDEN = {
+        "alg1_tracking:run_tracking_experiment":
+            "6f0c2c45ddcb056e2d8adab35310309e22e4ba86537c7426ef3d4a658e0a5fad",
+        "history_reconstruction:run_history_experiment":
+            "7cfe252e37e1277fc6ffcf82a4cecbd732f3ae4db743d0229bc7d17be9572e8f",
+        "mitigation_comparison:run_mitigation_experiment":
+            "6f68c1d89fe78feedb219a36f1dc21e307e453c93d66013aa3b3ec48f3969ab8",
+        "ecosystem_leakage:run_ecosystem_experiment":
+            "cfa9bd046723044ef431e81816690f83fa0f8c5034bcc3502cd590d149e379c9",
+    }
+
+    @pytest.mark.parametrize("target", sorted(GOLDEN))
+    def test_result_digest(self, target):
+        import importlib
+
+        module, function = target.split(":")
+        run = getattr(importlib.import_module(f"repro.experiments.{module}"),
+                      function)
+        assert result_digest(run(SMALL)) == self.GOLDEN[target]

@@ -547,6 +547,14 @@ class TestGoldenReports:
         "simulated-failures": (
             FleetConfig(transport="simulated", failure_rate=0.05),
             "2b06a83f9cbb2fe4a35bc25196fe008d9c492e6034d8edfc11c002e2bc42abc8"),
+        # The scalar mode's digests were recorded before ``lookup`` became
+        # a one-URL ``check_urls``: one path must reproduce the other.
+        "scalar": (
+            FleetConfig(mode="scalar"),
+            "bb2e666537e3a57a62308666e256d8a0f9cbbcffaa9f820599165b880c4a1a3d"),
+        "scalar-adversary-dummy": (
+            FleetConfig(mode="scalar", adversary=True, privacy_policy="dummy"),
+            "f94175f34dfb946cb5bc128bbce3fd9a58514a40fdfc72e6934b1a7c4b99a99f"),
     }
 
     PARALLEL_GOLDEN = {
