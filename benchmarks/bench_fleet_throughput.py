@@ -1,10 +1,12 @@
-"""Benchmark: fleet traffic throughput, batched pipeline vs. scalar oracle.
+"""Benchmark: fleet traffic throughput, batched pipeline vs. scalar mode.
 
 The measured operation is the batched fleet run at MEDIUM scale (8 clients,
 2,500 URLs each, one shared logical clock).  The scalar run over identical
-streams provides the baseline; the acceptance bar for the batched lookup
-pipeline is a >= 10x URLs/s speedup with mode-independent traffic totals
-(same prefixes revealed, same local hits, same verdicts).
+streams provides the baseline: one ``lookup`` per URL, which is a one-URL
+``check_urls`` and so shares the batched path's memos.  The acceptance bar
+for the batched lookup pipeline is a >= 10x URLs/s speedup with
+mode-independent traffic totals (same prefixes revealed, same local hits,
+same verdicts).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def test_bench_fleet_throughput(benchmark, record_result, record_json):
     })
 
     # Coalescing may change how many requests carry the traffic, never what
-    # the traffic reveals: the totals must match the scalar oracle exactly.
+    # the traffic reveals: the totals must match the scalar mode exactly.
     assert batched_report.traffic_signature() == scalar_report.traffic_signature()
     assert speedup >= MIN_SPEEDUP, (
         f"batched fleet ran at {speedup:.1f}x the scalar path, expected "

@@ -91,7 +91,7 @@ def fleet_adversary() -> None:
     print()
     print("Same streams, same revealed prefixes: coalescing repackages the")
     print("requests, so the batched mode's detected (client, target) pairs")
-    print("are identical to the scalar oracle's.")
+    print("are identical to the scalar mode's.")
 
 
 def main() -> None:

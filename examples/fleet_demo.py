@@ -8,7 +8,7 @@ workloads toward the paper's scale:
    produces a burst of URL checks; the batched path canonicalizes, hashes
    and probes the local stores batch-wide and coalesces all the uncached
    full-hash lookups into one request, while returning exactly the verdicts
-   the scalar ``check_url`` oracle would.
+   one ``lookup`` per URL would.
 2. ``FleetSimulator`` — N clients on one shared logical clock, each with a
    deterministic revisit-heavy URL stream, hammering one in-memory server.
    Its report compares the scalar and batched modes' throughput and checks
@@ -61,7 +61,7 @@ def fleet_demo() -> None:
     table = fleet_table(SMALL, FleetConfig())
     print(table.render())
     print()
-    print("The scalar row is the per-URL oracle; the batched row runs the same")
+    print("The scalar row runs one lookup per URL; the batched row runs the same")
     print("streams through check_urls(). Traffic signatures matching means both")
     print("modes revealed exactly the same prefixes to the provider.")
 

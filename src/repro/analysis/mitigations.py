@@ -4,8 +4,9 @@ The mitigations themselves — dummy queries, one-prefix-at-a-time, prefix
 widening, query mixing — live in the first-class policy layer
 (:mod:`repro.safebrowsing.privacy`), installed directly on
 :class:`~repro.safebrowsing.client.SafeBrowsingClient` with
-``privacy_policy=`` so *both* lookup paths (scalar ``lookup`` and batched
-``check_urls``) are defended.  This module scores them:
+``privacy_policy=``; every full-hash fetch of ``lookup`` and
+``check_urls`` goes through the policy, so both are defended.  This
+module scores them:
 :func:`compare_mitigations` turns two lookup traces (baseline vs.
 mitigated) into a :class:`MitigationComparison` of re-identification
 rates, using the same

@@ -9,10 +9,10 @@ a *shared* :class:`~repro.clock.ManualClock`, feeding each client a
 deterministic, revisit-heavy URL stream drawn from the synthetic corpora.
 
 Two execution modes share identical streams, schedules and verdict
-semantics:
+semantics, and one client lookup path:
 
-* ``"scalar"`` — every URL goes through :meth:`SafeBrowsingClient.check_url`
-  (the reference oracle, one full pipeline pass per URL);
+* ``"scalar"`` — every URL goes through :meth:`SafeBrowsingClient.lookup`,
+  a one-URL batch (one full-hash exchange per hitting URL);
 * ``"batched"`` — URLs are checked in page-load batches through
   :meth:`SafeBrowsingClient.check_urls`, which amortizes canonicalization,
   hashing, store probes and full-hash requests batch-wide.
@@ -170,7 +170,8 @@ class FleetConfig:
     Attributes
     ----------
     mode:
-        ``"scalar"`` (per-URL oracle) or ``"batched"``.
+        ``"scalar"`` (one ``lookup`` per URL) or ``"batched"`` (one
+        ``check_urls`` per page-load batch).
     store_backend:
         Client-side store backend, a key of
         :data:`~repro.datastructures.memory.STORE_FACTORIES` (default
@@ -1076,7 +1077,7 @@ class FleetSimulator:
                 tally.urls_checked += len(client.check_urls(batch))
             else:
                 for url in batch:
-                    client.check_url(url)
+                    client.lookup(url)
                     tally.urls_checked += 1
         except TransportError:
             # An injected network failure loses the rest of this client's
@@ -1223,7 +1224,7 @@ def run_fleet(scale: Scale = SMALL, config: FleetConfig | None = None,
 def fleet_comparison(scale: Scale = SMALL, config: FleetConfig | None = None,
                      *, context: ExperimentContext | None = None
                      ) -> tuple[FleetReport, FleetReport]:
-    """Run the scalar oracle and the batched mode over identical streams."""
+    """Run the scalar and the batched mode over identical streams."""
     base = config if config is not None else FleetConfig()
     scalar = run_fleet(scale, replace(base, mode="scalar"), context=context)
     batched = run_fleet(scale, replace(base, mode="batched"), context=context)

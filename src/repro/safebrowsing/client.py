@@ -19,12 +19,11 @@ The local store backend is pluggable (delta-coded table by default; Bloom
 filter, raw array or packed sorted array otherwise) to support the paper's
 Table 2 comparison and the false-positive experiments.
 
-Two lookup paths share these semantics: :meth:`SafeBrowsingClient.check_url`
-runs the flow above for one URL (the scalar reference), while
-:meth:`SafeBrowsingClient.check_urls` checks a whole page-load batch —
-deduplicating and memoizing the pure derivations, probing the stores with
-one bitmask query per list, and coalescing every uncached full-hash lookup
-into a single request — with verdicts identical to the scalar path.
+One path runs this flow: :meth:`SafeBrowsingClient.check_urls` checks a
+whole page-load batch — deduplicating and memoizing the pure derivations,
+probing the stores with one bitmask query per list, and resolving every
+uncached full-hash lookup in one exchange — and
+:meth:`SafeBrowsingClient.lookup` is its one-URL case.
 
 Everything the client sends crosses a
 :class:`~repro.safebrowsing.transport.Transport`.  Constructing a client
@@ -32,13 +31,15 @@ with a bare server wraps it in the in-process transport (direct dispatch,
 the historical behaviour); passing ``transport=`` swaps in e.g. the
 simulated network, with no other change to the lookup flow.
 
-A client may also carry a **privacy policy**
-(:mod:`repro.safebrowsing.privacy`): every full-hash exchange — the moment
-either lookup path must resolve uncached locally-hitting prefixes — is then
-mediated by the policy, which decides what actually crosses the wire
-(padded with dummies, one prefix at a time, widened, mixed).  Policies may
-reshape traffic but never verdicts; with no policy set both paths keep
-their exact historical behaviour.
+Every full-hash fetch — the moment a lookup must resolve uncached
+locally-hitting prefixes — is a
+:class:`~repro.safebrowsing.privacy.FullHashExchange` mediated by the
+client's **privacy policy** (:mod:`repro.safebrowsing.privacy`), which
+decides what actually crosses the wire (padded with dummies, one prefix at
+a time, widened, mixed).  Policies may reshape traffic but never verdicts;
+a client built without one runs :class:`~repro.safebrowsing.privacy.NoPolicy`,
+the undefended single request.  Each URL's ``sent_prefixes`` is what the
+provider saw on its behalf (see :meth:`FullHashExchange.credit`).
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from repro.safebrowsing.chunks import ChunkKind, ChunkRange
 from repro.safebrowsing.cookie import CookieJar, SafeBrowsingCookie
 from repro.safebrowsing.privacy import (
     FullHashExchange,
+    NoPolicy,
     PrivacyPolicy,
     QueryGroup,
     build_policy,
@@ -83,7 +85,14 @@ from repro.safebrowsing.protocol import (
 from repro.safebrowsing.server import DEFAULT_POLL_INTERVAL, ServerCore
 from repro.safebrowsing.transport import InProcessTransport, Transport
 from repro.urls.canonicalize import canonicalize
-from repro.urls.decompose import API_POLICY, DecompositionPolicy, decompositions
+from repro.urls.decompose import decompositions
+
+#: Upper bound on each per-URL memo of :meth:`SafeBrowsingClient.check_urls`
+#: (derivations and store-membership answers).  Memoizing them cannot change
+#: a verdict — derivations are pure, and membership memos are invalidated on
+#: every applied update — so the bound only caps memory.
+PLAN_CACHE_SIZE = 4096
+
 
 @dataclass(frozen=True, slots=True)
 class ClientConfig:
@@ -103,8 +112,6 @@ class ClientConfig:
         ``"numpy"`` when available, ``"raw"`` otherwise.
     prefix_bits:
         Width of the local prefixes (32 in the deployed service).
-    decomposition_policy:
-        Limits on host/path decompositions (the API defaults).
     full_hash_cache_seconds:
         How long returned full digests are cached.
     auto_update:
@@ -115,22 +122,13 @@ class ClientConfig:
         of each delay.  Zero (the default) keeps the schedule exact for
         tests; fleet simulations use a non-zero fraction so clients sharing
         one clock desynchronize, as the deployed clients do.
-    plan_cache_size:
-        Upper bound on the batched path's per-URL memos (derivations and
-        store-membership answers).  Memoizing them cannot change a verdict
-        — derivations are pure, and membership memos are invalidated on
-        every applied update — so the bound only caps memory.  ``0``
-        disables cross-batch memoization entirely (within one batch, work
-        is still shared: that is the point of the batched path).
     """
 
     store_backend: str = DEFAULT_STORE_BACKEND
     prefix_bits: int = 32
-    decomposition_policy: DecompositionPolicy = API_POLICY
     full_hash_cache_seconds: float = 2700.0
     auto_update: bool = True
     update_jitter_fraction: float = 0.0
-    plan_cache_size: int = 4096
 
     def __post_init__(self) -> None:
         if self.store_backend not in STORE_FACTORIES:
@@ -208,7 +206,9 @@ class SafeBrowsingClient:
             to issue one from (derived deterministically from ``name``).
         privacy_policy:
             A :class:`~repro.safebrowsing.privacy.PrivacyPolicy` instance
-            or registry name; ``None`` keeps the exact undefended path.
+            or registry name; ``None`` means
+            :class:`~repro.safebrowsing.privacy.NoPolicy`, the undefended
+            client.
         """
         # Everything the client sends crosses a Transport.  Passing a bare
         # server (the historical signature) wraps it in the in-process
@@ -232,17 +232,16 @@ class SafeBrowsingClient:
         server = self.server
         self.name = name
         self.config = config if config is not None else ClientConfig()
-        # The privacy-defense hook: every full-hash exchange (scalar and
-        # batched) is mediated by the policy when one is set.  A name is
-        # resolved through the policy registry; ``None`` keeps the exact
-        # undefended fast path.  Policy instances are stateful — one per
-        # client, never shared.
-        if isinstance(privacy_policy, str):
+        # The privacy-defense hook: every full-hash exchange is mediated by
+        # the policy.  A name is resolved through the policy registry.
+        # Policy instances are stateful — one per client, never shared.
+        if privacy_policy is None:
+            privacy_policy = NoPolicy()
+        elif isinstance(privacy_policy, str):
             privacy_policy = build_policy(privacy_policy, seed=f"client:{name}")
-        if privacy_policy is not None:
-            # Fail loudly now rather than run a defense that silently
-            # degrades to a no-op at this client's prefix width.
-            privacy_policy.validate_for(self.config.prefix_bits)
+        # Fail loudly now rather than run a defense that silently degrades
+        # to a no-op at this client's prefix width.
+        privacy_policy.validate_for(self.config.prefix_bits)
         self.privacy_policy = privacy_policy
         if clock is not None:
             self.clock = clock
@@ -280,16 +279,15 @@ class SafeBrowsingClient:
             for list_name in subscribed
         }
         self._full_hash_cache: dict[Prefix, _CachedFullHashes] = {}
-        # Memos of pure URL/expression derivations used by check_urls();
-        # bounded by config.plan_cache_size, never consulted by lookup().
-        # They hold prefixes as raw bytes: Prefix objects are built only for
-        # prefixes the local stores hold.
+        # Memos of pure URL/expression derivations, bounded by
+        # PLAN_CACHE_SIZE.  They hold prefixes as raw bytes: Prefix objects
+        # are built only for prefixes the local stores hold.
         self._plan_cache: dict[str, tuple[str, tuple[str, ...], tuple[bytes, ...]]] = {}
         self._hash_cache: dict[str, tuple[FullHash, bytes]] = {}
-        # Local-store membership memos for the batched path.  A hit keeps its
-        # Prefix, so revisits reuse it.  Membership only changes when an
-        # update applies chunks, so both are dropped whenever update()
-        # applies anything (alongside the full-hash cache).
+        # Local-store membership memos.  A hit keeps its Prefix, so revisits
+        # reuse it.  Membership only changes when an update applies chunks,
+        # so both are dropped whenever update() applies anything (alongside
+        # the full-hash cache).
         self._known_hits: dict[bytes, Prefix] = {}
         self._known_misses: set[bytes] = set()
         # Memoized results for URLs with *no* local hit: such a result is a
@@ -316,7 +314,8 @@ class SafeBrowsingClient:
         self._m_urls_checked = metrics.counter(
             "client_urls_checked_total", "URLs checked by clients")
         self._m_check_batches = metrics.counter(
-            "client_check_batches_total", "Batched check_urls calls")
+            "client_check_batches_total",
+            "check_urls calls, each lookup counted as a one-URL batch")
         self._m_full_hash_requests = metrics.counter(
             "client_full_hash_requests_total",
             "Full-hash requests clients sent")
@@ -393,14 +392,14 @@ class SafeBrowsingClient:
         except Exception:
             # The response may have been partially applied before failing, so
             # the stores are in an unknown state: every store-derived memo
-            # must go or the batched path would serve pre-failure answers.
+            # must go or lookups would serve pre-failure answers.
             self._invalidate_store_memos()
             self.scheduler.record_error(self.clock.now())
             raise
         if applied:
             # Updates invalidate cached full hashes (paper Section 2.2.1:
             # "they are locally stored until an update discards them") and
-            # the batched path's membership memos (the stores just changed).
+            # the membership memos (the stores just changed).
             self._invalidate_store_memos()
         self.scheduler.record_success(self.clock.now(), response.next_poll_seconds)
         return applied
@@ -450,9 +449,6 @@ class SafeBrowsingClient:
         """Serialized size of the local stores (Table 2 metric)."""
         return sum(state.store.memory_bytes() for state in self._lists.values())
 
-    def _local_hit(self, prefix: Prefix) -> bool:
-        return any(prefix in state.store for state in self._lists.values())
-
     # -- persistence (snapshot + warm start) -----------------------------------
 
     def save_snapshot(self, path: str | Path) -> Path:
@@ -485,101 +481,17 @@ class SafeBrowsingClient:
     # -- lookup flow (Figure 3) ----------------------------------------------
 
     def lookup(self, url: str) -> LookupResult:
-        """Check one URL, contacting the server only on a local hit."""
-        if not self._metrics_enabled:
-            return self._lookup_impl(url)
-        start = perf_counter()
-        try:
-            return self._lookup_impl(url)
-        finally:
-            self._m_lookup_wall.observe(perf_counter() - start)
+        """Check one URL, contacting the server only on a local hit.
 
-    def _lookup_impl(self, url: str) -> LookupResult:
-        if self.config.auto_update and self.needs_update():
-            self.update()
-
-        canonical = canonicalize(url)
-        decomps = tuple(
-            decompositions(canonical, policy=self.config.decomposition_policy,
-                           canonical=True)
-        )
-        self.stats.urls_checked += 1
-        self._m_urls_checked.inc()
-
-        digest_by_expression = {expression: FullHash.of(expression) for expression in decomps}
-        prefix_by_expression = {
-            expression: digest.prefix(self.config.prefix_bits)
-            for expression, digest in digest_by_expression.items()
-        }
-
-        local_hits = tuple(
-            dict.fromkeys(
-                prefix
-                for prefix in prefix_by_expression.values()
-                if self._local_hit(prefix)
-            )
-        )
-        if not local_hits:
-            return LookupResult(
-                url=url, canonical_url=canonical, verdict=Verdict.SAFE,
-                decompositions=decomps,
-            )
-        self.stats.local_hits += 1
-
-        cached, missing = self._split_cached(local_hits)
-        sent_prefixes: tuple[Prefix, ...] = ()
-        if missing:
-            if self.privacy_policy is None:
-                response = self._request_full_hashes(missing)
-                self._cache_response(missing, response)
-                sent_prefixes = tuple(missing)
-            else:
-                digest_by_prefix: dict[Prefix, FullHash] = {}
-                for expression, digest in digest_by_expression.items():
-                    digest_by_prefix.setdefault(
-                        prefix_by_expression[expression], digest)
-                sent_prefixes = tuple(self._run_policy_exchange([
-                    QueryGroup(prefixes=local_hits, missing=tuple(missing),
-                               digest_by_prefix=digest_by_prefix)
-                ]).sent)
-        else:
-            self.stats.cache_hits += 1
-
-        matched_lists, matched_expressions = self._match_digests(
-            digest_by_expression, prefix_by_expression, local_hits
-        )
-        verdict = Verdict.MALICIOUS if matched_expressions else Verdict.SAFE
-        if verdict is Verdict.MALICIOUS:
-            self.stats.malicious_verdicts += 1
-
-        return LookupResult(
-            url=url,
-            canonical_url=canonical,
-            verdict=verdict,
-            decompositions=decomps,
-            local_hits=local_hits,
-            sent_prefixes=sent_prefixes,
-            matched_lists=matched_lists,
-            matched_expressions=matched_expressions,
-            served_from_cache=not missing,
-        )
-
-    def check_url(self, url: str) -> LookupResult:
-        """Check one URL — the scalar reference path.
-
-        Alias of :meth:`lookup`, named for symmetry with the batched
-        :meth:`check_urls`; the property tests hold the two paths to
-        identical verdicts.
+        The one-URL case of :meth:`check_urls`: one flow serves both.
         """
-        return self.lookup(url)
-
-    # -- batched lookup flow ---------------------------------------------------
+        return self.check_urls((url,))[0]
 
     def check_urls(self, urls: Sequence[str]) -> list[LookupResult]:
         """Check a batch of URLs, amortizing every stage of the pipeline.
 
-        Produces exactly the verdicts of ``[self.check_url(u) for u in urls]``
-        (at a fixed clock), but does the work batch-wide instead of per URL:
+        Each URL gets the verdict a lone lookup would give it (at a fixed
+        clock), but the work is done batch-wide:
 
         * repeated URLs are canonicalized and decomposed once;
         * every *unique* decomposition across the batch is hashed once
@@ -588,15 +500,17 @@ class SafeBrowsingClient:
           bitmask query per list over one packed :class:`PrefixRun` of the
           unique prefixes, and :class:`Prefix` objects are built only for
           the prefixes the stores hold;
-        * all uncached full-hash lookups are coalesced into a single server
-          request instead of one request per hitting URL.
+        * all uncached full-hash lookups go through one policy-mediated
+          exchange instead of one per hitting URL.
 
-        Attribution mirrors the scalar path: a prefix appears in
-        ``sent_prefixes`` of the first URL (in batch order) that needed it,
-        and later URLs reusing it are ``served_from_cache``.
+        A URL's ``sent_prefixes`` are the wire prefixes credited to it in
+        send order, each wire prefix to exactly one URL (see
+        :meth:`FullHashExchange.credit`).  It is ``served_from_cache`` when
+        every local hit was cached before the call or sent for an earlier
+        URL of the batch.
         """
         if not urls:
-            # An empty scalar loop has no side effects; neither may we.
+            # An empty batch checks nothing; it must not poll either.
             return []
         if not self._metrics_enabled:
             return self._check_urls_impl(urls)
@@ -655,9 +569,12 @@ class SafeBrowsingClient:
 
         # Stage 3: walk the batch in order.  URLs with no local hit memoize a
         # shared SAFE result; hitting URLs split their prefixes into cached /
-        # to-request exactly as the scalar path would have seen them.
-        requested: dict[Prefix, None] = {}
-        hitting: list[tuple[int, str, tuple, tuple[Prefix, ...], tuple[Prefix, ...]]] = []
+        # to-request.  Every URL keeps all its uncached hits: a policy may
+        # withhold a prefix for one URL (the one-prefix early stop) that a
+        # later URL still needs, so the exchange dedups the wire instead.
+        # ``requested`` holds what earlier URLs of the batch already need.
+        requested: set[Prefix] = set()
+        hitting = []
         hit_keys = known_hits.keys()
         for position, url, plan in pending:
             canonical, decomps, prefixes = plan
@@ -671,70 +588,39 @@ class SafeBrowsingClient:
                 continue
             local_hits = tuple(known_hits[raw] for raw in prefixes
                                if raw in known_hits)
-            if self.privacy_policy is None:
-                # Cross-URL dedup: a prefix an earlier URL already put in
-                # the coalesced request is guaranteed to be fetched, so
-                # later URLs need not list it again.
-                candidates = [prefix for prefix in local_hits
-                              if prefix not in requested]
-            else:
-                # A policy may legitimately *withhold* a prefix another URL
-                # listed (the one-prefix early stop), so every URL's group
-                # must carry its own uncached hits; the exchange dedups the
-                # wire traffic instead.  Dropping a shared prefix here once
-                # returned SAFE for a blacklisted URL whose only evidence an
-                # earlier URL's early stop had withheld.
-                candidates = list(local_hits)
-            _, missing = self._split_cached(candidates)
-            for prefix in missing:
-                requested[prefix] = None
-            hitting.append((position, url, plan, local_hits, tuple(missing)))
+            _, missing = self._split_cached(local_hits)
+            first_to_need = any(prefix not in requested for prefix in missing)
+            requested.update(missing)
+            hitting.append((position, url, canonical, decomps, local_hits,
+                            tuple(missing), first_to_need,
+                            self._hit_hashes(decomps, local_hits)))
 
-        # Stage 4: one coalesced full-hash request for the whole batch — or,
-        # with a privacy policy set, one policy-mediated exchange carrying
-        # the per-URL needs (so batched lookups are defended exactly like
-        # scalar ones; the wrappers this layer replaced used to let
-        # check_urls bypass the mitigation entirely).
-        exchange: FullHashExchange | None = None
-        if requested:
-            if self.privacy_policy is None:
-                response = self._request_full_hashes(list(requested))
-                self._cache_response(list(requested), response)
-            else:
-                groups = []
-                for _, _, (_, decomps, _), local_hits, missing in hitting:
-                    if not missing:
-                        continue
-                    digest_by_prefix: dict[Prefix, FullHash] = {}
-                    for _, digest, prefix in self._hit_hashes(decomps,
-                                                              local_hits):
-                        digest_by_prefix.setdefault(prefix, digest)
-                    groups.append(QueryGroup(prefixes=local_hits,
-                                             missing=missing,
-                                             digest_by_prefix=digest_by_prefix))
-                exchange = self._run_policy_exchange(groups)
+        # Stage 4: one policy-mediated exchange carrying the per-URL needs.
+        groups = []
+        for _, _, _, _, local_hits, missing, _, hashes in hitting:
+            if not missing:
+                continue
+            digest_by_prefix: dict[Prefix, FullHash] = {}
+            for _, digest, prefix in hashes:
+                digest_by_prefix.setdefault(prefix, digest)
+            groups.append(QueryGroup(prefixes=local_hits, missing=missing,
+                                     digest_by_prefix=digest_by_prefix))
+        exchange = self._run_policy_exchange(groups) if groups else None
+        credits = iter(exchange.credit() if exchange else ())
 
         # Stage 5: verdicts for the hitting URLs from the (now warm) cache.
-        for position, url, (canonical, decomps, _), local_hits, missing in hitting:
+        for (position, url, canonical, decomps, local_hits, missing,
+             first_to_need, hashes) in hitting:
             self.stats.local_hits += 1
-            if not missing:
+            sent: tuple[Prefix, ...] = ()
+            served = True
+            if missing:
+                sent = next(credits)
+                served = not first_to_need and all(
+                    exchange.attributed_to(prefix) for prefix in missing)
+            if served:
                 self.stats.cache_hits += 1
-            if exchange is None:
-                sent = missing
-            else:
-                # Attribute the traffic the policy *actually* sent for this
-                # URL's prefixes (wire form: padded, widened, or withheld
-                # by an early stop) — never the plan.
-                sent = tuple(dict.fromkeys(
-                    wire for prefix in missing
-                    for wire in exchange.attributed_to(prefix)
-                ))
-            hashes = self._hit_hashes(decomps, local_hits)
-            matched_lists, matched_expressions = self._match_digests(
-                {expression: digest for expression, digest, _ in hashes},
-                {expression: prefix for expression, _, prefix in hashes},
-                local_hits,
-            )
+            matched_lists, matched_expressions = self._match_digests(hashes)
             verdict = Verdict.MALICIOUS if matched_expressions else Verdict.SAFE
             if verdict is Verdict.MALICIOUS:
                 self.stats.malicious_verdicts += 1
@@ -747,24 +633,19 @@ class SafeBrowsingClient:
                 sent_prefixes=sent,
                 matched_lists=matched_lists,
                 matched_expressions=matched_expressions,
-                served_from_cache=not missing,
+                served_from_cache=served,
             )
-        # Trim at batch end so a limit of 0 means "nothing carries over":
-        # within a batch the sharing is the whole point of the batched path.
         self._trim_memos()
         return results
 
     def _build_plan(self, url: str) -> tuple[str, tuple[str, ...], tuple[bytes, ...]]:
-        """Memoize the pure derivations of one URL for the batched path.
+        """Memoize the pure derivations of one URL.
 
         The plan holds the URL's deduplicated prefixes as raw bytes, in
         decomposition order.
         """
         canonical = canonicalize(url)
-        decomps = tuple(
-            decompositions(canonical, policy=self.config.decomposition_policy,
-                           canonical=True)
-        )
+        decomps = tuple(decompositions(canonical, canonical=True))
         hash_cache = self._hash_cache
         nbytes = self.config.prefix_bits // 8
         missing = [expression for expression in decomps
@@ -799,17 +680,16 @@ class SafeBrowsingClient:
         return hashes
 
     def _trim_memos(self) -> None:
-        """Keep the batched-path memos within ``plan_cache_size`` entries.
+        """Keep the per-URL memos within :data:`PLAN_CACHE_SIZE` entries.
 
         Dict memos evict their oldest half (insertion order), so a hot
         working set re-memoizes quickly while a one-off crawl cannot grow
         the caches without bound.  The membership sets carry no useful
         ordering and are simply rebuilt from scratch once oversized (the
-        next batch re-probes the stores).  With a limit of 0 everything is
-        emptied, so nothing survives from one batch to the next.
+        next batch re-probes the stores).
         """
-        limit = self.config.plan_cache_size
-        keep = limit // 2 or limit  # half the bound, but never zero for limit >= 1
+        limit = PLAN_CACHE_SIZE
+        keep = max(1, limit // 2)
         for cache in (self._plan_cache, self._hash_cache, self._safe_result_cache):
             if len(cache) > limit:
                 for key in list(cache)[: len(cache) - keep]:
@@ -823,13 +703,10 @@ class SafeBrowsingClient:
     def _run_policy_exchange(self, groups: Sequence[QueryGroup]) -> FullHashExchange:
         """Let the privacy policy resolve one full-hash exchange.
 
-        Returns the finished exchange: ``exchange.sent`` is everything that
-        actually crossed the wire in send order (cover traffic included, the
-        scalar ``sent_prefixes``), and ``exchange.attributed_to`` maps each
-        needed prefix to its wire form for per-URL attribution on the
-        batched path.  Wire requests beyond the single coalesced request an
-        undefended client would have made are accounted as extra
-        round-trips.
+        Returns the finished exchange, whose :meth:`~FullHashExchange.credit`
+        splits what crossed the wire among the groups.  Wire requests beyond
+        the single coalesced request an undefended client would have made
+        are accounted as extra round-trips.
         """
         exchange = FullHashExchange(self, groups)
         self.privacy_policy.execute(exchange)
@@ -880,18 +757,6 @@ class SafeBrowsingClient:
         self._m_full_hash_batch_size.observe(len(prefixes))
         return self.transport.send_full_hash(request)
 
-    def send_raw_prefixes(self, prefixes: Sequence[Prefix]) -> FullHashResponse:
-        """Send an explicit full-hash request outside a URL lookup.
-
-        Historically the hook the offline mitigation wrappers used; the
-        integrated policy layer goes through
-        :class:`~repro.safebrowsing.privacy.FullHashExchange` instead.  Kept
-        for experiments that probe the provider directly.
-        """
-        response = self._request_full_hashes(prefixes)
-        self._cache_response(prefixes, response)
-        return response
-
     def _cache_response(self, queried: Sequence[Prefix], response: FullHashResponse) -> None:
         expires_at = self.clock.now() + self.config.full_hash_cache_seconds
         for prefix in queried:
@@ -901,23 +766,21 @@ class SafeBrowsingClient:
                 expires_at=expires_at,
             )
 
-    def _match_digests(self, digest_by_expression: dict[str, FullHash],
-                       prefix_by_expression: dict[str, Prefix],
-                       local_hits: tuple[Prefix, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """Compare cached full digests with the URL's own digests."""
+    def _match_digests(self, hashes: Sequence[tuple[str, FullHash, Prefix]]
+                       ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Compare cached full digests with the URL's own digests.
+
+        ``hashes`` are the URL's ``(expression, digest, prefix)`` triples
+        for its local hits, as :meth:`_hit_hashes` returns them.
+        """
         matched_lists: list[str] = []
         matched_expressions: list[str] = []
-        hit_set = set(local_hits)
-        for expression, digest in digest_by_expression.items():
-            prefix = prefix_by_expression[expression]
-            if prefix not in hit_set:
-                continue
+        for expression, digest, prefix in hashes:
             entry = self._full_hash_cache.get(prefix)
-            if entry is None:
-                continue
-            if digest in entry.full_hashes:
+            if entry is not None and digest in entry.full_hashes:
                 matched_expressions.append(expression)
                 for list_name in entry.lists_for(digest):
                     if list_name not in matched_lists:
                         matched_lists.append(list_name)
         return tuple(matched_lists), tuple(matched_expressions)
+

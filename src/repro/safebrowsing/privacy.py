@@ -14,8 +14,9 @@ resolve locally-hitting prefixes the full-hash cache cannot answer.  The
 client hands the policy a :class:`FullHashExchange` describing what each URL
 needs; the policy decides what actually crosses the wire — padded, split,
 widened, delayed, or mixed — and the exchange routes every wire request
-through the client's normal transport and response cache, so both lookup
-paths (scalar *and* batched) are covered by construction.
+through the client's normal transport and response cache.  It is the
+client's only full-hash path, so every lookup is covered by construction,
+and an undefended client runs :class:`NoPolicy` through it.
 
 The contract every policy must honour: **a policy may change what traffic
 the server sees, never the client's verdicts.**  Concretely, after
@@ -25,14 +26,16 @@ able to answer every needed prefix — either because the policy fetched it
 already-fetched prefix confirmed the URL malicious, making the remaining
 fetches unnecessary (the one-prefix-at-a-time early stop).  The property
 suite pins verdict equivalence for every registered policy, on every store
-backend, over both transports.
+backend, over both transports.  The exchange then credits each wire prefix
+to one URL (:meth:`FullHashExchange.credit`), so the per-URL
+``sent_prefixes`` of a batch add up to exactly what the provider logged.
 
 Registered policies (:data:`POLICY_FACTORIES`, mirroring the store
 registry :data:`~repro.datastructures.memory.STORE_FACTORIES`):
 
 ``"none"``
     The undefended baseline: one coalesced request with exactly the needed
-    prefixes — byte-for-byte the traffic of a client with no policy.
+    prefixes.  A client built with no policy runs this one.
 ``"dummy"``
     :class:`DummyQueryPolicy` — every real prefix is padded with ``k``
     deterministic dummies (Firefox's design: deterministic, so repeated
@@ -127,22 +130,18 @@ class FullHashExchange:
 
         ``client`` supplies the transport, caches and stats the levers
         route through; ``groups`` carries one :class:`QueryGroup` per URL
-        that needs resolving.
+        that needs resolving, in batch order.
         """
         self._client = client
         self.groups = tuple(groups)
-        #: Every prefix that crossed the wire, in send order (what the
-        #: scalar lookup reports as ``sent_prefixes``).
-        self.sent: list[Prefix] = []
-        #: Wire requests made so far; anything beyond one is an extra
-        #: round-trip the client's stats account for.
-        self.requests_made = 0
+        # The prefixes of each wire request, in send order.
+        self._requests: list[tuple[Prefix, ...]] = []
         self._needed = tuple(dict.fromkeys(
             prefix for group in self.groups for prefix in group.missing
         ))
         self._needed_set = frozenset(self._needed)
-        # Real prefix -> the wire prefixes sent on its behalf, so batched
-        # results can attribute actual traffic per URL.  send() fills the
+        # Real prefix -> the wire prefixes sent on its behalf, so credit()
+        # can attribute actual traffic per URL.  send() fills the
         # identity default; policies that reshape the wire form (widening,
         # dummy padding) record their own mapping.
         self._attribution: dict[Prefix, tuple[Prefix, ...]] = {}
@@ -153,6 +152,18 @@ class FullHashExchange:
     def needed(self) -> tuple[Prefix, ...]:
         """Uncached prefixes across all groups, deduplicated in order."""
         return self._needed
+
+    @property
+    def requests_made(self) -> int:
+        """Wire requests made so far; anything beyond one is an extra
+        round-trip the client's stats account for."""
+        return len(self._requests)
+
+    @property
+    def sent(self) -> tuple[Prefix, ...]:
+        """Every prefix that crossed the wire, in send order, cover traffic
+        included (a one-URL lookup's ``sent_prefixes``)."""
+        return tuple(prefix for request in self._requests for prefix in request)
 
     @property
     def client_name(self) -> str:
@@ -193,8 +204,7 @@ class FullHashExchange:
         cacheable = [prefix for prefix in batch if prefix in self._needed_set]
         if cacheable:
             self._client._cache_response(cacheable, response)
-        self.sent.extend(batch)
-        self.requests_made += 1
+        self._requests.append(batch)
         for prefix in batch:
             # Default attribution: a needed prefix sent as itself.  Policies
             # that already recorded a mapping (dummy padding, widening) win.
@@ -220,10 +230,38 @@ class FullHashExchange:
         """The wire prefixes actually sent on behalf of one needed prefix.
 
         Empty for a prefix the policy never sent in any form (the
-        one-prefix early stop) — which is exactly what a per-URL
-        ``sent_prefixes`` should show for it.
+        one-prefix early stop), so a URL needing it is not served from
+        cache.
         """
         return self._attribution.get(prefix, ())
+
+    def credit(self) -> list[tuple[Prefix, ...]]:
+        """Split what crossed the wire among the groups: what the provider saw.
+
+        Returns one tuple per group, in group order, each holding the wire
+        prefixes credited to that group in send order.  A wire prefix sent
+        on behalf of needed prefixes (itself, a dummy block, a widened
+        form) is credited to the first group that needed any of them; cover
+        traffic no needed prefix accounts for (``mix`` replays) goes to the
+        first group its request served.  Every prefix of every request is
+        credited exactly once, so the tuples together are :attr:`sent`.
+        """
+        first_group: dict[Prefix, int] = {}
+        for index, group in enumerate(self.groups):
+            for prefix in group.missing:
+                first_group.setdefault(prefix, index)
+        owner: dict[Prefix, int] = {}
+        for prefix, wire_prefixes in self._attribution.items():
+            index = first_group[prefix]
+            for wire in wire_prefixes:
+                owner[wire] = min(owner.get(wire, index), index)
+        credited: list[list[Prefix]] = [[] for _ in self.groups]
+        for request in self._requests:
+            carrier = min((owner[wire] for wire in request if wire in owner),
+                          default=0)
+            for wire in request:
+                credited[owner.get(wire, carrier)].append(wire)
+        return [tuple(wires) for wires in credited]
 
     def store(self, prefix: Prefix,
               entries: Iterable[tuple[str, FullHash]]) -> None:
@@ -281,9 +319,8 @@ class PrivacyPolicy(ABC):
 class NoPolicy(PrivacyPolicy):
     """The undefended baseline: one coalesced request, nothing extra.
 
-    Registered so harnesses can sweep "every policy" with the baseline
-    included; a client constructed without any policy takes the same path
-    without the exchange indirection.
+    What a client constructed without a policy runs; registered too, so
+    harnesses can sweep "every policy" with the baseline included.
     """
 
     name = "none"

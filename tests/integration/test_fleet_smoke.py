@@ -5,9 +5,9 @@ Runs the full scalar-vs-batched comparison at SMALL scale and checks that
 * the whole thing finishes under a generous wall-clock bound (a perf
   regression that makes the simulator orders of magnitude slower fails
   loudly instead of silently eating benchmark time), and
-* the batched mode's server-side traffic matches the scalar oracle:
-  identical prefixes revealed, identical update polls, and at most as many
-  full-hash requests (coalescing can only merge them).
+* the batched mode's server-side traffic matches the scalar mode's (one
+  ``lookup`` per URL): identical prefixes revealed, identical update polls,
+  and at most as many full-hash requests (coalescing can only merge them).
 
 Run explicitly with ``pytest -m slow``.
 """

@@ -1,10 +1,19 @@
-"""Property tests: the batched lookup path equals the scalar oracle.
+"""Property tests: the batched lookup path equals the scalar reference.
 
-Two invariants lock the batched pipeline to the per-URL reference:
+``SafeBrowsingClient.lookup`` is the one-URL case of ``check_urls``; the
+scalar Figure-3 flow it replaced survives only here, as
+:func:`reference_lookup`, the independent oracle the batched path is held
+to.  The invariants:
 
 * for any URL batch and any store backend, ``check_urls`` returns exactly
-  the results of ``check_url`` run URL by URL (verdicts *and* the revealed
+  the results of the reference run URL by URL (verdicts *and* the revealed
   prefixes, cache attribution, matched lists/expressions);
+* under every privacy policy, a one-URL ``check_urls`` equals the
+  reference field for field, ``sent_prefixes`` in send order included;
+* for any batch and every policy, the ``sent_prefixes`` of the results
+  account for every prefix the provider logged, each exactly once;
+* a client built with no policy and one built with ``"none"`` are the
+  same client: same results, same stats, same server log;
 * for any store content and probe list, ``contains_many`` equals the
   bitmask of per-prefix ``in`` checks.
 
@@ -13,21 +22,31 @@ blacklist, with each other, and with their own earlier entries — the regime
 where the batched path's memoization and coalescing could plausibly diverge.
 It spells some hosts and paths with percent escapes and numeric IP forms, so
 the canonicalizer's slow branches feed the batched plans too.  The
-equivalence is also pinned under every privacy policy and at 64-bit
-prefixes.
+equivalence is also pinned at 64-bit prefixes.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from collections import Counter
+
+from hypothesis import example, given, settings, strategies as st
 
 from repro.clock import ManualClock
 from repro.datastructures import STORE_FACTORIES
+from repro.hashing.digests import FullHash
 from repro.hashing.prefix import Prefix
 from repro.safebrowsing.client import ClientConfig, SafeBrowsingClient
 from repro.safebrowsing.lists import GOOGLE_LISTS
-from repro.safebrowsing.privacy import POLICY_FACTORIES, build_policy
+from repro.safebrowsing.privacy import (
+    POLICY_FACTORIES,
+    FullHashExchange,
+    QueryGroup,
+    build_policy,
+)
+from repro.safebrowsing.protocol import LookupResult, Verdict
 from repro.safebrowsing.server import SafeBrowsingServer
+from repro.urls.canonicalize import canonicalize
+from repro.urls.decompose import decompositions
 
 BACKENDS = sorted(STORE_FACTORIES)
 POLICIES = sorted(POLICY_FACTORIES)
@@ -39,6 +58,11 @@ BLACKLISTED = (
     "deep.phishy.example.net/a/b/c.html",
     "192.168.0.1/admin/",
 )
+
+#: A prefix the phishing list holds with no full digest behind it (paper
+#: Section 7.2).  ``phishy.example.net/login.html`` then hits twice with an
+#: unconfirmable root, so ``one-prefix`` sends two prefixes, root first.
+ORPHAN_EXPRESSION = "phishy.example.net/"
 
 _hosts = st.sampled_from([
     "evil.example.com",
@@ -87,6 +111,8 @@ def _build_server(prefix_bits: int = 32) -> SafeBrowsingServer:
                                 prefix_bits=prefix_bits)
     server.blacklist("goog-malware-shavar", BLACKLISTED[:2])
     server.blacklist("googpub-phish-shavar", BLACKLISTED[2:])
+    server.insert_orphan_prefixes("googpub-phish-shavar", [
+        FullHash.of(ORPHAN_EXPRESSION).prefix(prefix_bits)])
     return server
 
 
@@ -104,7 +130,77 @@ def _result_fields(result):
     )
 
 
-class TestCheckUrlsEqualsCheckUrl:
+def reference_lookup(client: SafeBrowsingClient, url: str) -> LookupResult:
+    """The scalar Figure-3 flow, one URL at a time, with no memos.
+
+    A transcription of the client's former per-URL path: canonicalize,
+    decompose, hash every expression, probe each list store prefix by
+    prefix, and hand the uncached hits to the client's privacy policy in
+    one exchange.  ``sent_prefixes`` is everything that exchange put on
+    the wire, in send order.  It shares only the client's state (stores,
+    full-hash cache, policy, stats) and wire plumbing.
+    """
+    if client.config.auto_update and client.needs_update():
+        client.update()
+    canonical = canonicalize(url)
+    decomps = tuple(decompositions(canonical, canonical=True))
+    client.stats.urls_checked += 1
+
+    digest_by_expression = {expression: FullHash.of(expression)
+                            for expression in decomps}
+    prefix_by_expression = {
+        expression: digest.prefix(client.config.prefix_bits)
+        for expression, digest in digest_by_expression.items()
+    }
+    local_hits = tuple(dict.fromkeys(
+        prefix for prefix in prefix_by_expression.values()
+        if any(prefix in state.store for state in client._lists.values())
+    ))
+    if not local_hits:
+        return LookupResult(url=url, canonical_url=canonical,
+                            verdict=Verdict.SAFE, decompositions=decomps)
+    client.stats.local_hits += 1
+
+    _, missing = client._split_cached(local_hits)
+    sent_prefixes: tuple[Prefix, ...] = ()
+    if missing:
+        digest_by_prefix: dict[Prefix, FullHash] = {}
+        for expression, digest in digest_by_expression.items():
+            digest_by_prefix.setdefault(prefix_by_expression[expression], digest)
+        exchange = FullHashExchange(client, [QueryGroup(
+            prefixes=local_hits, missing=tuple(missing),
+            digest_by_prefix=digest_by_prefix)])
+        client.privacy_policy.execute(exchange)
+        client.stats.extra_round_trips += max(0, exchange.requests_made - 1)
+        sent_prefixes = tuple(exchange.sent)
+    else:
+        client.stats.cache_hits += 1
+
+    matched_lists: list[str] = []
+    matched_expressions: list[str] = []
+    for expression, digest in digest_by_expression.items():
+        prefix = prefix_by_expression[expression]
+        entry = client._full_hash_cache.get(prefix)
+        if prefix not in local_hits or entry is None:
+            continue
+        if digest in entry.full_hashes:
+            matched_expressions.append(expression)
+            for list_name in entry.lists_for(digest):
+                if list_name not in matched_lists:
+                    matched_lists.append(list_name)
+    verdict = Verdict.MALICIOUS if matched_expressions else Verdict.SAFE
+    if verdict is Verdict.MALICIOUS:
+        client.stats.malicious_verdicts += 1
+    return LookupResult(
+        url=url, canonical_url=canonical, verdict=verdict,
+        decompositions=decomps, local_hits=local_hits,
+        sent_prefixes=sent_prefixes, matched_lists=tuple(matched_lists),
+        matched_expressions=tuple(matched_expressions),
+        served_from_cache=not missing,
+    )
+
+
+class TestCheckUrlsEqualsScalarReference:
     @given(urls=st.lists(_urls, max_size=30), backend=st.sampled_from(BACKENDS))
     @settings(max_examples=60, deadline=None)
     def test_batch_equals_scalar(self, urls: list[str], backend: str):
@@ -112,7 +208,7 @@ class TestCheckUrlsEqualsCheckUrl:
         config = ClientConfig(store_backend=backend)
         scalar = SafeBrowsingClient(server, name="scalar", config=config)
         batched = SafeBrowsingClient(server, name="batched", config=config)
-        scalar_results = [scalar.check_url(url) for url in urls]
+        scalar_results = [reference_lookup(scalar, url) for url in urls]
         batched_results = batched.check_urls(urls)
         assert len(batched_results) == len(scalar_results)
         for expected, actual in zip(scalar_results, batched_results):
@@ -129,7 +225,7 @@ class TestCheckUrlsEqualsCheckUrl:
         config = ClientConfig(store_backend=backend)
         scalar = SafeBrowsingClient(server, name="scalar", config=config)
         batched = SafeBrowsingClient(server, name="batched", config=config)
-        expected = [scalar.check_url(url) for url in first + second]
+        expected = [reference_lookup(scalar, url) for url in first + second]
         actual = batched.check_urls(first) + batched.check_urls(second)
         for want, got in zip(expected, actual):
             assert _result_fields(got) == _result_fields(want)
@@ -144,7 +240,7 @@ class TestCheckUrlsEqualsCheckUrl:
         scalar = SafeBrowsingClient(scalar_server, name="scalar")
         batched = SafeBrowsingClient(batched_server, name="batched")
         for url in urls:
-            scalar.check_url(url)
+            reference_lookup(scalar, url)
         batched.check_urls(urls)
         scalar_sent = sorted(
             prefix for entry in scalar_server.request_log for prefix in entry.prefixes
@@ -163,23 +259,28 @@ def _sent(server: SafeBrowsingServer) -> list:
 class TestCheckUrlsEqualsLookupUnderPolicies:
     """The same equivalence with a privacy policy set, and at 64 bits.
 
-    Scalar and batched clients get policies built from one seed, so any
-    randomness a policy draws (dummy prefixes, mix replays) is the same on
-    both sides.  The batched client checks one URL per ``check_urls`` call
-    here: a coalesced batch may legitimately send a policy different cover
+    Reference and batched clients get policies built from one seed and
+    share one name, so any randomness a policy draws (dummy prefixes, mix
+    shuffles and replays) is the same on both sides.  The batched client
+    checks one URL per ``check_urls`` call here, which is what ``lookup``
+    does: a coalesced batch may legitimately send a policy different cover
     traffic (one exchange instead of one per URL), which the
-    verdict-level suite ``test_prop_privacy_policies`` covers.
+    verdict-level suite ``test_prop_privacy_policies`` and the conservation
+    property below cover.
 
-    A URL's ``sent_prefixes`` are compared as a set: the scalar path lists
-    them in send order (``one-prefix`` sends root first), the batched path
-    in decomposition order.  Under ``mix`` they are not compared: mix
-    replays earlier prefixes as cover, and the batched path attributes only
-    the wire forms of the URL's own prefixes.  The server sees the same
-    traffic either way.
+    Every field must match, ``sent_prefixes`` included and in order: a
+    one-URL batch credits its URL with every prefix the exchange sent, in
+    send order (root first under ``one-prefix``, replayed cover prefixes
+    under ``mix``), which is what the reference reports.  The provider's
+    log must match request for request.
     """
 
     @given(urls=st.lists(_urls, max_size=14), backend=st.sampled_from(BACKENDS),
            policy=st.sampled_from(POLICIES))
+    @example(urls=["http://evil.example.com/", "http://phishy.example.net/login.html"],
+             backend="raw", policy="mix")
+    @example(urls=["http://phishy.example.net/login.html"], backend="raw",
+             policy="one-prefix")
     @settings(max_examples=60, deadline=None)
     def test_batch_of_one_equals_lookup_under_policy(self, urls: list[str],
                                                      backend: str, policy: str):
@@ -190,14 +291,12 @@ class TestCheckUrlsEqualsLookupUnderPolicies:
                                     privacy_policy=build_policy(policy, seed="p"))
         batched = SafeBrowsingClient(batched_server, name="client", config=config,
                                      privacy_policy=build_policy(policy, seed="p"))
-        expected = [scalar.lookup(url) for url in urls]
-        actual = [result for url in urls for result in batched.check_urls([url])]
-        for want, got in zip(expected, actual):
-            want_fields, got_fields = _result_fields(want), _result_fields(got)
-            assert got_fields[:5] + got_fields[6:] == want_fields[:5] + want_fields[6:]
-            if policy != "mix":
-                assert set(got.sent_prefixes) == set(want.sent_prefixes)
-        assert _sent(batched_server) == _sent(scalar_server)
+        expected = [reference_lookup(scalar, url) for url in urls]
+        actual = [batched.check_urls([url])[0] for url in urls]
+        assert [_result_fields(result) for result in actual] == \
+            [_result_fields(result) for result in expected]
+        assert batched.stats == scalar.stats
+        assert batched_server.request_log == scalar_server.request_log
 
     @given(first=st.lists(_urls, max_size=15), second=st.lists(_urls, max_size=15),
            backend=st.sampled_from(BACKENDS))
@@ -209,13 +308,56 @@ class TestCheckUrlsEqualsLookupUnderPolicies:
         config = ClientConfig(store_backend=backend, prefix_bits=64)
         scalar = SafeBrowsingClient(scalar_server, name="scalar", config=config)
         batched = SafeBrowsingClient(batched_server, name="batched", config=config)
-        expected = [scalar.lookup(url) for url in first + second]
+        expected = [reference_lookup(scalar, url) for url in first + second]
         actual = batched.check_urls(first) + batched.check_urls(second)
         assert [_result_fields(result) for result in actual] == \
             [_result_fields(result) for result in expected]
         assert all(prefix.bits == 64 for result in actual
                    for prefix in result.local_hits + result.sent_prefixes)
         assert _sent(batched_server) == _sent(scalar_server)
+
+
+class TestAttributionFollowsTheWire:
+    """Per-URL ``sent_prefixes`` are what the provider saw, nothing more."""
+
+    @given(first=st.lists(_urls, max_size=15), second=st.lists(_urls, max_size=15),
+           backend=st.sampled_from(BACKENDS), policy=st.sampled_from(POLICIES))
+    @settings(max_examples=60, deadline=None)
+    def test_sent_prefixes_conserve_the_logged_prefixes(
+            self, first: list[str], second: list[str], backend: str,
+            policy: str):
+        # Each wire prefix is credited to exactly one URL, cover traffic
+        # included, so a call's credits are the prefixes its requests
+        # carried — over a cold and a warm full-hash cache.
+        server = _build_server()
+        client = SafeBrowsingClient(server, name="client",
+                                    config=ClientConfig(store_backend=backend),
+                                    privacy_policy=build_policy(policy, seed="p"))
+        for urls in (first, second):
+            logged = len(server.request_log)
+            results = client.check_urls(urls)
+            credited = Counter(prefix for result in results
+                               for prefix in result.sent_prefixes)
+            carried = Counter(prefix for entry in server.request_log[logged:]
+                              for prefix in entry.prefixes)
+            assert credited == carried
+
+    @given(first=st.lists(_urls, max_size=15), second=st.lists(_urls, max_size=15),
+           backend=st.sampled_from(BACKENDS))
+    @settings(max_examples=40, deadline=None)
+    def test_no_policy_is_the_none_policy(self, first: list[str],
+                                          second: list[str], backend: str):
+        bare_server = _build_server()
+        none_server = _build_server()
+        config = ClientConfig(store_backend=backend)
+        bare = SafeBrowsingClient(bare_server, name="client", config=config)
+        none = SafeBrowsingClient(none_server, name="client", config=config,
+                                  privacy_policy="none")
+        for urls in (first, second):
+            assert [_result_fields(result) for result in bare.check_urls(urls)] == \
+                [_result_fields(result) for result in none.check_urls(urls)]
+        assert bare.stats == none.stats
+        assert bare_server.request_log == none_server.request_log
 
 
 class TestContainsManyEqualsContains:

@@ -120,7 +120,7 @@ def _client(provider: str, backend: str, transport: str, policy: str | None,
 
 
 def _verdicts_scalar(client: SafeBrowsingClient, urls: list[str]) -> list:
-    return [client.check_url(url).verdict for url in urls]
+    return [client.lookup(url).verdict for url in urls]
 
 
 def _verdicts_batched(client: SafeBrowsingClient, urls: list[str]) -> list:

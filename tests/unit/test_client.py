@@ -9,6 +9,7 @@ from repro.exceptions import UpdateError
 from repro.hashing import prefix as prefix_module
 from repro.hashing.digests import url_prefix
 from repro.hashing.prefix import Prefix
+from repro.safebrowsing import client as client_module
 from repro.safebrowsing.client import ClientConfig, SafeBrowsingClient
 from repro.safebrowsing.lists import GOOGLE_LISTS
 from repro.safebrowsing.protocol import Verdict
@@ -200,37 +201,28 @@ class TestBatchedLookupMemos:
         assert results[0].verdict is Verdict.MALICIOUS
         assert results[1].verdict is Verdict.SAFE
 
-    def test_plan_cache_size_zero_disables_cross_batch_memos(self, google_server, clock):
-        config = ClientConfig(plan_cache_size=0)
-        client = SafeBrowsingClient(google_server, clock=clock, config=config)
-        client.update()
-        client.check_urls([MALWARE_URL, SAFE_URL, SAFE_URL])
-        assert client._plan_cache == {}
-        assert client._hash_cache == {}
-        assert client._safe_result_cache == {}
-        assert not client._known_hits
-        assert not client._known_misses
-
     def test_empty_batch_has_no_side_effects(self, google_server, clock):
         client = SafeBrowsingClient(google_server, clock=clock)
         assert client.check_urls([]) == []
         assert google_server.stats.update_requests == 0
 
-    def test_small_positive_cache_limit_still_memoizes(self, google_server, clock):
-        config = ClientConfig(plan_cache_size=1)
-        client = SafeBrowsingClient(google_server, clock=clock, config=config)
+    def test_small_positive_cache_limit_still_memoizes(self, google_server, clock,
+                                                       monkeypatch):
+        monkeypatch.setattr(client_module, "PLAN_CACHE_SIZE", 1)
+        client = SafeBrowsingClient(google_server, clock=clock)
         client.update()
         client.check_urls([SAFE_URL, MALWARE_URL])
         # The newest entry survives the trim instead of everything vanishing.
         assert len(client._plan_cache) == 1
 
-    def test_membership_memos_bounded_by_plan_cache_size(self, google_server, clock):
-        config = ClientConfig(plan_cache_size=4)
-        client = SafeBrowsingClient(google_server, clock=clock, config=config)
+    def test_membership_memos_bounded_by_plan_cache_size(self, google_server, clock,
+                                                         monkeypatch):
+        limit = 4
+        monkeypatch.setattr(client_module, "PLAN_CACHE_SIZE", limit)
+        client = SafeBrowsingClient(google_server, clock=clock)
         client.update()
         urls = [f"http://site-{index}.example.org/page.html" for index in range(20)]
         client.check_urls(urls)
-        limit = config.plan_cache_size
         assert len(client._plan_cache) <= limit
         assert len(client._hash_cache) <= limit
         assert len(client._known_hits) <= limit
@@ -283,10 +275,3 @@ class TestBatchedLookupMemos:
         assert built == []
         assert len(updated_client._known_misses) > len(urls)
 
-
-class TestRawPrefixInterface:
-    def test_send_raw_prefixes_logs_request(self, updated_client, google_server):
-        prefix = url_prefix("evil.example.com/")
-        response = updated_client.send_raw_prefixes([prefix])
-        assert len(response.matches_for(prefix)) == 1
-        assert google_server.stats.full_hash_requests == 1

@@ -353,7 +353,30 @@ class TestBatchedSentAttribution:
         batched = make_client(server, clock, "widen", "batched")
         scalar_result = scalar.lookup(TARGET)
         batched_result = batched.check_urls([TARGET])[0]
-        assert set(batched_result.sent_prefixes) == set(scalar_result.sent_prefixes)
+        assert batched_result.sent_prefixes == scalar_result.sent_prefixes
+
+    def test_shared_prefix_is_credited_to_the_first_url_only(self, world):
+        # Both URLs hit the domain root; its dummy block crossed the wire
+        # once, so only the first URL may claim it.
+        clock, server = world
+        client = make_client(server, clock, "dummy")
+        first, second = client.check_urls([TARGET, "http://other.example.com/"])
+        wire = server.request_log[-1].prefixes
+        assert first.sent_prefixes == wire and len(wire) == 10
+        assert second.sent_prefixes == ()
+        assert second.served_from_cache and not first.served_from_cache
+
+    def test_mix_replays_go_to_the_first_url_of_their_request(self):
+        clock = ManualClock()
+        server = SafeBrowsingServer(GOOGLE_LISTS, clock=clock)
+        server.blacklist("goog-malware-shavar", [*SITE, "evil.example.net/"])
+        client = make_client(server, clock, "mix")
+        client.lookup(TARGET)  # seeds the replay pool with TARGET's prefixes
+        cached, fresh = client.check_urls([TARGET, "http://evil.example.net/"])
+        wire = server.request_log[-1].prefixes
+        assert {ROOT_PREFIX, DEEP_PREFIX} < set(wire)
+        assert cached.sent_prefixes == () and cached.served_from_cache
+        assert fresh.sent_prefixes == wire
 
 
 class TestVariableWidthFullHashQueries:
