@@ -13,6 +13,9 @@ a hit.  This package provides:
   the form update chunks take on the wire, in SQLite and in snapshots.
 * :func:`url_prefix` -- the one-call helper used throughout the library:
   canonical expression in, 32-bit (or custom-width) prefix out.
+* :func:`digests_of` / :func:`prefixes_of` -- the batched forms:
+  ``digests_of`` returns raw 32-byte SHA-256 digests (``bytes``, not
+  :class:`FullHash`), ``prefixes_of`` returns :class:`Prefix` values.
 * :class:`PrefixSet` -- a small set algebra over prefixes used by the
   analysis layer (intersections between blacklists, orphan detection, ...).
 """

@@ -93,19 +93,21 @@ def truncate_digest(digest: bytes, bits: int = DEFAULT_PREFIX_BITS) -> Prefix:
     return Prefix.from_digest(digest, bits)
 
 
-def digests_of(expressions: Iterable[str | bytes]) -> list[FullHash]:
-    """Hash a whole batch of canonical expressions.
+def digests_of(expressions: Iterable[str | bytes]) -> list[bytes]:
+    """Hash a whole batch of canonical expressions to raw SHA-256 digests.
 
-    Semantically ``[full_digest(e) for e in expressions]``, but in one tight
-    loop with the hash constructor bound locally — the shape the batched
-    client lookup path (:meth:`SafeBrowsingClient.check_urls`) feeds with the
-    deduplicated decompositions of a page-load batch.
+    Semantically ``[sha256_digest(e) for e in expressions]``, but in one
+    tight loop with the hash constructor bound locally — the shape the
+    batched client lookup path (:meth:`SafeBrowsingClient.check_urls`) feeds
+    with the decompositions of a page-load batch.  It returns plain 32-byte
+    ``bytes``: the client slices prefixes from them and wraps a digest in a
+    :class:`FullHash` only for an expression whose prefix is a local hit.
     """
     sha256 = hashlib.sha256
     return [
-        FullHash(sha256(
+        sha256(
             expression.encode("utf-8") if isinstance(expression, str) else expression
-        ).digest())
+        ).digest()
         for expression in expressions
     ]
 

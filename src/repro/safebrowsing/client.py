@@ -54,7 +54,7 @@ from repro.clock import Clock, ManualClock
 from repro.datastructures.memory import DEFAULT_STORE_BACKEND, STORE_FACTORIES
 from repro.datastructures.store import PrefixStore
 from repro.exceptions import UpdateError
-from repro.hashing.digests import FullHash, digests_of
+from repro.hashing.digests import FullHash, _valid_full_hash, digests_of
 from repro.hashing.prefix import Prefix, PrefixRun
 from repro.observability.metrics import (
     LATENCY_BOUNDS,
@@ -280,10 +280,11 @@ class SafeBrowsingClient:
         }
         self._full_hash_cache: dict[Prefix, _CachedFullHashes] = {}
         # Memos of pure URL/expression derivations, bounded by
-        # PLAN_CACHE_SIZE.  They hold prefixes as raw bytes: Prefix objects
-        # are built only for prefixes the local stores hold.
+        # PLAN_CACHE_SIZE.  They hold digests and prefixes as raw bytes:
+        # Prefix objects are built only for prefixes the local stores hold,
+        # and FullHash objects only for the expressions behind those hits.
         self._plan_cache: dict[str, tuple[str, tuple[str, ...], tuple[bytes, ...]]] = {}
-        self._hash_cache: dict[str, tuple[FullHash, bytes]] = {}
+        self._hash_cache: dict[str, bytes] = {}
         # Local-store membership memos.  A hit keeps its Prefix, so revisits
         # reuse it.  Membership only changes when an update applies chunks,
         # so both are dropped whenever update() applies anything (alongside
@@ -642,7 +643,7 @@ class SafeBrowsingClient:
         """Memoize the pure derivations of one URL.
 
         The plan holds the URL's deduplicated prefixes as raw bytes, in
-        decomposition order.
+        decomposition order, sliced from the memoized 32-byte digests.
         """
         canonical = canonicalize(url)
         decomps = tuple(decompositions(canonical, canonical=True))
@@ -650,10 +651,9 @@ class SafeBrowsingClient:
         nbytes = self.config.prefix_bits // 8
         missing = [expression for expression in decomps
                    if expression not in hash_cache]
-        for expression, digest in zip(missing, digests_of(missing)):
-            hash_cache[expression] = (digest, digest.digest[:nbytes])
+        hash_cache.update(zip(missing, digests_of(missing)))
         prefixes = tuple(dict.fromkeys(
-            hash_cache[expression][1] for expression in decomps
+            [hash_cache[expression][:nbytes] for expression in decomps]
         ))
         plan = (canonical, decomps, prefixes)
         self._plan_cache[url] = plan
@@ -663,20 +663,22 @@ class SafeBrowsingClient:
                     local_hits: Sequence[Prefix]
                     ) -> list[tuple[str, FullHash, Prefix]]:
         """``(expression, digest, prefix)`` for each expression whose prefix
-        is one of ``local_hits``, re-deriving evicted memos."""
+        is one of ``local_hits``, re-deriving evicted memos.
+
+        The only place the lookup path builds a :class:`FullHash`: one per
+        expression behind a local hit.
+        """
         hash_cache = self._hash_cache
         nbytes = self.config.prefix_bits // 8
         hit_by_raw = {prefix.value: prefix for prefix in local_hits}
         hashes: list[tuple[str, FullHash, Prefix]] = []
         for expression in expressions:
-            entry = hash_cache.get(expression)
-            if entry is None:
-                digest = FullHash.of(expression)
-                entry = (digest, digest.digest[:nbytes])
-                hash_cache[expression] = entry
-            prefix = hit_by_raw.get(entry[1])
+            digest = hash_cache.get(expression)
+            if digest is None:
+                digest = hash_cache[expression] = digests_of((expression,))[0]
+            prefix = hit_by_raw.get(digest[:nbytes])
             if prefix is not None:
-                hashes.append((expression, entry[0], prefix))
+                hashes.append((expression, _valid_full_hash(digest), prefix))
         return hashes
 
     def _trim_memos(self) -> None:

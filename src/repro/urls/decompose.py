@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.exceptions import DecompositionError
-from repro.urls.parse import ParsedURL, parse_url
+from repro.exceptions import CanonicalizationError, DecompositionError
+from repro.urls.canonicalize import canonicalize
+from repro.urls.parse import ParsedURL, is_dotted_quad
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,19 +78,11 @@ def host_suffixes(host: str, *, policy: DecompositionPolicy = API_POLICY,
         raise DecompositionError("empty host")
     if is_ip:
         return [host]
-
     labels = host.split(".")
-    suffixes = [host]
-    # Start from the last five labels as the API does, then strip one label
-    # at a time while at least two labels remain.
-    start = max(1, len(labels) - 5)
-    candidates = []
-    for index in range(start, len(labels) - 1):
-        candidates.append(".".join(labels[index:]))
-    for candidate in candidates[: policy.max_host_suffixes]:
-        if candidate != host:
-            suffixes.append(candidate)
-    return suffixes
+    # The API starts from the last five labels and strips one label at a
+    # time while at least two remain: suffixes of 5 (or fewer), ..., 2 labels.
+    widths = range(min(len(labels) - 1, 5), 1, -1)[: policy.max_host_suffixes]
+    return [host, *[".".join(labels[-width:]) for width in widths]]
 
 
 def path_prefixes(path: str, query: str | None, *,
@@ -102,28 +95,23 @@ def path_prefixes(path: str, query: str | None, *,
     """
     if not path.startswith("/"):
         raise DecompositionError(f"path must start with '/': {path!r}")
-
-    expressions: list[str] = []
-    if query is not None and policy.include_query:
-        expressions.append(f"{path}?{query}")
-    expressions.append(path)
-
-    segments = [segment for segment in path.split("/") if segment]
-    # Directory prefixes: "/", "/a/", "/a/b/", ... excluding the full path
-    # itself when it already names a directory.
-    prefixes: list[str] = ["/"]
-    running = ""
-    for segment in segments[:-1]:
-        running += f"/{segment}"
-        prefixes.append(running + "/")
-    if path.endswith("/") and len(segments) >= 1:
-        # The full path is itself a directory and was already added as the
-        # exact path; do not duplicate it among the prefixes.
-        prefixes = [prefix for prefix in prefixes if prefix != path]
-
-    for prefix in prefixes[: policy.max_path_prefixes]:
-        if prefix not in expressions:
-            expressions.append(prefix)
+    expressions = ([f"{path}?{query}", path]
+                   if query is not None and policy.include_query else [path])
+    # Directory prefixes are "/", "/a/", "/a/b/", ...: the path cut after
+    # each slash before its last character, so neither the exact path nor
+    # the root page's "/" repeats.  Empty segments ("//") are dropped: such
+    # a path is cut from the collapsed spelling of its directories.
+    end = len(path) - 1
+    if "//" in path:
+        segments = [segment for segment in path.split("/") if segment]
+        path = "/" + "".join(f"{segment}/" for segment in segments[:-1])
+        end = len(path)
+    remaining = policy.max_path_prefixes
+    slash = 0
+    while 0 <= slash < end and remaining:
+        expressions.append(path[: slash + 1])
+        remaining -= 1
+        slash = path.find("/", slash + 1)
     return expressions
 
 
@@ -147,19 +135,36 @@ def decompositions(url: str | ParsedURL, *,
         When ``url`` is a string, skip canonicalization (caller guarantees
         the string is already canonical).
     """
-    parsed = url if isinstance(url, ParsedURL) else parse_url(url, canonical=canonical)
+    if isinstance(url, ParsedURL):
+        host, path, query = url.host, url.path, url.query
+    else:
+        # Slice host, path and query straight from the canonical string,
+        # exactly as parse_url splits it (the port is not looked up).
+        text = url if canonical else canonicalize(url)
+        authority_start = text.find("://") + 3
+        if authority_start < 3:
+            raise CanonicalizationError(f"not a canonical URL: {url!r}")
+        slash = text.find("/", authority_start)
+        if slash < 0:
+            authority, path, query = text[authority_start:], "/", None
+        else:
+            authority = text[authority_start:slash]
+            question = text.find("?", slash)
+            if question < 0:
+                path, query = text[slash:], None
+            else:
+                path, query = text[slash:question], text[question + 1:]
+        colon = authority.rfind(":")
+        host = (authority[:colon] if colon >= 0 and authority[colon + 1:].isdigit()
+                else authority)
 
-    hosts = host_suffixes(parsed.host, policy=policy, is_ip=parsed.host_is_ip)
-    paths = path_prefixes(parsed.path, parsed.query, policy=policy)
-
-    expressions: list[str] = []
-    seen: set[str] = set()
-    for host in hosts:
-        for path in paths:
-            expression = f"{host}{path}"
-            if expression not in seen:
-                seen.add(expression)
-                expressions.append(expression)
+    hosts = host_suffixes(host, policy=policy, is_ip=is_dotted_quad(host))
+    paths = path_prefixes(path, query, policy=policy)
+    expressions = [suffix + prefix for suffix in hosts for prefix in paths]
+    if "/" in host:
+        # Only a hand-built ParsedURL can put a slash in its host, and only
+        # then can two (host, path) pairs spell the same expression.
+        expressions = list(dict.fromkeys(expressions))
     return expressions
 
 

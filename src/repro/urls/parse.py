@@ -43,8 +43,7 @@ class ParsedURL:
     @property
     def host_is_ip(self) -> bool:
         """``True`` when the host is a dotted-quad IPv4 address."""
-        parts = self.host.split(".")
-        return len(parts) == 4 and all(part.isdigit() and int(part) <= 255 for part in parts)
+        return is_dotted_quad(self.host)
 
     @property
     def host_labels(self) -> tuple[str, ...]:
@@ -85,6 +84,13 @@ class ParsedURL:
         if not path.startswith("/"):
             path = "/" + path
         return ParsedURL(self.scheme, self.host, self.port, path, query)
+
+
+def is_dotted_quad(host: str) -> bool:
+    """``True`` when ``host`` is a dotted-quad IPv4 address."""
+    return host.count(".") == 3 and all(
+        part.isdigit() and int(part) <= 255 for part in host.split(".")
+    )
 
 
 def parse_url(url: str, *, canonical: bool = False) -> ParsedURL:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.clock import ManualClock
 from repro.exceptions import UpdateError
 from repro.hashing import prefix as prefix_module
-from repro.hashing.digests import url_prefix
+from repro.hashing import digests as digests_module
+from repro.hashing.digests import FullHash, sha256_digest, url_prefix
 from repro.hashing.prefix import Prefix
 from repro.safebrowsing import client as client_module
 from repro.safebrowsing.client import ClientConfig, SafeBrowsingClient
@@ -241,8 +244,13 @@ class TestBatchedLookupMemos:
         updated_client.check_urls([MALWARE_URL, SAFE_URL])
         for _, _, prefixes in updated_client._plan_cache.values():
             assert all(type(raw) is bytes and len(raw) == 4 for raw in prefixes)
-        for _, raw in updated_client._hash_cache.values():
-            assert type(raw) is bytes and len(raw) == 4
+        # The hash memo maps each expression to its raw SHA-256 digest: a
+        # dict of str -> bytes, which the cyclic collector never walks.
+        assert updated_client._hash_cache
+        for expression, digest in updated_client._hash_cache.items():
+            assert type(digest) is bytes and len(digest) == 32
+            assert digest == sha256_digest(expression)
+        assert gc.is_tracked(updated_client._hash_cache) is False
         assert all(type(raw) is bytes for raw in updated_client._known_misses)
         # A hit keeps its Prefix, so later batches reuse the same object.
         assert updated_client._known_hits
@@ -250,6 +258,44 @@ class TestBatchedLookupMemos:
             assert type(raw) is bytes and prefix == Prefix(raw, 32)
         hit = updated_client.check_urls([MALWARE_URL])[0].local_hits[0]
         assert hit is updated_client._known_hits[hit.value]
+
+    def test_safe_unseen_batch_builds_no_full_hash(self, updated_client, monkeypatch):
+        # FullHash objects are built only for expressions behind a local
+        # hit: a batch of new SAFE URLs hashes straight to digest bytes.
+        hitting = updated_client.check_urls([MALWARE_DOMAIN_URL])[0]
+        built, unchecked = [], []
+        post_init = FullHash.__post_init__
+        valid_full_hash = digests_module._valid_full_hash
+
+        def counting_post_init(full_hash):
+            built.append(full_hash)
+            post_init(full_hash)
+
+        def counting_valid_full_hash(digest):
+            unchecked.append(digest)
+            return valid_full_hash(digest)
+
+        monkeypatch.setattr(FullHash, "__post_init__", counting_post_init)
+        monkeypatch.setattr(digests_module, "_valid_full_hash", counting_valid_full_hash)
+        monkeypatch.setattr(client_module, "_valid_full_hash", counting_valid_full_hash)
+        urls = [f"http://site-{index}.example.org/a/b.html?q={index}"
+                for index in range(50)]
+        results = updated_client.check_urls(urls)
+        assert all(result.verdict is Verdict.SAFE for result in results)
+        assert built == [] and unchecked == []
+        assert len(updated_client._hash_cache) > len(urls)
+        # A hitting URL still matches the same expressions and lists, and
+        # builds one FullHash per expression behind its local hits (with
+        # its memoized digest evicted, which it re-derives).
+        updated_client._hash_cache.clear()
+        again = updated_client.check_urls([MALWARE_DOMAIN_URL, MALWARE_URL])
+        assert again[0].matched_expressions == hitting.matched_expressions
+        assert again[0].matched_lists == hitting.matched_lists == ("goog-malware-shavar",)
+        assert again[0].matched_expressions == ("evil.example.com/",)
+        assert again[1].matched_expressions == (
+            "evil.example.com/malware/dropper.exe", "evil.example.com/")
+        assert unchecked == [sha256_digest(expression) for result in again
+                             for expression in result.matched_expressions]
 
     def test_safe_unseen_batch_builds_no_prefix(self, updated_client, monkeypatch):
         # Prefix objects are built only for URLs with a local hit: a batch of
