@@ -598,3 +598,56 @@ class TestGoldenReports:
         assert report.reconnect_restarts == 1
         assert report.client_restarts == 2
         assert report.warm_start_prefixes_resumed == 1335
+
+
+def metrics_digest(snapshot: dict) -> str:
+    """SHA-256 over a metrics snapshot, each ``*_wall_seconds`` histogram
+    reduced to its observation count (wall time is the machine's, the
+    number of timed operations is the run's)."""
+    families = {}
+    for name, family in snapshot["families"].items():
+        if name.endswith("_wall_seconds"):
+            family = dict(family, children=[
+                {"labels": child["labels"],
+                 "state": sum(child["state"]["counts"])}
+                for child in family["children"]])
+        families[name] = family
+    return hashlib.sha256(
+        json.dumps(families, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+class TestGoldenMetrics:
+    """Digests of ``FleetReport.metrics`` for SMALL batched fleets.
+
+    Every family, label, help text and counter value a fleet's registry
+    exports is pinned; a change to how the layers count must leave these
+    as they are.
+    """
+
+    GOLDEN = {
+        "default": (
+            FleetConfig(mode="batched", collect_metrics=True),
+            "3dd6b64a9890d6c0d1c2292513f7e015f95313480bf760db6d42ce3fe064d89d"),
+        "simulated-failures": (
+            FleetConfig(mode="batched", collect_metrics=True,
+                        transport="simulated", failure_rate=0.05),
+            "3574508c4cbb56ccc3e357136ed5bc9a39b1b6c3aff71277afe06056bf58bc4f"),
+        "global-mix-churn": (
+            FleetConfig(mode="batched", collect_metrics=True,
+                        profile="global-mix", churn_fraction=0.5,
+                        restart_interval=2),
+            "ddcfb3e2e52afaadd791bcba6b99c702d5435bd6bb0970ca9f14dff2d781e043"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_metrics_digest(self, name):
+        config, expected = self.GOLDEN[name]
+        assert metrics_digest(run_fleet(SMALL, config).metrics) == expected
+
+    def test_golden_runs_exercise_failures_and_restarts(self):
+        failures = run_fleet(SMALL, self.GOLDEN["simulated-failures"][0])
+        (child,) = failures.metrics["families"][
+            "transport_failures_total"]["children"]
+        assert child["state"] > 0
+        churn = run_fleet(SMALL, self.GOLDEN["global-mix-churn"][0])
+        assert churn.client_restarts > 0
