@@ -559,6 +559,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         provider, storage=args.storage, storage_path=args.path)
     service = NetService(server, host=args.host, port=args.port,
                          sync_clock=args.sync_clock)
+    # /metrics renders the service registry: put the core's counters on it.
+    server.set_metrics(service.metrics)
 
     async def _serve() -> None:
         await service.start()

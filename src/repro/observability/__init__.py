@@ -3,7 +3,11 @@
 One accounting surface instead of five: the client, server core, transports,
 durable storage, ingestion pipeline and fleet engines all record into a
 :class:`MetricsRegistry` of labeled :class:`Counter`/:class:`Gauge`/
-:class:`Histogram` families.  The registry is
+:class:`Histogram` families.  Events a layer already counts in a Stats
+dataclass (``ClientStats``, ``ServerStats``, ``TransportStats``) are counted
+once: those fields are declared :func:`exported`, the layer passes its Stats
+object to :meth:`MetricsRegistry.register_stats`, and each snapshot reads
+them.  The registry is
 
 * **zero-dependency** — plain Python, importable on the numpy-absent leg;
 * **mergeable exactly** — per-shard worker registries fold into the parent
@@ -14,9 +18,9 @@ durable storage, ingestion pipeline and fleet engines all record into a
   minimal parser so CI can round-trip the exposition.
 
 Call sites take an optional ``metrics=`` registry defaulting to
-:data:`NULL_REGISTRY`, whose child metrics are shared no-op singletons — the
-uninstrumented hot loop pays one no-op method call per *request*, and
-nothing at all per URL.
+:data:`NULL_REGISTRY`, whose child metrics are shared no-op singletons and
+which ignores registered Stats objects — the uninstrumented hot loop pays
+at most one no-op method call per *request*, and nothing at all per URL.
 """
 
 from repro.observability.metrics import (
@@ -27,6 +31,7 @@ from repro.observability.metrics import (
     MetricsRegistry,
     NULL_REGISTRY,
     NullRegistry,
+    exported,
     log_bounds,
     merge_snapshots,
     registry_or_null,
@@ -46,6 +51,7 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "NullRegistry",
+    "exported",
     "log_bounds",
     "merge_snapshots",
     "parse_prometheus_text",

@@ -306,27 +306,20 @@ class SafeBrowsingClient:
             seed=f"client:{name}",
         )
         self.stats = ClientStats()
-        # Observability: children are bound once here so the hot paths make
+        # Observability: the registry reads the exported ClientStats fields;
+        # the remaining instruments are bound once here so the hot paths make
         # bound-method calls only.  With no registry the shared no-op child
         # is bound and the wall-clock measurement blocks are skipped
         # entirely (guarded by _metrics_enabled).
         metrics = registry_or_null(metrics)
         self._metrics_enabled = metrics.enabled
-        self._m_urls_checked = metrics.counter(
-            "client_urls_checked_total", "URLs checked by clients")
+        metrics.register_stats(self.stats)
         self._m_check_batches = metrics.counter(
             "client_check_batches_total",
             "check_urls calls, each lookup counted as a one-URL batch")
-        self._m_full_hash_requests = metrics.counter(
-            "client_full_hash_requests_total",
-            "Full-hash requests clients sent")
         self._m_full_hash_batch_size = metrics.histogram(
             "client_full_hash_batch_size",
             "Prefixes per client full-hash request", bounds=SIZE_BOUNDS)
-        self._m_update_requests = metrics.counter(
-            "client_update_requests_total", "Update polls clients sent")
-        self._m_update_chunks = metrics.counter(
-            "client_update_chunks_total", "Chunks received by update polls")
         self._m_lookup_wall = metrics.histogram(
             "client_lookup_wall_seconds",
             "Wall-clock time of one lookup/check_urls call",
@@ -373,7 +366,6 @@ class SafeBrowsingClient:
         request = UpdateRequest(cookie=self.cookie, states=states,
                                 timestamp=self.clock.now())
         self.stats.update_requests += 1
-        self._m_update_requests.inc()
         try:
             response = self.transport.send_update(request)
         except Exception:
@@ -387,7 +379,6 @@ class SafeBrowsingClient:
             for chunk in update.add_chunks + update.sub_chunks:
                 self.stats.chunks_received += 1
                 self.stats.update_prefixes_received += len(chunk.prefixes)
-                self._m_update_chunks.inc()
         try:
             applied = self._apply_update(response)
         except Exception:
@@ -525,7 +516,6 @@ class SafeBrowsingClient:
         if self.config.auto_update and self.needs_update():
             self.update()
         self.stats.urls_checked += len(urls)
-        self._m_urls_checked.inc(len(urls))
         self._m_check_batches.inc()
 
         # Stage 1: serve memoized no-hit results outright; resolve a plan
@@ -755,7 +745,6 @@ class SafeBrowsingClient:
         )
         self.stats.full_hash_requests += 1
         self.stats.prefixes_sent += len(prefixes)
-        self._m_full_hash_requests.inc()
         self._m_full_hash_batch_size.observe(len(prefixes))
         return self.transport.send_full_hash(request)
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import socket
 import time
-from time import perf_counter
 
 from repro.exceptions import (
     ListNotFoundError,
@@ -134,37 +133,11 @@ class HttpTransport(Transport):
 
     # -- Transport interface -----------------------------------------------
 
-    def send_update(self, request: UpdateRequest) -> UpdateResponse:
-        self.stats.requests_sent += 1
-        self.stats.update_requests += 1
-        self._m_update_requests.inc()
-        start = perf_counter()
-        try:
-            response = self._exchange("downloads", request)
-        finally:
-            if self._metrics_enabled:
-                self._m_delivery_wall.observe(perf_counter() - start)
-        if not isinstance(response, UpdateResponse):
-            raise WireError(
-                f"the downloads endpoint answered with "
-                f"{type(response).__name__}, expected UpdateResponse")
-        return response
+    def _deliver_update(self, request: UpdateRequest) -> UpdateResponse:
+        return self._exchange("downloads", request, UpdateResponse)
 
-    def send_full_hash(self, request: FullHashRequest) -> FullHashResponse:
-        self.stats.requests_sent += 1
-        self.stats.full_hash_requests += 1
-        self._m_full_hash_requests.inc()
-        start = perf_counter()
-        try:
-            response = self._exchange("gethash", request)
-        finally:
-            if self._metrics_enabled:
-                self._m_delivery_wall.observe(perf_counter() - start)
-        if not isinstance(response, FullHashResponse):
-            raise WireError(
-                f"the gethash endpoint answered with "
-                f"{type(response).__name__}, expected FullHashResponse")
-        return response
+    def _deliver_full_hash(self, request: FullHashRequest) -> FullHashResponse:
+        return self._exchange("gethash", request, FullHashResponse)
 
     def close(self) -> None:
         """Drop the kept-alive connection (reopened on the next send)."""
@@ -177,7 +150,7 @@ class HttpTransport(Transport):
 
     # -- delivery ----------------------------------------------------------
 
-    def _exchange(self, endpoint: str, message):
+    def _exchange(self, endpoint: str, message, expected: type):
         """One request/response exchange, with connection-level retries."""
         frame = encode_message(message)
         last_error: Exception | None = None
@@ -195,38 +168,40 @@ class HttpTransport(Transport):
                 self.close()
                 last_error = exc
                 continue
-            return self._interpret(endpoint, status, body)
+            return self._interpret(endpoint, status, body, expected)
         self.stats.failures_injected += 1
-        self._m_failures.inc()
         raise TransportError(
             f"could not deliver to the {endpoint} endpoint at "
             f"{self.address[0]}:{self.address[1]} after "
             f"{self.retries + 1} attempt(s): {last_error}"
         ) from last_error
 
-    def _interpret(self, endpoint: str, status: int, body: bytes):
-        """Turn one HTTP response into a message or a typed exception."""
+    def _interpret(self, endpoint: str, status: int, body: bytes,
+                   expected: type):
+        """Turn one HTTP response into an ``expected`` message or a typed
+        exception."""
         try:
             message = decode_message(body)
         except WireError as exc:
             self.stats.failures_injected += 1
-            self._m_failures.inc()
             raise WireError(
                 f"the {endpoint} endpoint answered HTTP {status} with an "
                 f"undecodable frame: {exc}") from exc
         if isinstance(message, WireErrorMessage):
             self.stats.failures_injected += 1
-            self._m_failures.inc()
             exception = _ERROR_EXCEPTIONS[message.code]
             raise exception(
                 f"the {endpoint} endpoint answered HTTP {status}: "
                 f"{message.message}")
         if status != 200:
             self.stats.failures_injected += 1
-            self._m_failures.inc()
             raise TransportError(
                 f"the {endpoint} endpoint answered HTTP {status} with a "
                 f"non-error frame")
+        if not isinstance(message, expected):
+            raise WireError(
+                f"the {endpoint} endpoint answered with "
+                f"{type(message).__name__}, expected {expected.__name__}")
         return message
 
     # -- socket plumbing ---------------------------------------------------

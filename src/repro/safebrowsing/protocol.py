@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 from repro.exceptions import ProtocolError
 from repro.hashing.digests import FullHash
 from repro.hashing.prefix import Prefix
+from repro.observability.metrics import exported
 from repro.safebrowsing.chunks import Chunk, ChunkRange
 from repro.safebrowsing.cookie import SafeBrowsingCookie
 
@@ -231,19 +232,26 @@ class ClientStats:
     chunks those polls carried, and ``update_prefixes_received`` the
     prefixes inside them — the quantity a warm start (restoring a snapshot
     and fetching only newer chunks) saves over a cold start.
+
+    The :func:`~repro.observability.metrics.exported` fields are also the
+    ``client_*`` counter families of a registry the client was built with.
     """
 
-    urls_checked: int = 0
+    urls_checked: int = exported("client_urls_checked_total",
+                                 "URLs checked by clients")
     local_hits: int = 0
-    full_hash_requests: int = 0
+    full_hash_requests: int = exported("client_full_hash_requests_total",
+                                       "Full-hash requests clients sent")
     prefixes_sent: int = 0
     dummy_prefixes_sent: int = 0
     extra_round_trips: int = 0
     policy_delay_seconds: float = 0.0
     cache_hits: int = 0
     malicious_verdicts: int = 0
-    update_requests: int = 0
-    chunks_received: int = 0
+    update_requests: int = exported("client_update_requests_total",
+                                    "Update polls clients sent")
+    chunks_received: int = exported("client_update_chunks_total",
+                                    "Chunks received by update polls")
     update_prefixes_received: int = 0
     extra_requests: dict[str, int] = field(default_factory=dict)
 

@@ -48,6 +48,7 @@ from repro.observability.metrics import (
     LATENCY_BOUNDS,
     SIZE_BOUNDS,
     MetricsRegistry,
+    exported,
     registry_or_null,
 )
 from repro.hashing.prefix import Prefix
@@ -94,19 +95,36 @@ class RequestLogEntry:
     prefixes: tuple[Prefix, ...]
 
 
+#: The labeled families two :class:`ServerStats` fields export into.
+_REQUESTS = ("server_requests_total", "Requests the server core processed")
+_RESPONSE_CACHE = ("server_response_cache_total",
+                   "Full-hash response cache outcomes")
+
+
 @dataclass
 class ServerStats:
-    """Aggregate counters for reporting."""
+    """Aggregate counters for reporting.
 
-    update_requests: int = 0
-    full_hash_requests: int = 0
-    prefixes_received: int = 0
-    chunks_served: int = 0
-    full_hashes_served: int = 0
+    The :func:`~repro.observability.metrics.exported` fields are also the
+    ``server_*`` counter families of the registry bound by
+    :meth:`ServerCore.set_metrics`.
+    """
+
+    update_requests: int = exported(*_REQUESTS, endpoint="downloads")
+    full_hash_requests: int = exported(*_REQUESTS, endpoint="gethash")
+    prefixes_received: int = exported(
+        "server_prefixes_received_total",
+        "Prefixes carried by full-hash requests")
+    chunks_served: int = exported(
+        "server_chunks_served_total", "Chunks served by update responses")
+    full_hashes_served: int = exported(
+        "server_full_hashes_served_total", "Full digests returned to clients")
     clients_seen: set[str] = field(default_factory=set)
-    response_cache_hits: int = 0
-    response_cache_misses: int = 0
-    log_entries_evicted: int = 0
+    response_cache_hits: int = exported(*_RESPONSE_CACHE, result="hit")
+    response_cache_misses: int = exported(*_RESPONSE_CACHE, result="miss")
+    log_entries_evicted: int = exported(
+        "server_log_entries_evicted_total",
+        "Request-log entries rotated out by the retention bound")
 
     def as_dict(self) -> dict:
         """Snapshot of every counter, keyed by field name.
@@ -192,35 +210,18 @@ class ServerCore:
     def set_metrics(self, metrics: MetricsRegistry | None) -> None:
         """(Re)bind this server's instruments to ``metrics``.
 
-        Fleet runs call this *after* provisioning so that setup-time work
-        (blacklisting the corpus, the initial storage commit) is never
-        counted — a requirement for shard-merged registries to equal a
-        monolithic run's.  Also rebinds the underlying database's storage
-        instruments.  ``None`` binds the shared null registry (no-op path).
+        The registry exports :attr:`stats`, which count from construction
+        onward; request counters see no setup-time work (blacklisting the
+        corpus, the initial storage commit), so a fleet that binds before
+        its first request reports exactly the requests it sent.  The
+        histograms and the underlying database's storage instruments count
+        from this call onward: fleet runs bind *after* provisioning so that
+        shard-merged registries equal a monolithic run's.  ``None`` binds
+        the shared null registry (no-op path).
         """
         metrics = registry_or_null(metrics)
         self._metrics_enabled = metrics.enabled
-        requests = metrics.counter(
-            "server_requests_total", "Requests the server core processed",
-            labels=("endpoint",))
-        self._m_update_requests = requests.labels(endpoint="downloads")
-        self._m_full_hash_requests = requests.labels(endpoint="gethash")
-        self._m_chunks_served = metrics.counter(
-            "server_chunks_served_total", "Chunks served by update responses")
-        self._m_prefixes_received = metrics.counter(
-            "server_prefixes_received_total",
-            "Prefixes carried by full-hash requests")
-        self._m_full_hashes_served = metrics.counter(
-            "server_full_hashes_served_total",
-            "Full digests returned to clients")
-        cache = metrics.counter(
-            "server_response_cache_total",
-            "Full-hash response cache outcomes", labels=("result",))
-        self._m_cache_hits = cache.labels(result="hit")
-        self._m_cache_misses = cache.labels(result="miss")
-        self._m_log_evicted = metrics.counter(
-            "server_log_entries_evicted_total",
-            "Request-log entries rotated out by the retention bound")
+        metrics.register_stats(self.stats)
         self._m_batch_size = metrics.histogram(
             "server_full_hash_batch_size",
             "Prefixes per full-hash request", bounds=SIZE_BOUNDS)
@@ -268,7 +269,6 @@ class ServerCore:
     def process_update(self, request: UpdateRequest) -> UpdateResponse:
         """Serve the chunks a client is missing for every list it asked about."""
         self.stats.update_requests += 1
-        self._m_update_requests.inc()
         self.stats.clients_seen.add(request.cookie.value)
 
         updates: list[ListUpdate] = []
@@ -279,7 +279,6 @@ class ServerCore:
             )
             served = len(missing_add) + len(missing_sub)
             self.stats.chunks_served += served
-            self._m_chunks_served.inc(served)
             updates.append(
                 ListUpdate(
                     list_name=state.list_name,
@@ -304,8 +303,6 @@ class ServerCore:
         """
         self.stats.full_hash_requests += 1
         self.stats.prefixes_received += len(request.prefixes)
-        self._m_full_hash_requests.inc()
-        self._m_prefixes_received.inc(len(request.prefixes))
         self._m_batch_size.observe(len(request.prefixes))
         self.stats.clients_seen.add(request.cookie.value)
 
@@ -328,7 +325,6 @@ class ServerCore:
         for prefix in request.prefixes:
             matches.extend(found(prefix.value, ()))
         self.stats.full_hashes_served += len(matches)
-        self._m_full_hashes_served.inc(len(matches))
         return FullHashResponse(matches=tuple(matches), timestamp=timestamp)
 
     # -- full-hash response cache ---------------------------------------------
@@ -364,11 +360,9 @@ class ServerCore:
             if entry is not None:
                 if entry.expires_at > now:
                     self.stats.response_cache_hits += 1
-                    self._m_cache_hits.inc()
                     return entry.matches_by_prefix
                 del cache[key]
             self.stats.response_cache_misses += 1
-            self._m_cache_misses.inc()
 
         # Variable-width matching, batched per list: a prefix shorter than
         # the stored width (a widened privacy query) answers with the
@@ -447,7 +441,6 @@ class ServerCore:
             for _ in range(overflow):
                 self._request_log.popleft()
             self.stats.log_entries_evicted += overflow
-            self._m_log_evicted.inc(overflow)
         self._request_log.append(entry)
 
     @property

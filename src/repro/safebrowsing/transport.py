@@ -35,6 +35,7 @@ from repro.exceptions import TransportError
 from repro.observability.metrics import (
     LATENCY_BOUNDS,
     MetricsRegistry,
+    exported,
     registry_or_null,
 )
 from repro.safebrowsing.protocol import (
@@ -56,18 +57,25 @@ TRANSPORT_KINDS = ("http", "in-process", "simulated")
 LOCAL_TRANSPORT_KINDS = ("in-process", "simulated")
 
 
+#: The labeled family two :class:`TransportStats` fields export into.
+_REQUESTS = ("transport_requests_total", "Requests delivered to the provider")
+
+
 @dataclass
 class TransportStats:
     """Counters a transport keeps about the traffic it carried.
 
     The socket-level fields (``retries`` onward) stay zero for the local
-    transports; the HTTP transport fills them in.
+    transports; the HTTP transport fills them in.  The
+    :func:`~repro.observability.metrics.exported` fields are also the
+    ``transport_*`` counter families of the transport's registry.
     """
 
     requests_sent: int = 0
-    update_requests: int = 0
-    full_hash_requests: int = 0
-    failures_injected: int = 0
+    update_requests: int = exported(*_REQUESTS, endpoint="downloads")
+    full_hash_requests: int = exported(*_REQUESTS, endpoint="gethash")
+    failures_injected: int = exported("transport_failures_total",
+                                      "Injected delivery failures")
     simulated_latency_seconds: float = 0.0
     retries: int = 0
     connections_opened: int = 0
@@ -83,11 +91,15 @@ class TransportStats:
 class Transport(ABC):
     """One client's channel to the provider.
 
-    ``metrics`` (optional) instruments the boundary: per-endpoint request
-    counters, a per-delivery wall-latency histogram, injected failures and
-    — for the simulated kind — the sampled logical latency distribution.
-    The default null registry binds shared no-op children, so the
-    uninstrumented path pays one no-op call per request.
+    :meth:`send_update` and :meth:`send_full_hash` count every request in
+    :attr:`stats` and time it; each kind implements only the delivery
+    (:meth:`_deliver_update` / :meth:`_deliver_full_hash`).
+
+    ``metrics`` (optional) instruments the boundary: it exports
+    :attr:`stats` (per-endpoint requests, failures) and holds a
+    per-delivery wall-latency histogram and — for the simulated kind — the
+    sampled logical latency distribution.  The default null registry binds
+    shared no-op children and skips the wall-clock reads.
     """
 
     def __init__(self, server: ServerCore | None, *,
@@ -96,13 +108,7 @@ class Transport(ABC):
         self.stats = TransportStats()
         metrics = registry_or_null(metrics)
         self._metrics_enabled = metrics.enabled
-        requests = metrics.counter(
-            "transport_requests_total",
-            "Requests delivered to the provider", labels=("endpoint",))
-        self._m_update_requests = requests.labels(endpoint="downloads")
-        self._m_full_hash_requests = requests.labels(endpoint="gethash")
-        self._m_failures = metrics.counter(
-            "transport_failures_total", "Injected delivery failures")
+        metrics.register_stats(self.stats)
         self._m_delivery_wall = metrics.histogram(
             "transport_delivery_wall_seconds",
             "Wall-clock time of one delivery (dispatch included)",
@@ -126,13 +132,33 @@ class Transport(ABC):
         """
         return self._server
 
-    @abstractmethod
     def send_update(self, request: UpdateRequest) -> UpdateResponse:
         """Deliver an update request to the ``downloads`` endpoint."""
+        self.stats.update_requests += 1
+        return self._send(self._deliver_update, request)
 
-    @abstractmethod
     def send_full_hash(self, request: FullHashRequest) -> FullHashResponse:
         """Deliver a full-hash request to the ``gethash`` endpoint."""
+        self.stats.full_hash_requests += 1
+        return self._send(self._deliver_full_hash, request)
+
+    def _send(self, deliver, request):
+        self.stats.requests_sent += 1
+        if not self._metrics_enabled:
+            return deliver(request)
+        start = perf_counter()
+        try:
+            return deliver(request)
+        finally:
+            self._m_delivery_wall.observe(perf_counter() - start)
+
+    @abstractmethod
+    def _deliver_update(self, request: UpdateRequest) -> UpdateResponse:
+        """This kind's delivery of one update request."""
+
+    @abstractmethod
+    def _deliver_full_hash(self, request: FullHashRequest) -> FullHashResponse:
+        """This kind's delivery of one full-hash request."""
 
     # -- endpoint dispatch -----------------------------------------------------
     #
@@ -158,29 +184,8 @@ class Transport(ABC):
 class InProcessTransport(Transport):
     """Direct dispatch into the server's endpoint handlers (the reference)."""
 
-    def send_update(self, request: UpdateRequest) -> UpdateResponse:
-        self.stats.requests_sent += 1
-        self.stats.update_requests += 1
-        self._m_update_requests.inc()
-        if not self._metrics_enabled:
-            return self._dispatch_update(request)
-        start = perf_counter()
-        try:
-            return self._dispatch_update(request)
-        finally:
-            self._m_delivery_wall.observe(perf_counter() - start)
-
-    def send_full_hash(self, request: FullHashRequest) -> FullHashResponse:
-        self.stats.requests_sent += 1
-        self.stats.full_hash_requests += 1
-        self._m_full_hash_requests.inc()
-        if not self._metrics_enabled:
-            return self._dispatch_full_hash(request)
-        start = perf_counter()
-        try:
-            return self._dispatch_full_hash(request)
-        finally:
-            self._m_delivery_wall.observe(perf_counter() - start)
+    _deliver_update = Transport._dispatch_update
+    _deliver_full_hash = Transport._dispatch_full_hash
 
 
 class SimulatedNetworkTransport(Transport):
@@ -224,7 +229,7 @@ class SimulatedNetworkTransport(Transport):
         self._rng = random.Random(seed)
         self._clock = clock if clock is not None else server.clock
 
-    def _deliver(self, endpoint: str) -> None:
+    def _elapse(self, endpoint: str) -> None:
         """Elapse one delivery's latency, then maybe inject a failure."""
         latency = self.latency_seconds
         if self.jitter_seconds:
@@ -235,38 +240,17 @@ class SimulatedNetworkTransport(Transport):
         self._m_simulated_latency.observe(latency)
         if self.failure_rate and self._rng.random() < self.failure_rate:
             self.stats.failures_injected += 1
-            self._m_failures.inc()
             raise TransportError(
                 f"injected network failure on the {endpoint} endpoint"
             )
 
-    def send_update(self, request: UpdateRequest) -> UpdateResponse:
-        self.stats.requests_sent += 1
-        self.stats.update_requests += 1
-        self._m_update_requests.inc()
-        if not self._metrics_enabled:
-            self._deliver("downloads")
-            return self._dispatch_update(request)
-        start = perf_counter()
-        try:
-            self._deliver("downloads")
-            return self._dispatch_update(request)
-        finally:
-            self._m_delivery_wall.observe(perf_counter() - start)
+    def _deliver_update(self, request: UpdateRequest) -> UpdateResponse:
+        self._elapse("downloads")
+        return self._dispatch_update(request)
 
-    def send_full_hash(self, request: FullHashRequest) -> FullHashResponse:
-        self.stats.requests_sent += 1
-        self.stats.full_hash_requests += 1
-        self._m_full_hash_requests.inc()
-        if not self._metrics_enabled:
-            self._deliver("gethash")
-            return self._dispatch_full_hash(request)
-        start = perf_counter()
-        try:
-            self._deliver("gethash")
-            return self._dispatch_full_hash(request)
-        finally:
-            self._m_delivery_wall.observe(perf_counter() - start)
+    def _deliver_full_hash(self, request: FullHashRequest) -> FullHashResponse:
+        self._elapse("gethash")
+        return self._dispatch_full_hash(request)
 
 
 def build_transport(kind: str, server: ServerCore | None, *,

@@ -31,6 +31,7 @@ from repro.experiments.fleet import FleetConfig, FleetSimulator
 from repro.experiments.parallel import run_parallel_fleet
 from repro.experiments.scale import Scale
 from repro.observability.export import parse_prometheus_text, render_prometheus, snapshot_samples
+from repro.observability.metrics import exported_fields
 
 TINY = Scale(
     name="tiny-prop-observability",
@@ -120,19 +121,65 @@ def test_metrics_off_by_default():
     assert merged.metrics is None
 
 
+class _RecordingSimulator(FleetSimulator):
+    """Keeps every server, client and transport the run builds (restarted
+    clients included), so a test can sum their Stats objects."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.built = []
+
+    def build_server(self, clock):
+        server = super().build_server(clock)
+        self.built.append(server)
+        return server
+
+    def _build_client(self, server, clock, index):
+        client = super()._build_client(server, clock, index)
+        self.built += [client, client.transport]
+        return client
+
+
 def test_registry_agrees_with_report_counters():
-    # The metrics plane and the stats plane count the same events.
-    config = _metrics_config()
-    report = FleetSimulator(TINY, config).run()
+    # Each stats-backed family is the sum of its Stats field over every
+    # object the run built, and agrees with the report where it has one.
+    config = _metrics_config(transport="simulated", failure_rate=0.05,
+                             profile="global-mix", churn_fraction=0.5,
+                             restart_interval=2)
+    simulator = _RecordingSimulator(TINY, config)
+    report = simulator.run()
+    assert report.client_restarts > 0
     families = report.metrics["families"]
 
-    def value(name):
-        return families[name]["children"][0]["state"]
+    def value(name, *labels):
+        children = {tuple(c["labels"]): c["state"]
+                    for c in families[name]["children"]}
+        return children[labels]
+
+    expected = {}
+    for stats in (obj.stats for obj in simulator.built):
+        for field, family, _, labels in exported_fields(type(stats)):
+            key = (family, *(label for _, label in labels))
+            expected[key] = expected.get(key, 0) + getattr(stats, field)
+    assert len(expected) == 15
+    for key, total in expected.items():
+        assert value(*key) == total, key
+    assert value("transport_failures_total") > 0
 
     assert value("fleet_urls_checked_total") == report.urls_checked
+    assert value("client_full_hash_requests_total") == (
+        report.client_full_hash_requests)
+    assert value("client_update_requests_total") == (
+        report.client_update_requests)
     assert value("server_prefixes_received_total") == (
         report.server_prefixes_received)
-    endpoint_children = {tuple(c["labels"]): c["state"]
-                         for c in families["server_requests_total"]["children"]}
-    assert endpoint_children[("downloads",)] == report.server_update_requests
-    assert endpoint_children[("gethash",)] == report.server_full_hash_requests
+    assert value("server_requests_total", "downloads") == (
+        report.server_update_requests)
+    assert value("server_requests_total", "gethash") == (
+        report.server_full_hash_requests)
+    assert value("server_response_cache_total", "hit") == (
+        report.server_cache_hits)
+    assert value("server_response_cache_total", "miss") == (
+        report.server_cache_misses)
+    assert value("server_log_entries_evicted_total") == (
+        report.log_entries_evicted)

@@ -8,13 +8,18 @@ excluded from the hermetic tier-1 run.
 from __future__ import annotations
 
 import socket
+import threading
 
 import pytest
 
+from repro.cli import main
 from repro.exceptions import ListNotFoundError, TransportError
 from repro.hashing.prefix import Prefix
+from repro.observability import parse_prometheus_text
+from repro.safebrowsing import netservice
 from repro.safebrowsing.chunks import ChunkRange
 from repro.safebrowsing.cookie import SafeBrowsingCookie
+from repro.safebrowsing.httptransport import HttpTransport
 from repro.safebrowsing.netservice import (
     MAX_BODY_BYTES,
     ServiceThread,
@@ -268,3 +273,51 @@ class TestLifecycle:
         host, port = http_service.address
         with pytest.raises(TransportError, match="failed to start"):
             ServiceThread(http_service.core, host=host, port=port).start()
+
+
+class TestServeCommand:
+    def test_metrics_scrape_shows_the_served_core(self, monkeypatch, capsys):
+        # Record the service `repro serve` builds, so the test can reach
+        # its address and its core.
+        services = []
+        started = threading.Event()
+
+        class RecordedService(netservice.NetService):
+            async def start(self):
+                await super().start()
+                services.append(self)
+                started.set()
+
+        monkeypatch.setattr(netservice, "NetService", RecordedService)
+        command = threading.Thread(
+            target=main, args=(["serve", "--port", "0", "--duration", "5"],),
+            daemon=True)
+        command.start()
+        try:
+            assert started.wait(60), "repro serve did not start"
+            (service,) = services
+            transport = HttpTransport(service.address)
+            try:
+                update = transport.send_update(UpdateRequest(
+                    cookie=COOKIE, states=(ListState(
+                        "goog-malware-shavar", ChunkRange(set()),
+                        ChunkRange(set())),)))
+                prefix = next(chunk.prefixes[0]
+                              for list_update in update.updates
+                              for chunk in list_update.add_chunks
+                              if chunk.prefixes)
+                transport.send_full_hash(FullHashRequest(
+                    cookie=COOKIE, prefixes=(prefix,)))
+            finally:
+                transport.close()
+            raw = _http(service.address,
+                        b"GET /metrics HTTP/1.1\r\nHost: t\r\n"
+                        b"Connection: close\r\n\r\n")
+        finally:
+            command.join(30)
+        samples = parse_prometheus_text(_body_of(raw).decode("utf-8")).samples
+        assert samples[("server_requests_total",
+                        (("endpoint", "gethash"),))] == 1
+        chunks_served = service.core.stats.chunks_served
+        assert chunks_served > 0
+        assert samples[("server_chunks_served_total", ())] == chunks_served

@@ -14,6 +14,7 @@ from repro.observability.export import (
     render_prometheus,
     snapshot_samples,
 )
+from repro.clock import ManualClock
 from repro.observability.metrics import (
     LATENCY_BOUNDS,
     NULL_REGISTRY,
@@ -21,14 +22,24 @@ from repro.observability.metrics import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
+    exported_fields,
     log_bounds,
     merge_snapshots,
     registry_or_null,
 )
 from repro.observability.quantiles import histogram_quantile, percentile
-from repro.safebrowsing.protocol import ClientStats
-from repro.safebrowsing.server import ServerStats
-from repro.safebrowsing.transport import TransportStats
+from repro.safebrowsing.chunks import ChunkRange
+from repro.safebrowsing.client import SafeBrowsingClient
+from repro.safebrowsing.cookie import SafeBrowsingCookie
+from repro.safebrowsing.lists import GOOGLE_LISTS
+from repro.safebrowsing.protocol import (
+    ClientStats,
+    FullHashRequest,
+    ListState,
+    UpdateRequest,
+)
+from repro.safebrowsing.server import SafeBrowsingServer, ServerCore, ServerStats
+from repro.safebrowsing.transport import InProcessTransport, TransportStats
 
 
 # -- metrics core ----------------------------------------------------------
@@ -208,6 +219,138 @@ class TestNullRegistry:
         live = MetricsRegistry()
         assert registry_or_null(live) is live
         assert isinstance(NULL_REGISTRY, NullRegistry)
+
+
+# -- Stats objects a registry exports --------------------------------------
+
+
+def _children(snapshot: dict, name: str) -> dict:
+    return {tuple(child["labels"]): child["state"]
+            for child in snapshot["families"][name]["children"]}
+
+
+#: The families the layers' Stats fields export, and nothing counts again.
+STATS_FAMILIES = {
+    "client_urls_checked_total", "client_full_hash_requests_total",
+    "client_update_requests_total", "client_update_chunks_total",
+    "transport_requests_total", "transport_failures_total",
+    "server_requests_total", "server_chunks_served_total",
+    "server_prefixes_received_total", "server_full_hashes_served_total",
+    "server_response_cache_total", "server_log_entries_evicted_total",
+}
+
+
+class TestRegisterStats:
+    def test_null_registry_ignores_stats(self):
+        NULL_REGISTRY.register_stats(ClientStats(urls_checked=3))
+        assert NULL_REGISTRY.snapshot() == {"families": {}}
+
+    def test_registering_twice_counts_once(self):
+        registry = MetricsRegistry()
+        stats = ClientStats(urls_checked=3)
+        registry.register_stats(stats)
+        registry.register_stats(stats)
+        assert _children(registry.snapshot(),
+                         "client_urls_checked_total") == {(): 3}
+
+    def test_server_bound_twice_counts_once(self):
+        registry = MetricsRegistry()
+        server = ServerCore(GOOGLE_LISTS[:1])
+        server.set_metrics(registry)
+        server.set_metrics(registry)
+        server.process_update(UpdateRequest(
+            cookie=SafeBrowsingCookie("bound-twice"),
+            states=(ListState("goog-malware-shavar", ChunkRange(set()),
+                              ChunkRange(set())),)))
+        assert _children(registry.snapshot(), "server_requests_total") == {
+            ("downloads",): 1, ("gethash",): 0}
+
+    def test_two_client_stats_sum(self):
+        registry = MetricsRegistry()
+        registry.register_stats(ClientStats(urls_checked=3, chunks_received=1))
+        registry.register_stats(ClientStats(urls_checked=4))
+        snapshot = registry.snapshot()
+        assert _children(snapshot, "client_urls_checked_total") == {(): 7}
+        assert _children(snapshot, "client_update_chunks_total") == {(): 1}
+
+    def test_increments_after_registration_show_in_the_next_snapshot(self):
+        registry = MetricsRegistry()
+        stats = TransportStats()
+        registry.register_stats(stats)
+        assert _children(registry.snapshot(), "transport_requests_total") == {
+            ("downloads",): 0, ("gethash",): 0}
+        stats.full_hash_requests += 2
+        assert _children(registry.snapshot(), "transport_requests_total") == {
+            ("downloads",): 0, ("gethash",): 2}
+
+    def test_exported_family_declared_live_raises(self):
+        live = MetricsRegistry()
+        live.counter("client_urls_checked_total").inc()
+        with pytest.raises(ValueError, match="live instrument"):
+            live.register_stats(ClientStats())
+        exported = MetricsRegistry()
+        exported.register_stats(ClientStats())
+        with pytest.raises(ValueError, match="Stats field"):
+            exported.counter("client_urls_checked_total")
+        with pytest.raises(ValueError, match="Stats field"):
+            exported.merge_snapshot(live.snapshot())
+
+    def test_merged_registries_equal_one_holding_both(self):
+        a = ClientStats(urls_checked=3, full_hash_requests=1)
+        b = ClientStats(urls_checked=5, update_requests=2)
+        server = ServerStats(update_requests=1, response_cache_hits=4)
+        first, second, both = (MetricsRegistry() for _ in range(3))
+        for registry, objects in ((first, (a, server)), (second, (b,)),
+                                  (both, (a, b, server))):
+            for stats in objects:
+                registry.register_stats(stats)
+        first.counter("client_check_batches_total").inc(2)
+        both.counter("client_check_batches_total").inc(2)
+        assert merge_snapshots([first.snapshot(), second.snapshot()]) == (
+            both.snapshot())
+
+    def test_exported_families_round_trip_prometheus(self):
+        registry = MetricsRegistry()
+        registry.register_stats(ServerStats(full_hash_requests=2,
+                                            prefixes_received=5))
+        parsed = parse_prometheus_text(render_prometheus(registry))
+        assert parsed.samples == snapshot_samples(registry)
+        assert parsed.samples[("server_requests_total",
+                               (("endpoint", "gethash"),))] == 2.0
+        assert parsed.types["server_requests_total"] == "counter"
+
+
+class TestLayersExportTheirStats:
+    def test_every_stats_backed_family_equals_its_field(self):
+        # One client, an in-process transport and a server on one registry.
+        registry = MetricsRegistry()
+        clock = ManualClock()
+        server = SafeBrowsingServer(GOOGLE_LISTS[:1], clock=clock,
+                                    max_log_entries=1, metrics=registry)
+        (evil,) = server.blacklist("goog-malware-shavar", ["evil.example/"])
+        server.blacklist("goog-malware-shavar", ["bad.example/"])
+        transport = InProcessTransport(server, metrics=registry)
+        client = SafeBrowsingClient(transport, clock=clock,
+                                    lists=["goog-malware-shavar"],
+                                    metrics=registry)
+        client.update()
+        client.check_urls(["http://evil.example/", "http://safe.example/"])
+        client.lookup("http://bad.example/")
+        client.lookup("http://evil.example/")  # from the client's cache
+        request = FullHashRequest(cookie=client.cookie, prefixes=(evil,))
+        transport.send_full_hash(request)
+        transport.send_full_hash(request)  # a server response-cache hit
+
+        snapshot = registry.snapshot()
+        families = set()
+        for stats in (client.stats, transport.stats, server.stats):
+            for field, family, _, labels in exported_fields(type(stats)):
+                labels = tuple(value for _, value in labels)
+                assert _children(snapshot, family)[labels] == (
+                    getattr(stats, field)), (family, labels)
+                assert getattr(stats, field) > 0 or field == "failures_injected"
+                families.add(family)
+        assert families == STATS_FAMILIES
 
 
 # -- quantiles -------------------------------------------------------------
