@@ -3,11 +3,9 @@
 One accounting surface instead of five: the client, server core, transports,
 durable storage, ingestion pipeline and fleet engines all record into a
 :class:`MetricsRegistry` of labeled :class:`Counter`/:class:`Gauge`/
-:class:`Histogram` families.  Events a layer already counts in a Stats
-dataclass (``ClientStats``, ``ServerStats``, ``TransportStats``) are counted
-once: those fields are declared :func:`exported`, the layer passes its Stats
-object to :meth:`MetricsRegistry.register_stats`, and each snapshot reads
-them.  The registry is
+:class:`Histogram` families, plus the :func:`exported` fields of the Stats
+objects it holds (:meth:`MetricsRegistry.register_stats`), so an event is
+counted once.  The registry is
 
 * **zero-dependency** — plain Python, importable on the numpy-absent leg;
 * **mergeable exactly** — per-shard worker registries fold into the parent
@@ -18,9 +16,9 @@ them.  The registry is
   minimal parser so CI can round-trip the exposition.
 
 Call sites take an optional ``metrics=`` registry defaulting to
-:data:`NULL_REGISTRY`, whose child metrics are shared no-op singletons and
-which ignores registered Stats objects — the uninstrumented hot loop pays
-at most one no-op method call per *request*, and nothing at all per URL.
+:data:`NULL_REGISTRY`, whose child metrics are shared no-op singletons — the
+uninstrumented hot loop pays one no-op method call per *request*, and
+nothing at all per URL.
 """
 
 from repro.observability.metrics import (

@@ -10,12 +10,9 @@ Design constraints, in order:
    are added, never averaged, and histograms use **fixed** log-spaced bucket
    bounds chosen at declaration time — two histograms of the same family
    always share bounds, so bucket-wise addition is exact.
-2. **One count per event.**  An event a layer already counts in a Stats
-   dataclass field (``ClientStats``, ``ServerStats``, ``TransportStats``)
-   is not counted again: the field is declared :func:`exported`, the layer
-   hands its Stats object to :meth:`MetricsRegistry.register_stats`, and
-   every snapshot reads the field.  Live instruments count only what no
-   Stats field does (histograms, batch and storage counters, gauges).
+2. **One count per event.**  A Stats dataclass field declared
+   :func:`exported` is read at snapshot time from the objects passed to
+   :meth:`MetricsRegistry.register_stats`, never counted a second time.
 3. **A hot null path.**  :data:`NULL_REGISTRY` hands out shared no-op
    children, so instrumented call sites cost one attribute load and a no-op
    call when metrics are disabled; call sites bind children once at
@@ -30,7 +27,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import field, fields
-from functools import cache
 from typing import Iterable, Iterator, Mapping
 
 from repro.observability.quantiles import histogram_quantile
@@ -166,23 +162,15 @@ _METRIC_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
 def exported(family: str, help_text: str, **labels: str):
-    """A Stats dataclass counter field that a registry exports as a counter.
-
-    The field stays the only count of its event: a registry holding the
-    Stats object (:meth:`MetricsRegistry.register_stats`) adds the field's
-    value into the ``family`` child labeled ``labels`` at every snapshot.
-    Fields sharing a family name the same label keys, one value each.
-    """
-    return field(default=0, metadata={
-        "metric": (family, help_text, tuple(labels.items()))})
+    """A Stats dataclass field that registries export as the ``labels``
+    child of counter ``family`` (:meth:`MetricsRegistry.register_stats`)."""
+    return field(default=0, metadata={"metric": (family, help_text, labels)})
 
 
-@cache
-def exported_fields(stats_type: type) -> tuple[tuple, ...]:
-    """``(field, family, help text, label pairs)`` per :func:`exported`
-    field of a Stats dataclass, in declaration order."""
-    return tuple((spec.name, *spec.metadata["metric"])
-                 for spec in fields(stats_type) if "metric" in spec.metadata)
+def exported_fields(stats) -> list[tuple]:
+    """``(field, family, help text, labels)`` per :func:`exported` field."""
+    return [(spec.name, *spec.metadata["metric"])
+            for spec in fields(stats) if "metric" in spec.metadata]
 
 
 class MetricFamily:
@@ -243,11 +231,6 @@ class MetricsRegistry:
     Declaring the same name again returns the existing family (or unlabeled
     child) after checking that kind and label names agree — so every module
     can declare what it records without coordinating import order.
-
-    Besides its live families, a registry exports the :func:`exported`
-    fields of the Stats objects registered with :meth:`register_stats`:
-    :meth:`snapshot` sums them into counter families, so the renderers and
-    the snapshot merge treat both alike.
     """
 
     #: Instrumented call sites may branch on this to skip measurement work
@@ -256,10 +239,10 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._families: dict[str, MetricFamily] = {}
-        # Registered Stats objects by id (held here, so no id is reused).
+        # Registered Stats objects by id (held here, so no id is reused),
+        # and the families their exported fields feed.
         self._stats: dict[int, object] = {}
-        # Exported family name -> (help text, label names).
-        self._exported: dict[str, tuple[str, tuple[str, ...]]] = {}
+        self._exported: set[str] = set()
 
     # -- declaration -------------------------------------------------------
 
@@ -293,20 +276,13 @@ class MetricsRegistry:
                              bounds=bounds)
 
     def register_stats(self, stats) -> None:
-        """Export the :func:`exported` fields of the Stats object ``stats``.
-
-        Every later snapshot reads the fields' current values, whatever was
-        counted before or after this call.  Registering an object again is
-        a no-op, so each is counted at most once.
-        """
-        if id(stats) in self._stats:
-            return
-        for _, family, help_text, labels in exported_fields(type(stats)):
+        """Sum the :func:`exported` fields of ``stats`` into every later
+        snapshot; registering an object again is a no-op."""
+        for _, family, _, _ in exported_fields(stats):
             if family in self._families:
                 raise ValueError(
                     f"metric {family!r} is already a live instrument")
-            self._exported.setdefault(
-                family, (help_text, tuple(name for name, _ in labels)))
+            self._exported.add(family)
         self._stats[id(stats)] = stats
 
     # -- introspection / merge --------------------------------------------
@@ -318,29 +294,15 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """Plain-dict state: picklable across processes, JSON-able as-is."""
-        states = {f.name: f.state() for f in self.families()}
-        states.update(self._exported_states())
-        return {"families": dict(sorted(states.items()))}
-
-    def _exported_states(self) -> dict:
-        """Family states summed from the registered Stats objects."""
-        totals: dict[str, dict[tuple[str, ...], int]] = {
-            family: {} for family in self._exported}
+        families = dict(self._families)
         for stats in self._stats.values():
-            for name, family, _, labels in exported_fields(type(stats)):
-                key = tuple(value for _, value in labels)
-                children = totals[family]
-                children[key] = children.get(key, 0) + getattr(stats, name)
-        return {
-            family: {
-                "kind": "counter",
-                "help": self._exported[family][0],
-                "label_names": list(self._exported[family][1]),
-                "children": [{"labels": list(key), "state": children[key]}
-                             for key in sorted(children)],
-            }
-            for family, children in totals.items()
-        }
+            for field_name, name, help_text, labels in exported_fields(stats):
+                if name not in families:
+                    families[name] = MetricFamily(name, "counter", help_text,
+                                                  tuple(labels))
+                families[name].labels(**labels).inc(getattr(stats, field_name))
+        return {"families": {name: families[name].state()
+                             for name in sorted(families)}}
 
     def merge_snapshot(self, snapshot: Mapping) -> None:
         """Fold one worker snapshot in: counters/buckets summed exactly."""

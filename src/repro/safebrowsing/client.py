@@ -307,8 +307,7 @@ class SafeBrowsingClient:
         )
         self.stats = ClientStats()
         # Observability: the registry reads the exported ClientStats fields;
-        # the remaining instruments are bound once here so the hot paths make
-        # bound-method calls only.  With no registry the shared no-op child
+        # the other children are bound once here (bound-method calls only).  With no registry the shared no-op child
         # is bound and the wall-clock measurement blocks are skipped
         # entirely (guarded by _metrics_enabled).
         metrics = registry_or_null(metrics)

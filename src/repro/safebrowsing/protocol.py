@@ -232,9 +232,6 @@ class ClientStats:
     chunks those polls carried, and ``update_prefixes_received`` the
     prefixes inside them — the quantity a warm start (restoring a snapshot
     and fetching only newer chunks) saves over a cold start.
-
-    The :func:`~repro.observability.metrics.exported` fields are also the
-    ``client_*`` counter families of a registry the client was built with.
     """
 
     urls_checked: int = exported("client_urls_checked_total",

@@ -103,12 +103,7 @@ _RESPONSE_CACHE = ("server_response_cache_total",
 
 @dataclass
 class ServerStats:
-    """Aggregate counters for reporting.
-
-    The :func:`~repro.observability.metrics.exported` fields are also the
-    ``server_*`` counter families of the registry bound by
-    :meth:`ServerCore.set_metrics`.
-    """
+    """Aggregate counters for reporting."""
 
     update_requests: int = exported(*_REQUESTS, endpoint="downloads")
     full_hash_requests: int = exported(*_REQUESTS, endpoint="gethash")
@@ -211,13 +206,11 @@ class ServerCore:
         """(Re)bind this server's instruments to ``metrics``.
 
         The registry exports :attr:`stats`, which count from construction
-        onward; request counters see no setup-time work (blacklisting the
-        corpus, the initial storage commit), so a fleet that binds before
-        its first request reports exactly the requests it sent.  The
-        histograms and the underlying database's storage instruments count
-        from this call onward: fleet runs bind *after* provisioning so that
-        shard-merged registries equal a monolithic run's.  ``None`` binds
-        the shared null registry (no-op path).
+        onward (fleets bind before the first request).  The histograms and the database's storage instruments count
+        from this call: fleet runs call it *after* provisioning, so setup
+        work (the initial storage commit) is never counted — a requirement
+        for shard-merged registries to equal a monolithic run's.  ``None``
+        binds the shared null registry (no-op path).
         """
         metrics = registry_or_null(metrics)
         self._metrics_enabled = metrics.enabled

@@ -66,9 +66,7 @@ class TransportStats:
     """Counters a transport keeps about the traffic it carried.
 
     The socket-level fields (``retries`` onward) stay zero for the local
-    transports; the HTTP transport fills them in.  The
-    :func:`~repro.observability.metrics.exported` fields are also the
-    ``transport_*`` counter families of the transport's registry.
+    transports; the HTTP transport fills them in.
     """
 
     requests_sent: int = 0
@@ -91,15 +89,11 @@ class TransportStats:
 class Transport(ABC):
     """One client's channel to the provider.
 
-    :meth:`send_update` and :meth:`send_full_hash` count every request in
-    :attr:`stats` and time it; each kind implements only the delivery
-    (:meth:`_deliver_update` / :meth:`_deliver_full_hash`).
-
-    ``metrics`` (optional) instruments the boundary: it exports
-    :attr:`stats` (per-endpoint requests, failures) and holds a
-    per-delivery wall-latency histogram and — for the simulated kind — the
-    sampled logical latency distribution.  The default null registry binds
-    shared no-op children and skips the wall-clock reads.
+    :meth:`send_update` / :meth:`send_full_hash` count and time every
+    request; each kind implements only its delivery.  ``metrics``
+    (optional) exports :attr:`stats` and records a per-delivery wall-latency
+    histogram and — for the simulated kind — the sampled logical latency.
+    The default null registry skips the wall-clock reads.
     """
 
     def __init__(self, server: ServerCore | None, *,
@@ -160,35 +154,31 @@ class Transport(ABC):
     def _deliver_full_hash(self, request: FullHashRequest) -> FullHashResponse:
         """This kind's delivery of one full-hash request."""
 
-    # -- endpoint dispatch -----------------------------------------------------
-    #
-    # A SafeBrowsingServer facade may override handle_update/handle_full_hash
-    # (tests inject outages that way); dispatching through the facade when it
-    # exists keeps a transport-wrapped server byte-for-byte equivalent to
-    # calling it directly.  A bare ServerCore goes straight to the endpoint
-    # handlers.
 
-    def _dispatch_update(self, request: UpdateRequest) -> UpdateResponse:
+class InProcessTransport(Transport):
+    """Direct dispatch into the server's endpoint handlers (the reference).
+
+    A SafeBrowsingServer facade may override handle_update/handle_full_hash
+    (tests inject outages that way); dispatching through the facade when it
+    exists keeps a transport-wrapped server byte-for-byte equivalent to
+    calling it directly.  A bare ServerCore goes straight to the endpoint
+    handlers.
+    """
+
+    def _deliver_update(self, request: UpdateRequest) -> UpdateResponse:
         handler = getattr(self._server, "handle_update", None)
         if handler is not None:
             return handler(request)
         return serve_update(self._server, request)
 
-    def _dispatch_full_hash(self, request: FullHashRequest) -> FullHashResponse:
+    def _deliver_full_hash(self, request: FullHashRequest) -> FullHashResponse:
         handler = getattr(self._server, "handle_full_hash", None)
         if handler is not None:
             return handler(request)
         return serve_full_hash(self._server, request)
 
 
-class InProcessTransport(Transport):
-    """Direct dispatch into the server's endpoint handlers (the reference)."""
-
-    _deliver_update = Transport._dispatch_update
-    _deliver_full_hash = Transport._dispatch_full_hash
-
-
-class SimulatedNetworkTransport(Transport):
+class SimulatedNetworkTransport(InProcessTransport):
     """A seeded latency/failure model over a local server core.
 
     Parameters
@@ -246,11 +236,11 @@ class SimulatedNetworkTransport(Transport):
 
     def _deliver_update(self, request: UpdateRequest) -> UpdateResponse:
         self._elapse("downloads")
-        return self._dispatch_update(request)
+        return super()._deliver_update(request)
 
     def _deliver_full_hash(self, request: FullHashRequest) -> FullHashResponse:
         self._elapse("gethash")
-        return self._dispatch_full_hash(request)
+        return super()._deliver_full_hash(request)
 
 
 def build_transport(kind: str, server: ServerCore | None, *,

@@ -158,8 +158,8 @@ def test_registry_agrees_with_report_counters():
 
     expected = {}
     for stats in (obj.stats for obj in simulator.built):
-        for field, family, _, labels in exported_fields(type(stats)):
-            key = (family, *(label for _, label in labels))
+        for field, family, _, labels in exported_fields(stats):
+            key = (family, *labels.values())
             expected[key] = expected.get(key, 0) + getattr(stats, field)
     assert len(expected) == 15
     for key, total in expected.items():

@@ -344,8 +344,8 @@ class TestLayersExportTheirStats:
         snapshot = registry.snapshot()
         families = set()
         for stats in (client.stats, transport.stats, server.stats):
-            for field, family, _, labels in exported_fields(type(stats)):
-                labels = tuple(value for _, value in labels)
+            for field, family, _, labels in exported_fields(stats):
+                labels = tuple(labels.values())
                 assert _children(snapshot, family)[labels] == (
                     getattr(stats, field)), (family, labels)
                 assert getattr(stats, field) > 0 or field == "failures_injected"
