@@ -206,11 +206,12 @@ class ServerCore:
         """(Re)bind this server's instruments to ``metrics``.
 
         The registry exports :attr:`stats`, which count from construction
-        onward (fleets bind before the first request).  The histograms and the database's storage instruments count
-        from this call: fleet runs call it *after* provisioning, so setup
-        work (the initial storage commit) is never counted — a requirement
-        for shard-merged registries to equal a monolithic run's.  ``None``
-        binds the shared null registry (no-op path).
+        onward (fleets bind before the first request).  The histograms and
+        the database's storage instruments count from this call: fleet runs
+        call it *after* provisioning, so setup work (the initial storage
+        commit) is never counted — a requirement for shard-merged registries
+        to equal a monolithic run's.  ``None`` binds the shared null
+        registry (no-op path).
         """
         metrics = registry_or_null(metrics)
         self._metrics_enabled = metrics.enabled

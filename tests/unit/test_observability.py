@@ -5,6 +5,7 @@ export round-trips, and the shared stats snapshot paths.
 from __future__ import annotations
 
 import math
+import weakref
 
 import pytest
 
@@ -242,8 +243,12 @@ STATS_FAMILIES = {
 
 class TestRegisterStats:
     def test_null_registry_ignores_stats(self):
-        NULL_REGISTRY.register_stats(ClientStats(urls_checked=3))
+        stats = ClientStats(urls_checked=3)
+        held = weakref.ref(stats)
+        NULL_REGISTRY.register_stats(stats)
         assert NULL_REGISTRY.snapshot() == {"families": {}}
+        del stats
+        assert held() is None  # the shared null registry keeps nothing
 
     def test_registering_twice_counts_once(self):
         registry = MetricsRegistry()
