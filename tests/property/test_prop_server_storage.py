@@ -8,6 +8,11 @@ The durable-server contract, pinned two ways:
   SQLite file matches the database that wrote it.  This mirrors
   ``test_prop_snapshot.py``, which pins the same property for snapshot
   save/load;
+* **mutation round trip** — after any mix of the five ``ListDatabase``
+  mutators (the operation strategy of ``test_prop_database_membership.py``
+  plus full hashes of known expressions), with commits interleaved and an
+  uncommitted tail, the database reloaded from SQLite equals both its
+  writer and the memory-backed twin that saw the same sequence;
 * **fleet signatures** — a fleet's traffic signature (prefixes revealed,
   local hits, verdicts) does not depend on the server's storage backend, on
   either transport, with or without churn: durability decides what a
@@ -16,17 +21,30 @@ The durable-server contract, pinned two ways:
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.clock import ManualClock
 from repro.datastructures.vectorized import NUMPY_AVAILABLE
 from repro.experiments.fleet import FleetConfig, run_fleet
+from repro.hashing.digests import FullHash
 from repro.hashing.prefix import Prefix
 from repro.safebrowsing.client import SafeBrowsingClient
+from repro.safebrowsing.database import ServerDatabase
 from repro.safebrowsing.lists import GOOGLE_LISTS
 from repro.safebrowsing.server import SafeBrowsingServer
 from repro.safebrowsing.storage import load_sqlite_server_database
 
+from tests.property.test_prop_database_membership import (
+    EXPRESSIONS as MUTATED_EXPRESSIONS,
+    POOL,
+    _apply,
+    _Model,
+    _operation,
+)
 from tests.property.test_prop_snapshot import TINY_CHURN, _CHURN
 
 TRANSPORTS = ("in-process", "simulated")
@@ -76,6 +94,89 @@ def _assert_databases_identical(reference, candidate) -> None:
             assert copy.full_hashes_for(prefix) == list_db.full_hashes_for(prefix)
         batch = members + probes
         assert copy.contains_many(batch) == list_db.contains_many(batch)
+
+
+#: The first and the last stored list: the round trip keeps two lists'
+#: entries apart in one file.
+ROUND_TRIP_LISTS = (GOOGLE_LISTS[0].name, GOOGLE_LISTS[-1].name)
+
+_E0, _E1, _E2 = MUTATED_EXPRESSIONS[:3]
+_L0, _L1 = ROUND_TRIP_LISTS
+_COMMIT = (_L0, ("commit",))
+
+#: One step on one list: a mutation, a bare full hash of a known expression
+#: (so expressions and bare digests share entries), or a commit of every
+#: list.
+_step = st.tuples(st.sampled_from(ROUND_TRIP_LISTS), st.one_of(
+    _operation,
+    st.tuples(st.just("add_full_hash_of"),
+              st.sampled_from(MUTATED_EXPRESSIONS)),
+    st.just(("commit",)),
+))
+
+
+def _mutate(database: ServerDatabase, step: tuple) -> None:
+    list_name, operation = step
+    if operation[0] == "commit":
+        database.commit()
+    elif operation[0] == "add_full_hash_of":
+        database[list_name].add_full_hash(FullHash.of(operation[1]))
+    else:
+        _apply(database[list_name], _Model(), operation)
+
+
+def _assert_round_trip(reference: ServerDatabase,
+                       candidate: ServerDatabase) -> None:
+    assert candidate.version == reference.version
+    for list_db in reference:
+        copy = candidate[list_db.descriptor.name]
+        assert copy.version == list_db.version
+        assert copy.expressions() == list_db.expressions()
+        members = sorted(list_db.prefixes())
+        assert sorted(copy.prefixes()) == members
+        for prefix in (*members, *POOL):
+            assert copy.full_hashes_for(prefix) == list_db.full_hashes_for(
+                prefix)
+        assert sorted(copy.orphan_prefixes()) == sorted(
+            list_db.orphan_prefixes())
+        assert copy.add_chunks == list_db.add_chunks
+        assert copy.sub_chunks == list_db.sub_chunks
+        assert copy._pending_additions == list_db._pending_additions
+        assert copy._pending_removals == list_db._pending_removals
+
+
+class TestMutationSequencesRoundTrip:
+    @given(st.lists(_step, max_size=40))
+    # A bare digest lands before its expression, which stays.
+    @example([(_L0, ("add_full_hash_of", _E0)), _COMMIT,
+              (_L0, ("add_expression", _E0))])
+    # A bare digest lands before its expression, which is then removed.
+    @example([(_L0, ("add_full_hash_of", _E0)), (_L0, ("add_expression", _E0)),
+              _COMMIT, (_L0, ("remove_expression", _E0))])
+    # A bare digest lands after its expression; another expression whose
+    # digest was only ever added bare is removed in the pending tail.
+    @example([(_L0, ("add_expression", _E1)), (_L0, ("add_full_hash_of", _E1)),
+              (_L1, ("add_full_hash_of", _E2)), _COMMIT,
+              (_L1, ("remove_expression", _E2)),
+              (_L1, ("add_expression", _E1))])
+    @settings(max_examples=100, deadline=None)
+    def test_reload_matches_writer_and_memory_twin(self, steps):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "server.sqlite"
+            writer = ServerDatabase(GOOGLE_LISTS, storage="sqlite",
+                                    storage_path=path)
+            twin = ServerDatabase(GOOGLE_LISTS)
+            try:
+                for step in steps:
+                    _mutate(writer, step)
+                    _mutate(twin, step)
+                # Flush without committing: the pending tail is saved as is.
+                writer.storage.flush()
+            finally:
+                writer.storage.close()
+            restored = load_sqlite_server_database(path)
+        _assert_round_trip(writer, restored)
+        _assert_round_trip(twin, restored)
 
 
 class TestStorageBackendEquivalence:
