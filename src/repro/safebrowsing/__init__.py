@@ -95,6 +95,7 @@ from repro.safebrowsing.storage import (
 from repro.safebrowsing.ingest import (
     IngestionPipeline,
     IngestionProgress,
+    IngestStats,
     ListMutation,
     synthetic_additions,
 )
@@ -129,6 +130,7 @@ __all__ = [
     "InProcessTransport",
     "IngestionPipeline",
     "IngestionProgress",
+    "IngestStats",
     "ListDatabase",
     "ListDescriptor",
     "ListMutation",

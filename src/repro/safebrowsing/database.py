@@ -45,10 +45,8 @@ from repro.safebrowsing.lists import ListDescriptor
 from repro.safebrowsing.storage import (
     CHUNK_KIND_CODES,
     OP_CHUNK,
-    OP_EXPR_ADD,
-    OP_EXPR_REMOVE,
-    OP_HASH_ADD,
-    OP_HASH_REMOVE,
+    OP_ENTRY_ADD,
+    OP_ENTRY_REMOVE,
     OP_ORPHAN_ADD,
     OP_ORPHAN_REMOVE,
     OP_PENDING_ADD,
@@ -138,11 +136,10 @@ class ListDatabase:
         prefix = full_hash.prefix(self.prefix_bits)
         if expression not in self._expressions:
             self._expressions[expression] = full_hash
-            self._record(OP_EXPR_ADD, expression)
+            self._record(OP_ENTRY_ADD, full_hash.digest, expression)
         if self._add_to_bucket(prefix, full_hash):
             self._pending_additions.append(prefix)
             self.version += 1
-            self._record(OP_HASH_ADD, prefix.value, full_hash.digest)
             self._record(OP_PENDING_ADD, PENDING_ADDITION, prefix.value)
         if prefix.value in self._orphans:
             self._orphans.discard(prefix.value)
@@ -159,7 +156,7 @@ class ListDatabase:
         if self._add_to_bucket(prefix, full_hash):
             self._pending_additions.append(prefix)
             self.version += 1
-            self._record(OP_HASH_ADD, prefix.value, full_hash.digest)
+            self._record(OP_ENTRY_ADD, full_hash.digest, None)
             self._record(OP_PENDING_ADD, PENDING_ADDITION, prefix.value)
         if prefix.value in self._orphans:
             self._orphans.discard(prefix.value)
@@ -190,14 +187,12 @@ class ListDatabase:
         full_hash = self._expressions.pop(expression, None)
         if full_hash is None:
             full_hash = FullHash.of(expression)
-        else:
-            self._record(OP_EXPR_REMOVE, expression)
         prefix = full_hash.prefix(self.prefix_bits)
         bucket = self._full_hashes.get(prefix.value, ())
         if full_hash in bucket:
             remaining = tuple(entry for entry in bucket if entry != full_hash)
             self.version += 1
-            self._record(OP_HASH_REMOVE, full_hash.digest)
+            self._record(OP_ENTRY_REMOVE, full_hash.digest)
             if remaining:
                 self._full_hashes[prefix.value] = remaining
             else:

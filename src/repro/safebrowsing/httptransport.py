@@ -199,6 +199,7 @@ class HttpTransport(Transport):
                 f"the {endpoint} endpoint answered HTTP {status} with a "
                 f"non-error frame")
         if not isinstance(message, expected):
+            self.stats.failures_injected += 1
             raise WireError(
                 f"the {endpoint} endpoint answered with "
                 f"{type(message).__name__}, expected {expected.__name__}")

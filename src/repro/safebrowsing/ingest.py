@@ -41,6 +41,7 @@ from repro.hashing.prefix import Prefix
 from repro.observability.metrics import (
     SIZE_BOUNDS,
     MetricsRegistry,
+    exported,
     registry_or_null,
 )
 
@@ -108,6 +109,17 @@ class IngestionProgress:
     flushed_ops: int
 
 
+@dataclass
+class IngestStats:
+    """What a pipeline has applied since its construction; registries
+    export both fields (:meth:`MetricsRegistry.register_stats`)."""
+
+    applied: int = exported("ingest_mutations_total",
+                            "Mutations applied by the pipeline")
+    batches: int = exported("ingest_batches_total",
+                            "Non-empty ingestion batches committed")
+
+
 class IngestionPipeline:
     """Batched, committed application of an ingestion feed to a server.
 
@@ -127,14 +139,10 @@ class IngestionPipeline:
         self.database = getattr(target, "database", target)
         self.batch_size = batch_size
         self._queue: deque[ListMutation] = deque()
-        self.applied = 0
-        self.batches = 0
+        self.stats = IngestStats()
         self.flushed_ops = 0
         metrics = registry_or_null(metrics)
-        self._m_batches = metrics.counter(
-            "ingest_batches_total", "Non-empty ingestion batches committed")
-        self._m_mutations = metrics.counter(
-            "ingest_mutations_total", "Mutations applied by the pipeline")
+        metrics.register_stats(self.stats)
         self._m_batch_size = metrics.histogram(
             "ingest_batch_size", "Mutations applied per non-empty batch",
             bounds=SIZE_BOUNDS)
@@ -142,6 +150,16 @@ class IngestionPipeline:
             "ingest_queue_depth", "Mutations submitted but not yet applied")
         # Commit latency is instrumented at the ServerDatabase (the
         # storage_commit_* families); the pipeline only adds batch shape.
+
+    @property
+    def applied(self) -> int:
+        """Mutations applied so far."""
+        return self.stats.applied
+
+    @property
+    def batches(self) -> int:
+        """Non-empty batches committed so far."""
+        return self.stats.batches
 
     @property
     def queued(self) -> int:
@@ -183,12 +201,10 @@ class IngestionPipeline:
             self._apply(self._queue.popleft())
             applied += 1
         flushed = self.database.commit()
-        self.applied += applied
+        self.stats.applied += applied
         self.flushed_ops += flushed
         if applied:
-            self.batches += 1
-            self._m_batches.inc()
-            self._m_mutations.inc(applied)
+            self.stats.batches += 1
             self._m_batch_size.observe(applied)
         self._m_queue_depth.set(len(self._queue))
         return IngestionProgress(

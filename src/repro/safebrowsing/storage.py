@@ -1,65 +1,53 @@
 """Durable server storage: the layer under :class:`ServerDatabase`.
 
 Server state lives in Python dicts for lookups; at the paper's Table 1
-scale (hundreds of thousands to millions of prefixes per list)
-re-serializing that whole state on every change would be the dominant
-cost.  This module splits the storage concern out behind a
-:class:`ServerStorage` interface, the way the Safe Browsing DNSBL-generator
-exemplar keeps its blocklists in SQLite while queries keep flowing:
+scale re-serializing that whole state on every change would be the
+dominant cost.  This module keeps storage behind a :class:`ServerStorage`
+interface, the way the Safe Browsing DNSBL-generator exemplar keeps its
+blocklists in SQLite while queries keep flowing:
 
 * the **working set** stays in memory — every
-  :class:`~repro.safebrowsing.database.ListDatabase` keeps its full-hash
-  buckets and orphan prefixes exactly as before, so lookups never touch
-  the durable layer;
-* **durability is a write-through journal**: each logical mutation the
-  database applies is also recorded with its storage
-  (:meth:`ServerStorage.record`), and :meth:`ServerStorage.flush` commits
-  the journal in one transaction — the cost of persisting is proportional
-  to *what changed*, never to the size of the database;
-* **loads rebuild the working set** from the durable tables
-  (:meth:`SQLiteServerStorage.load_database`): buckets, orphans, chunk
-  history, pending mutations and per-list versions are read back.
+  :class:`~repro.safebrowsing.database.ListDatabase` answers lookups from
+  its own buckets and orphans, never from the durable layer;
+* **durability is a write-through journal**: each logical mutation is also
+  recorded with the storage (:meth:`ServerStorage.record`), and
+  :meth:`ServerStorage.flush` commits the journal in one transaction, so
+  persisting costs what changed, never the size of the database;
+* **loads rebuild the working set** from the tables
+  (:meth:`SQLiteServerStorage.load_database`).
 
-A SQLite file is also the one server snapshot format:
-:func:`~repro.safebrowsing.snapshot.save_server_snapshot` flushes (or, for a
-memory-backed database, :func:`dump_database_to_sqlite` exports) into one,
-and every server load reads one back.
+The file stores each entry once and nothing derived.  One ``entries`` row
+holds a digest beside its expression (NULL for a digest added bare); a
+load keys buckets by the digest's leading bytes without re-hashing.
+``entries``, ``orphans``, ``chunks`` and ``pending`` name their list by its
+integer ``lists.position``.  This file is also the one server snapshot
+format: :func:`~repro.safebrowsing.snapshot.save_server_snapshot` flushes
+into one (or exports a memory-backed database with
+:func:`dump_database_to_sqlite`), and every server load reads one back.
 
-Two backends are registered in :data:`STORAGE_KINDS`:
+:data:`STORAGE_KINDS` names two backends: ``"memory"``
+(:class:`MemoryServerStorage`, the default: recording and flushing are
+no-ops, the dicts *are* the state) and ``"sqlite"``
+(:class:`SQLiteServerStorage`; ``path=None`` is a private ``:memory:``
+database).  Readers attaching to a file — other processes, the parallel
+fleet's workers — open it read-only and see only *committed* transactions,
+the versioned-read guarantee :mod:`repro.safebrowsing.ingest` builds on.
 
-``"memory"``
-    :class:`MemoryServerStorage` — the default.  Recording is a no-op (the
-    dicts *are* the state); flushing commits nothing.  Servers built this
-    way persist by exporting their whole state with
-    :func:`dump_database_to_sqlite`.
-
-``"sqlite"``
-    :class:`SQLiteServerStorage` — chunks, expressions, full hashes,
-    orphans, pending mutations and per-list versions live in SQLite tables
-    (``path=None`` uses a private ``:memory:`` database, handy for
-    equivalence tests).  Readers attaching to the file — other processes,
-    the parallel fleet's workers — open it read-only and observe only
-    *committed* transactions: an in-flight ingestion batch is invisible
-    until its :meth:`~ServerStorage.flush`, which is the versioned-read
-    guarantee the live ingestion pipeline (:mod:`repro.safebrowsing.ingest`)
-    builds on.
-
-The property suite (``tests/property/test_prop_server_storage.py``) pins a
-database round-tripped through SQLite observationally identical to its
-memory-backed twin — membership, buckets, chunk history, versions — and
-pins fleet traffic signatures invariant under the server-storage choice on
-every transport.
+``tests/property/test_prop_server_storage.py`` pins a database reloaded
+from SQLite identical to its writer and to its memory-backed twin, and
+fleet traffic signatures invariant under the storage choice.
 """
 
 from __future__ import annotations
 
 import sqlite3
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
+from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.exceptions import PrefixError, StorageError
-from repro.hashing.digests import FullHash
+from repro.hashing.digests import FULL_DIGEST_BITS, _valid_full_hash
 from repro.hashing.prefix import Prefix, PrefixRun
 from repro.safebrowsing.chunks import Chunk, ChunkKind
 from repro.safebrowsing.lists import ListDescriptor, ListProvider, ThreatCategory
@@ -73,7 +61,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (database imports us)
 STORAGE_KINDS = ("memory", "sqlite")
 
 #: Schema version written to (and required from) every SQLite storage file.
-SQLITE_SCHEMA_VERSION = 1
+SQLITE_SCHEMA_VERSION = 2
+
+#: Length of the digest in every ``entries`` row.
+_DIGEST_BYTES = FULL_DIGEST_BITS // 8
 
 #: First bytes of every SQLite database file.  Snapshot loads check them to
 #: tell a server database from a client snapshot before opening the file.
@@ -81,11 +72,10 @@ SQLITE_MAGIC = b"SQLite format 3\x00"
 
 #: Journal op codes (first element of every recorded op tuple).  The
 #: database's mutators build these tuples (:meth:`ListDatabase._record`);
-#: :meth:`SQLiteServerStorage.flush` applies them.
-OP_EXPR_ADD = "expr+"
-OP_EXPR_REMOVE = "expr-"
-OP_HASH_ADD = "hash+"
-OP_HASH_REMOVE = "hash-"
+#: :meth:`SQLiteServerStorage.flush` applies them.  ``entry+`` carries
+#: ``(digest, expression or None)`` and ``entry-`` the digest.
+OP_ENTRY_ADD = "entry+"
+OP_ENTRY_REMOVE = "entry-"
 OP_ORPHAN_ADD = "orphan+"
 OP_ORPHAN_REMOVE = "orphan-"
 OP_CHUNK = "chunk"
@@ -98,7 +88,6 @@ PENDING_REMOVAL = 1
 
 #: ``chunks.kind`` column values.
 CHUNK_KIND_CODES = {ChunkKind.ADD: 0, ChunkKind.SUB: 1}
-CHUNK_KIND_BY_CODE = {code: kind for kind, code in CHUNK_KIND_CODES.items()}
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -115,38 +104,53 @@ CREATE TABLE IF NOT EXISTS lists (
     digest_format      TEXT NOT NULL,
     version            INTEGER NOT NULL DEFAULT 0
 ) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS expressions (
-    list_name  TEXT NOT NULL,
-    expression TEXT NOT NULL,
-    PRIMARY KEY (list_name, expression)
-) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS full_hashes (
-    list_name TEXT NOT NULL,
-    prefix    BLOB NOT NULL,
-    digest    BLOB NOT NULL,
-    PRIMARY KEY (list_name, digest)
+CREATE TABLE IF NOT EXISTS entries (
+    list_id    INTEGER NOT NULL,
+    digest     BLOB NOT NULL,
+    expression TEXT,
+    PRIMARY KEY (list_id, digest)
 ) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS orphans (
-    list_name TEXT NOT NULL,
-    prefix    BLOB NOT NULL,
-    PRIMARY KEY (list_name, prefix)
+    list_id INTEGER NOT NULL,
+    prefix  BLOB NOT NULL,
+    PRIMARY KEY (list_id, prefix)
 ) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS chunks (
-    list_name      TEXT NOT NULL,
+    list_id        INTEGER NOT NULL,
     kind           INTEGER NOT NULL,
     number         INTEGER NOT NULL,
     referenced_add INTEGER NOT NULL,
     prefixes       BLOB NOT NULL,
-    PRIMARY KEY (list_name, kind, number)
+    PRIMARY KEY (list_id, kind, number)
 ) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS pending (
-    list_name TEXT NOT NULL,
-    kind      INTEGER NOT NULL,
-    position  INTEGER NOT NULL,
-    prefix    BLOB NOT NULL,
-    PRIMARY KEY (list_name, kind, position)
+    list_id  INTEGER NOT NULL,
+    kind     INTEGER NOT NULL,
+    position INTEGER NOT NULL,
+    prefix   BLOB NOT NULL,
+    PRIMARY KEY (list_id, kind, position)
 ) WITHOUT ROWID;
 """
+
+#: The statement applying each journal op code, bound to
+#: ``(list_id, *op[1:])``.  ``entry+`` never overwrites a stored expression
+#: with NULL: a bare digest added after its expression keeps the text.
+_OP_SQL = {
+    OP_ENTRY_ADD: "INSERT INTO entries (list_id, digest, expression) "
+                  "VALUES (?, ?, ?) ON CONFLICT (list_id, digest) DO UPDATE "
+                  "SET expression = COALESCE(excluded.expression, expression)",
+    OP_ENTRY_REMOVE: "DELETE FROM entries WHERE list_id = ? AND digest = ?",
+    OP_ORPHAN_ADD: "INSERT OR IGNORE INTO orphans (list_id, prefix) "
+                   "VALUES (?, ?)",
+    OP_ORPHAN_REMOVE: "DELETE FROM orphans WHERE list_id = ? AND prefix = ?",
+    OP_PENDING_ADD: "INSERT INTO pending (list_id, kind, position, prefix) "
+                    "VALUES (?1, ?2, 1 + COALESCE((SELECT MAX(position) "
+                    "FROM pending WHERE list_id = ?1 AND kind = ?2), 0), ?3)",
+    OP_PENDING_CLEAR: "DELETE FROM pending WHERE list_id = ? AND kind = ?",
+    OP_CHUNK: "INSERT OR REPLACE INTO chunks "
+              "(list_id, kind, number, referenced_add, prefixes) "
+              "VALUES (?, ?, ?, ?, ?)",
+}
 
 
 class ServerStorage:
@@ -245,6 +249,8 @@ class SQLiteServerStorage(ServerStorage):
         self.readonly = readonly
         self._database: "ServerDatabase | None" = None
         self._journal: list[tuple[str, tuple]] = []
+        #: ``lists.position`` of each list, the key of its rows.
+        self._list_ids: dict[str, int] = {}
         self._loading = False
         if readonly and self.path is None:
             raise StorageError("a read-only SQLite storage needs a file path")
@@ -293,6 +299,8 @@ class SQLiteServerStorage(ServerStorage):
                 "SQLiteServerStorage.load_database instead of binding a "
                 "fresh database over it"
             )
+        self._list_ids = {list_db.descriptor.name: position
+                          for position, list_db in enumerate(database)}
         with self._connection:
             self._connection.executemany(
                 "INSERT INTO meta (key, value) VALUES (?, ?)",
@@ -330,7 +338,9 @@ class SQLiteServerStorage(ServerStorage):
 
         Until this returns, a reader attached to the file sees the previous
         committed state — SQLite's transactionality is what makes the
-        ingestion pipeline's reads versioned rather than torn.
+        ingestion pipeline's reads versioned rather than torn.  Each run of
+        consecutive ops with one code is one ``executemany``, in journal
+        order.
         """
         if self.readonly:
             raise StorageError(
@@ -343,8 +353,12 @@ class SQLiteServerStorage(ServerStorage):
             return 0
         try:
             with self._connection:
-                for list_name, op in journal:
-                    self._apply(list_name, op)
+                list_ids = self._list_ids
+                for code, run in groupby(journal, key=lambda item: item[1][0]):
+                    self._connection.executemany(
+                        _OP_SQL[code],
+                        [(list_ids[list_name], *op[1:])
+                         for list_name, op in run])
                 if self._database is not None:
                     dirty = {list_name for list_name, _ in journal}
                     self._connection.executemany(
@@ -386,45 +400,6 @@ class SQLiteServerStorage(ServerStorage):
         kept.reverse()
         return kept
 
-    def _apply(self, list_name: str, op: tuple) -> None:
-        code = op[0]
-        execute = self._connection.execute
-        if code == OP_HASH_ADD:
-            execute("INSERT OR REPLACE INTO full_hashes "
-                    "(list_name, prefix, digest) VALUES (?, ?, ?)",
-                    (list_name, op[1], op[2]))
-        elif code == OP_HASH_REMOVE:
-            execute("DELETE FROM full_hashes WHERE list_name = ? "
-                    "AND digest = ?", (list_name, op[1]))
-        elif code == OP_EXPR_ADD:
-            execute("INSERT OR IGNORE INTO expressions "
-                    "(list_name, expression) VALUES (?, ?)",
-                    (list_name, op[1]))
-        elif code == OP_EXPR_REMOVE:
-            execute("DELETE FROM expressions WHERE list_name = ? "
-                    "AND expression = ?", (list_name, op[1]))
-        elif code == OP_ORPHAN_ADD:
-            execute("INSERT OR IGNORE INTO orphans (list_name, prefix) "
-                    "VALUES (?, ?)", (list_name, op[1]))
-        elif code == OP_ORPHAN_REMOVE:
-            execute("DELETE FROM orphans WHERE list_name = ? AND prefix = ?",
-                    (list_name, op[1]))
-        elif code == OP_PENDING_ADD:
-            execute("INSERT INTO pending (list_name, kind, position, prefix) "
-                    "VALUES (?, ?, 1 + COALESCE((SELECT MAX(position) "
-                    "FROM pending WHERE list_name = ? AND kind = ?), 0), ?)",
-                    (list_name, op[1], list_name, op[1], op[2]))
-        elif code == OP_PENDING_CLEAR:
-            execute("DELETE FROM pending WHERE list_name = ? AND kind = ?",
-                    (list_name, op[1]))
-        elif code == OP_CHUNK:
-            execute("INSERT OR REPLACE INTO chunks "
-                    "(list_name, kind, number, referenced_add, prefixes) "
-                    "VALUES (?, ?, ?, ?, ?)",
-                    (list_name, op[1], op[2], op[3], op[4]))
-        else:  # pragma: no cover - op codes are module-internal
-            raise StorageError(f"unknown storage op code {code!r}")
-
     # -- loading ---------------------------------------------------------------
 
     def load_database(self) -> "ServerDatabase":
@@ -432,12 +407,11 @@ class SQLiteServerStorage(ServerStorage):
 
         Content — buckets, orphans, chunk history, pending mutations,
         versions — is observationally identical to the database that wrote
-        the file, which the property suite pins; the ``index_backend`` and
-        ``shard_count`` meta rows that older builds wrote are ignored.  The
-        returned database
-        keeps *this* storage attached: read-write attachments continue to
-        persist future mutations, read-only ones serve a load and then drop
-        records.
+        the file, which the property suite pins; meta rows this build does
+        not use (``index_backend``, ``shard_count``) are ignored.  The
+        returned database keeps *this* storage attached: read-write
+        attachments continue to persist future mutations, read-only ones
+        serve a load and then drop records.
         """
         from repro.safebrowsing.database import ServerDatabase
 
@@ -471,9 +445,10 @@ class SQLiteServerStorage(ServerStorage):
         stored_version = int(meta.get("schema_version", "0"))
         if stored_version != SQLITE_SCHEMA_VERSION:
             raise StorageError(
-                f"SQLite storage at {self.path} uses schema version "
-                f"{stored_version}; this build reads version "
-                f"{SQLITE_SCHEMA_VERSION}"
+                f"SQLite storage at {self.path or ':memory:'} uses schema "
+                f"version {stored_version}; this build reads only version "
+                f"{SQLITE_SCHEMA_VERSION}: re-save the server with "
+                "`repro snapshot save`"
             )
         return meta
 
@@ -487,10 +462,11 @@ class SQLiteServerStorage(ServerStorage):
         """Every stored list, rebuilt in its stored order."""
         lists: dict[str, "ListDatabase"] = {}
         rows = self._connection.execute(
-            "SELECT name, provider, category, description, "
+            "SELECT name, position, provider, category, description, "
             "paper_prefix_count, digest_format, version FROM lists "
             "ORDER BY position").fetchall()
-        for (name, provider, category, description, paper_count,
+        self._list_ids = {row[0]: row[1] for row in rows}
+        for (name, list_id, provider, category, description, paper_count,
              digest_format, version) in rows:
             try:
                 descriptor = ListDescriptor(
@@ -500,38 +476,33 @@ class SQLiteServerStorage(ServerStorage):
                 raise StorageError(
                     f"SQLite storage names an unknown provider or category: "
                     f"{exc}") from exc
-            expressions = [expression for (expression,)
-                           in self._connection.execute(
-                               "SELECT expression FROM expressions "
-                               "WHERE list_name = ?", (name,))]
-            digests = [digest for (digest,) in self._connection.execute(
-                "SELECT digest FROM full_hashes WHERE list_name = ?",
-                (name,))]
+            entries = self._connection.execute(
+                "SELECT digest, expression FROM entries WHERE list_id = ? "
+                "ORDER BY digest", (list_id,))
             orphans = [Prefix(prefix, bits) for (prefix,)
                        in self._connection.execute(
-                           "SELECT prefix FROM orphans WHERE list_name = ?",
-                           (name,))]
-            add_chunks = self._load_chunks(name, ChunkKind.ADD, bits)
-            sub_chunks = self._load_chunks(name, ChunkKind.SUB, bits)
-            pending_additions = self._load_pending(name, PENDING_ADDITION,
+                           "SELECT prefix FROM orphans WHERE list_id = ?",
+                           (list_id,))]
+            add_chunks = self._load_chunks(name, list_id, ChunkKind.ADD, bits)
+            sub_chunks = self._load_chunks(name, list_id, ChunkKind.SUB, bits)
+            pending_additions = self._load_pending(list_id, PENDING_ADDITION,
                                                    bits)
-            pending_removals = self._load_pending(name, PENDING_REMOVAL,
+            pending_removals = self._load_pending(list_id, PENDING_REMOVAL,
                                                   bits)
             lists[name] = materialize_list_database(
-                descriptor, bits, version=version,
-                expressions=expressions, digests=digests, orphans=orphans,
-                add_chunks=add_chunks, sub_chunks=sub_chunks,
+                descriptor, bits, version=version, entries=entries,
+                orphans=orphans, add_chunks=add_chunks, sub_chunks=sub_chunks,
                 pending_additions=pending_additions,
                 pending_removals=pending_removals,
             )
         return lists
 
-    def _load_chunks(self, list_name: str, kind: ChunkKind,
+    def _load_chunks(self, list_name: str, list_id: int, kind: ChunkKind,
                      bits: int) -> list[Chunk]:
         rows = self._connection.execute(
             "SELECT number, referenced_add, prefixes FROM chunks "
-            "WHERE list_name = ? AND kind = ? ORDER BY number",
-            (list_name, CHUNK_KIND_CODES[kind]))
+            "WHERE list_id = ? AND kind = ? ORDER BY number",
+            (list_id, CHUNK_KIND_CODES[kind]))
         chunks = []
         for number, referenced, blob in rows:
             try:
@@ -544,11 +515,11 @@ class SQLiteServerStorage(ServerStorage):
                                 referenced_add_chunk=referenced or None))
         return chunks
 
-    def _load_pending(self, list_name: str, kind: int,
+    def _load_pending(self, list_id: int, kind: int,
                       bits: int) -> list[Prefix]:
         rows = self._connection.execute(
-            "SELECT prefix FROM pending WHERE list_name = ? AND kind = ? "
-            "ORDER BY position", (list_name, kind))
+            "SELECT prefix FROM pending WHERE list_id = ? AND kind = ? "
+            "ORDER BY position", (list_id, kind))
         return [Prefix(value, bits) for (value,) in rows]
 
     # -- maintenance -----------------------------------------------------------
@@ -669,12 +640,12 @@ def dump_database_to_sqlite(database: "ServerDatabase",
         storage.bind(database)
         for list_db in database:
             name = list_db.descriptor.name
-            for expression in list_db.expressions():
-                storage.record(name, (OP_EXPR_ADD, expression))
+            expressions = {full_hash.digest: expression for expression,
+                           full_hash in list_db._expressions.items()}
             for value in sorted(list_db._full_hashes):
                 for full_hash in list_db._full_hashes[value]:
-                    storage.record(name, (OP_HASH_ADD, value,
-                                          full_hash.digest))
+                    storage.record(name, (OP_ENTRY_ADD, full_hash.digest,
+                                          expressions.get(full_hash.digest)))
             for value in sorted(list_db._orphans):
                 storage.record(name, (OP_ORPHAN_ADD, value))
             for chunk in (*list_db.add_chunks, *list_db.sub_chunks):
@@ -699,7 +670,7 @@ def sqlite_storage_summary(path: str | Path) -> tuple[dict, list[dict]]:
 
     Returns ``(meta, lists)``: the raw ``meta`` table as a dict, and one
     dict per stored list — ``name``, ``version``, ``prefixes`` (distinct
-    populated buckets + orphans, matching
+    digest prefixes + orphans, matching
     :meth:`ListDatabase.prefix_count`), and ``full_hashes``.  All counting
     runs as SQL aggregates; inspecting a paper-scale file costs one scan
     of each list's primary-key range, not a restore.
@@ -707,15 +678,16 @@ def sqlite_storage_summary(path: str | Path) -> tuple[dict, list[dict]]:
     storage = SQLiteServerStorage(path, readonly=True)
     try:
         meta = storage._read_meta()
+        width = int(meta["prefix_bits"]) // 8
         rows = storage._connection.execute(
             "SELECT l.name, l.version, "
-            "  (SELECT COUNT(DISTINCT f.prefix) FROM full_hashes f "
-            "     WHERE f.list_name = l.name) "
+            "  (SELECT COUNT(DISTINCT substr(e.digest, 1, ?)) FROM entries e "
+            "     WHERE e.list_id = l.position) "
             "  + (SELECT COUNT(*) FROM orphans o "
-            "       WHERE o.list_name = l.name), "
-            "  (SELECT COUNT(*) FROM full_hashes f "
-            "     WHERE f.list_name = l.name) "
-            "FROM lists l ORDER BY l.position").fetchall()
+            "       WHERE o.list_id = l.position), "
+            "  (SELECT COUNT(*) FROM entries e "
+            "     WHERE e.list_id = l.position) "
+            "FROM lists l ORDER BY l.position", (width,)).fetchall()
     except sqlite3.DatabaseError as exc:
         raise storage._unreadable(exc) from exc
     finally:
@@ -729,31 +701,35 @@ def sqlite_storage_summary(path: str | Path) -> tuple[dict, list[dict]]:
 
 def materialize_list_database(
         descriptor: ListDescriptor, bits: int, *, version: int,
-        expressions: Sequence[str] | Mapping[str, FullHash],
-        digests: Iterable[bytes], orphans: Iterable[Prefix],
+        entries: Iterable[tuple[bytes, str | None]],
+        orphans: Iterable[Prefix],
         add_chunks: Sequence[Chunk], sub_chunks: Sequence[Chunk],
         pending_additions: Sequence[Prefix],
         pending_removals: Sequence[Prefix]) -> "ListDatabase":
     """Build one :class:`ListDatabase` from durable state.
 
-    Full-hash buckets are regrouped from the digest list and the expression
-    map is re-derived (an expression's digest is a pure function of the
-    expression).
+    ``entries`` are ``(digest, expression)`` rows in digest order, the
+    expression ``None`` for a digest added bare.  Each digest joins the
+    bucket named by its first ``bits // 8`` bytes, so buckets fill already
+    digest-sorted and no expression is hashed again.  The rows come from a
+    file, so a digest that is not 32 bytes raises :class:`StorageError`.
     """
     from repro.safebrowsing.database import ListDatabase
 
     list_db = ListDatabase(descriptor, bits)
-    known = {expression: FullHash.of(expression)
-             for expression in expressions}
-    list_db._expressions.update(known)
-    seen = set()
-    for full_hash in known.values():
-        seen.add(full_hash.digest)
-        list_db._add_to_bucket(full_hash.prefix(bits), full_hash)
-    for digest in digests:
-        if digest not in seen:
-            full_hash = FullHash(digest)
-            list_db._add_to_bucket(full_hash.prefix(bits), full_hash)
+    width = bits // 8
+    buckets = list_db._full_hashes
+    expressions = list_db._expressions
+    for digest, expression in entries:
+        if not isinstance(digest, bytes) or len(digest) != _DIGEST_BYTES:
+            raise StorageError(
+                f"corrupt entry digest in {descriptor.name!r}: not a "
+                f"{_DIGEST_BYTES}-byte blob")
+        full_hash = _valid_full_hash(digest)
+        key = digest[:width]
+        buckets[key] = (*buckets.get(key, ()), full_hash)
+        if expression is not None:
+            expressions[expression] = full_hash
     list_db._orphans = {orphan.value for orphan in orphans}
     list_db._add_chunks = list(add_chunks)
     list_db._sub_chunks = list(sub_chunks)

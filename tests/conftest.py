@@ -73,10 +73,32 @@ def yandex_server(clock: ManualClock) -> SafeBrowsingServer:
 
 
 #: Unusable server snapshot files: SQLite files cut short, bit-flipped or
-#: foreign, and a file in the retired binary server container.
+#: foreign, a file in the retired binary server container, and a server
+#: file in SQLite schema version 1.
 MALFORMED_SERVER_FILES = ("truncated-half", "truncated-4096",
                           "truncated-200", "bit-flipped", "foreign-sqlite",
-                          "retired-binary-server")
+                          "retired-binary-server", "schema-v1")
+
+#: A server file in SQLite schema version 1: expressions and full hashes in
+#: two tables keyed by list name, each digest beside its own prefix.
+SCHEMA_V1_SERVER_FILE = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL) WITHOUT ROWID;
+INSERT INTO meta VALUES ('schema_version', '1'), ('prefix_bits', '32');
+CREATE TABLE lists (
+    name TEXT PRIMARY KEY, position INTEGER NOT NULL, provider TEXT NOT NULL,
+    category TEXT NOT NULL, description TEXT NOT NULL,
+    paper_prefix_count INTEGER, digest_format TEXT NOT NULL,
+    version INTEGER NOT NULL DEFAULT 0) WITHOUT ROWID;
+INSERT INTO lists VALUES ('goog-malware-shavar', 0, 'google', 'malware',
+                          'malware', 317807, 'shavar', 1);
+CREATE TABLE expressions (
+    list_name TEXT NOT NULL, expression TEXT NOT NULL,
+    PRIMARY KEY (list_name, expression)) WITHOUT ROWID;
+INSERT INTO expressions VALUES ('goog-malware-shavar', 'evil.example/');
+CREATE TABLE full_hashes (
+    list_name TEXT NOT NULL, prefix BLOB NOT NULL, digest BLOB NOT NULL,
+    PRIMARY KEY (list_name, digest)) WITHOUT ROWID;
+"""
 
 
 @pytest.fixture(params=MALFORMED_SERVER_FILES)
@@ -97,6 +119,11 @@ def malformed_server_file(request, google_server, tmp_path):
         connection = sqlite3.connect(path)
         with connection:
             connection.execute("CREATE TABLE unrelated (x)")
+        connection.close()
+    elif kind == "schema-v1":
+        path.unlink()
+        connection = sqlite3.connect(path)
+        connection.executescript(SCHEMA_V1_SERVER_FILE)
         connection.close()
     else:  # a hand-built header of the binary server container (kind 2)
         payload = b"\x00" * 16

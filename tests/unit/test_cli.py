@@ -372,6 +372,7 @@ class TestSnapshotCommand:
         assert main(["snapshot", "load", str(path)]) == 0
         loaded = capsys.readouterr().out
         assert "kind            : server" in loaded
+        assert "format version  : 2" in loaded
         # A SQLite file carries no checksum, so none is claimed verified.
         assert "checksum" not in loaded
         assert "goog-malware-shavar" in loaded

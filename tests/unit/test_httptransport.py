@@ -23,6 +23,7 @@ import pytest
 
 from repro.clock import ManualClock
 from repro.exceptions import TransportError, WireError
+from repro.hashing.prefix import Prefix
 from repro.safebrowsing.backoff import INITIAL_BACKOFF
 from repro.safebrowsing.chunks import ChunkRange
 from repro.safebrowsing.client import SafeBrowsingClient
@@ -30,6 +31,7 @@ from repro.safebrowsing.cookie import SafeBrowsingCookie
 from repro.safebrowsing.httptransport import HttpTransport
 from repro.safebrowsing.netservice import ServiceThread
 from repro.safebrowsing.protocol import (
+    FullHashRequest,
     FullHashResponse,
     ListState,
     UpdateRequest,
@@ -299,6 +301,28 @@ class TestProtocolFaults:
             transport = _transport(server.address)
             with pytest.raises(WireError, match="expected UpdateResponse"):
                 transport.send_update(_request())
+        finally:
+            server.close()
+
+    def test_wrong_response_type_counts_a_failure(self, google_server):
+        """A well-formed reply of the wrong kind (an UpdateResponse from
+        gethash) is a failure like an undecodable or an error frame."""
+        answer = encode_message(google_server.handle_update(_request()))
+
+        def misanswer(conn):
+            _drain_request(conn)
+            _respond(conn, answer)
+
+        server = ScriptedServer(misanswer)
+        try:
+            transport = _transport(server.address, retries=3)
+            request = FullHashRequest(cookie=COOKIE,
+                                      prefixes=(Prefix.from_int(7, 32),))
+            with pytest.raises(WireError, match="expected FullHashResponse"):
+                transport.send_full_hash(request)
+            assert transport.stats.failures_injected == 1
+            assert transport.stats.full_hash_requests == 1
+            assert transport.stats.retries == 0
         finally:
             server.close()
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import StorageError
+from repro.observability.metrics import MetricsRegistry
 from repro.hashing.digests import FullHash
 from repro.hashing.prefix import Prefix
 from repro.safebrowsing.database import ServerDatabase
@@ -12,6 +13,7 @@ from repro.safebrowsing.ingest import (
     DEFAULT_BATCH_SIZE,
     MUTATION_ACTIONS,
     IngestionPipeline,
+    IngestStats,
     ListMutation,
     synthetic_additions,
 )
@@ -111,6 +113,29 @@ class TestPipeline:
         assert "b.example/" not in list_db.expressions()
         assert prefix not in list_db.orphan_prefixes()
         assert list_db.prefix_count() == 2  # a.example/ + the full hash
+
+
+class TestPipelineMetrics:
+    def test_stats_are_the_one_count_of_steps(self):
+        registry = MetricsRegistry()
+        pipeline = IngestionPipeline(ServerDatabase(GOOGLE_LISTS),
+                                     batch_size=10, metrics=registry)
+        pipeline.submit(synthetic_additions(LIST, 25))
+        pipeline.drain()
+        pipeline.step()  # empty: counts no batch
+        assert (pipeline.applied, pipeline.batches) == (25, 3)
+        assert pipeline.stats == IngestStats(applied=25, batches=3)
+        families = registry.snapshot()["families"]
+        for family, value in (("ingest_mutations_total", 25),
+                              ("ingest_batches_total", 3)):
+            assert families[family]["kind"] == "counter"
+            [child] = families[family]["children"]
+            assert child["state"] == value
+        # Only the batch shape and the queue stay live instruments.
+        assert {family.name for family in registry.families()} >= {
+            "ingest_batch_size", "ingest_queue_depth"}
+        assert not {family.name for family in registry.families()} & {
+            "ingest_mutations_total", "ingest_batches_total"}
 
 
 class TestSyntheticAdditions:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.clock import ManualClock
 from repro.exceptions import StorageError
+from repro.hashing.digests import FullHash
 from repro.hashing.prefix import Prefix
 from repro.safebrowsing.database import ServerDatabase
 from repro.safebrowsing.lists import GOOGLE_LISTS
@@ -105,18 +106,18 @@ class TestWriteThroughJournal:
             database[LIST].add_expression(f"bulk-{index}.example/x")
         database.commit()
         database[LIST].add_expression("one-more.example/x")
-        # expr+, hash+, and the commit's chunk + pendclear (the pend+ op is
+        # entry+, and the commit's chunk + pendclear (the pend+ op is
         # coalesced away by the clear in the same journal).
-        assert database.commit() == 4
+        assert database.commit() == 3
 
     def test_coalescer_drops_cleared_pending_inserts(self):
         database = _sqlite_database()
         count = 50
         for index in range(count):
             database[LIST].add_expression(f"batch-{index}.example/x")
-        # Per expression: expr+, hash+ (pend+ coalesced); plus one chunk op
-        # and one pendclear for the batch-ending commit.
-        assert database.commit() == 2 * count + 2
+        # Per expression: entry+ (pend+ coalesced); plus one chunk op and
+        # one pendclear for the batch-ending commit.
+        assert database.commit() == count + 2
 
     def test_empty_commit_is_free(self):
         database = _sqlite_database()
@@ -308,6 +309,59 @@ class TestDumpAndSummary:
                                (b"\x00\x01\x02",))
         with pytest.raises(StorageError, match="corrupt prefix blob"):
             load_sqlite_server_database(path)
+
+    def test_corrupt_entry_digest_rejected(self, tmp_path):
+        path = tmp_path / "s.sqlite"
+        database = _sqlite_database(path)
+        _populate(database)
+        database.commit()
+        database.storage.close()
+        with sqlite3.connect(path) as connection:
+            connection.execute(
+                "UPDATE entries SET digest = substr(digest, 1, 31) "
+                "WHERE expression = ?", (EXPRESSIONS[0],))
+        connection.close()
+        with pytest.raises(StorageError,
+                           match=f"corrupt entry digest in '{LIST}'"):
+            load_sqlite_server_database(path)
+
+    @pytest.mark.parametrize("malformed_server_file", ["schema-v1"],
+                             indirect=True)
+    def test_schema_version_1_file_asks_for_a_resave(
+            self, malformed_server_file):
+        for load in (load_sqlite_server_database, sqlite_storage_summary):
+            with pytest.raises(StorageError,
+                               match="schema version 1;.*`repro snapshot "
+                                     "save`"):
+                load(malformed_server_file)
+
+    def test_file_holds_one_row_per_entry(self, tmp_path):
+        """One ``entries`` row per digest, the expression beside it (NULL
+        for a bare digest); no list name outside ``lists``."""
+        path = tmp_path / "s.sqlite"
+        database = _sqlite_database(path)
+        _populate(database)
+        bare = FullHash(b"\x01" * 32)
+        database[LIST].add_full_hash(bare)
+        database.commit()
+        database.storage.close()
+        with sqlite3.connect(path) as connection:
+            tables = {name for (name,) in connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'")}
+            rows = connection.execute(
+                "SELECT l.name, e.digest, e.expression FROM entries e "
+                "JOIN lists l ON l.position = e.list_id").fetchall()
+            columns = {table: [row[1] for row in connection.execute(
+                f"PRAGMA table_info({table})")] for table in tables}
+        connection.close()
+        assert tables == {"meta", "lists", "entries", "orphans", "chunks",
+                          "pending"}
+        assert columns["entries"] == ["list_id", "digest", "expression"]
+        assert all("list_name" not in names for names in columns.values())
+        assert sorted(rows, key=lambda row: row[1]) == sorted(
+            [(LIST, FullHash.of(expression).digest, expression)
+             for expression in EXPRESSIONS] + [(LIST, bare.digest, None)],
+            key=lambda row: row[1])
 
 
 class TestSnapshotIntegration:
