@@ -6,12 +6,12 @@ browser restarts and resync with incremental chunks — they never
 re-download the lists from scratch.  This demo walks the reproduction's
 persistence layer through exactly that story:
 
-1. a client syncs, saves a **snapshot** (versioned binary format with a
-   SHA-256 checksum), and the provider's lists drift on;
+1. a client syncs, saves a **snapshot** (a SQLite file with a SHA-256
+   checksum per list), and the provider's lists drift on;
 2. a **cold** restart re-downloads everything, a **warm** restart restores
    the snapshot and fetches only the drift — compare the prefixes each one
    transfers;
-3. the restore verifies the snapshot's checksum, then hands each list's
+3. the restore verifies the snapshot's checksums, then hands each list's
    packed prefix array to the store in one piece — the default ``numpy``
    backend reads it with a single ``frombuffer`` — so the restarted client
    answers its first URL straight away;
@@ -64,7 +64,7 @@ def main() -> None:
     snapshot_path = client.save_snapshot(workdir / "laptop.snap")
     info = inspect_snapshot(snapshot_path)
     print(f"snapshot written       : {snapshot_path.name} "
-          f"({info.payload_bytes} payload bytes, checksum verified)")
+          f"({info.payload_bytes} bytes, each list checksum verified)")
     print()
 
     print("=" * 72)

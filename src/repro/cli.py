@@ -35,8 +35,8 @@ often, without writing Python:
     drives the same service co-hosted in a background thread.
 ``python -m repro snapshot save|load PATH``
     Persist a provisioned server database to a SQLite file, or verify and
-    summarize an existing snapshot (a SQLite server file or a client
-    snapshot); ``load --summary`` adds per-list versions and full-hash
+    summarize an existing snapshot (a SQLite file of either kind, client
+    or server); ``load --summary`` adds per-list versions and full-hash
     counts.
 ``python -m repro metrics [--format prometheus|json]``
     Run a small fully-instrumented fleet and print its metrics registry in
@@ -614,18 +614,17 @@ def _command_snapshot(args: argparse.Namespace) -> int:
         server = get_context(scale).provision_server(provider)
         path = save_server_snapshot(server, args.path)
         info = inspect_snapshot(path)
-        print(f"wrote {path} ({info.payload_bytes} payload bytes, "
-              f"{info.container} container)")
+        print(f"wrote {path} ({info.payload_bytes} bytes)")
         print(f"lists           : {len(info.lists)}")
         print(f"total prefixes  : {info.total_prefixes}")
         return 0
 
     info = inspect_snapshot(args.path)
     print(f"kind            : {info.kind}")
-    print(f"container       : {info.container}")
     print(f"format version  : {info.format_version}")
     if info.kind == "client":
-        # Only the client format carries a checksum, verified by inspect.
+        # Only client files carry checksums (one per list row); inspect
+        # verifies every one.  SQLite itself does not checksum pages.
         print("checksum        : OK")
     print(f"prefix bits     : {info.prefix_bits}")
     print(f"backend         : {info.backend}")

@@ -445,9 +445,9 @@ class SafeBrowsingClient:
     def save_snapshot(self, path: str | Path) -> Path:
         """Persist the local database (stores + chunk ranges) to ``path``.
 
-        Writes the versioned, checksummed snapshot format of
-        :mod:`repro.safebrowsing.snapshot`; volatile state (full-hash cache,
-        memos, scheduler backoff) is not persisted.  Returns the path
+        Writes the client snapshot file of :mod:`repro.safebrowsing.snapshot`
+        (SQLite, one checksummed row per list); volatile state (full-hash
+        cache, memos, scheduler backoff) is not persisted.  Returns the path
         written.
         """
         from repro.safebrowsing.snapshot import save_client_snapshot

@@ -4,26 +4,29 @@ The paper's privacy analysis only makes sense because Safe Browsing clients
 keep their prefix database *across sessions* — the deployed clients persist
 the delta-coded table on disk and resync with incremental add/sub chunks
 instead of re-downloading the lists on every start.  This module gives the
-reproduction the same property end to end, with one format per side:
+reproduction the same property end to end, with one format for both sides:
+a SQLite file whose ``meta`` table names its ``kind``, ``schema_version``
+and ``prefix_bits``, read and checked by :mod:`repro.safebrowsing.storage`:
 
-* **client snapshots** use a **versioned binary format** (magic, kind,
-  format version, payload length, SHA-256 checksum) that serializes any
-  client database (every registered store backend, chunk ranges);
-* **server snapshots** are SQLite storage files
-  (:mod:`repro.safebrowsing.storage`) holding a whole
+* **client snapshots** add a ``backend`` meta row and one ``lists`` row per
+  subscribed list (``_CLIENT_SCHEMA``) holding a SHA-256 bound to the
+  backend and width — SQLite does not checksum pages, so the digest is
+  what turns a flipped payload byte into an error;
+* **server snapshots** are the storage files holding a whole
   :class:`~repro.safebrowsing.database.ServerDatabase` — full-hash
   buckets, orphans, expressions, the add/sub chunk history, pending
   mutations and per-list versions;
 * **warm start**: :func:`restore_client_snapshot` reloads a freshly
   constructed :class:`~repro.safebrowsing.client.SafeBrowsingClient` so its
   next update poll fetches only the chunks committed since the snapshot.
-  Each verified packed section reaches the store as one
+  Each verified packed run reaches the store as one
   :class:`~repro.hashing.prefix.PrefixRun`, which the ``numpy`` backend
   reads with a single ``frombuffer``;
-* **loud failure**: every unusable snapshot — truncated, checksum mismatch,
-  unknown format version, wrong kind, a malformed or foreign SQLite file,
-  or written for a different or unregistered backend / prefix width /
-  list set — raises a typed :class:`~repro.exceptions.SnapshotError`
+* **loud failure**: every unusable snapshot — truncated or followed by
+  trailing bytes, checksum mismatch, unknown schema version, wrong kind, a
+  malformed or foreign SQLite file, a file in the retired binary ``SBSNAP``
+  container, or written for a different or unregistered backend / prefix
+  width / list set — raises a typed :class:`~repro.exceptions.SnapshotError`
   stating what was expected and what was found.  A snapshot is never
   partially applied: restores stage everything before mutating the target.
 
@@ -37,6 +40,7 @@ start saves over a cold one.
 from __future__ import annotations
 
 import hashlib
+import sqlite3
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,9 +53,10 @@ from repro.exceptions import SnapshotError, StorageError
 from repro.hashing.prefix import PrefixRun
 from repro.safebrowsing.database import ServerDatabase
 from repro.safebrowsing.storage import (
-    SQLITE_MAGIC,
+    SQLITE_SCHEMA_VERSION,
     dump_database_to_sqlite,
     load_sqlite_server_database,
+    open_sqlite_file,
     sqlite_storage_summary,
 )
 
@@ -60,290 +65,137 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (client imports us)
     from repro.safebrowsing.client import SafeBrowsingClient
     from repro.safebrowsing.server import SafeBrowsingServer, ServerCore
 
-#: File magic of every snapshot.
-MAGIC = b"SBSNAP"
+#: Schema version of the client file this build writes (and the only one it
+#: reads); version 1 was the retired binary container.
+FORMAT_VERSION = 2
 
-#: Format version this build writes (and the only one it reads).
-FORMAT_VERSION = 1
-
-#: Snapshot kind of a client snapshot (the ``kind`` byte of the header).
-KIND_CLIENT = 1
-
-#: Kind byte of the retired binary server container; such files are
-#: recognized only to be rejected with a pointer to the SQLite format.
-_BINARY_SERVER_KIND = 2
-
-#: ``magic, kind, reserved, format_version, payload_length, sha256(payload)``.
-_HEADER = struct.Struct("<6sBBHQ32s")
-
-#: Per-list store payload encodings.
-_STORE_PACKED = 1   # sorted run of raw prefix values (exact stores)
-_STORE_BLOOM = 2    # Bloom filter geometry + bit array
-
-
-# ---------------------------------------------------------------------------
-# low-level payload encoding
-# ---------------------------------------------------------------------------
+_CLIENT_SCHEMA = """
+PRAGMA journal_mode = OFF; PRAGMA synchronous = OFF; -- torn files fail to load
+CREATE TABLE meta (
+    key   TEXT PRIMARY KEY,
+    value TEXT NOT NULL
+) WITHOUT ROWID;
+CREATE TABLE lists (
+    position       INTEGER PRIMARY KEY,
+    name           TEXT NOT NULL,
+    add_chunks     BLOB NOT NULL,
+    sub_chunks     BLOB NOT NULL,
+    bloom_capacity INTEGER,
+    bloom_rate     REAL,
+    bloom_size     INTEGER,
+    store          BLOB NOT NULL,
+    sha256         BLOB NOT NULL
+);
+"""
 
 
-class _Writer:
-    """Append-only binary payload builder."""
-
-    def __init__(self) -> None:
-        self._chunks: list[bytes] = []
-
-    def raw(self, data: bytes) -> None:
-        self._chunks.append(data)
-
-    def u8(self, value: int) -> None:
-        self.raw(value.to_bytes(1, "little"))
-
-    def u16(self, value: int) -> None:
-        self.raw(value.to_bytes(2, "little"))
-
-    def u32(self, value: int) -> None:
-        self.raw(value.to_bytes(4, "little"))
-
-    def u64(self, value: int) -> None:
-        self.raw(value.to_bytes(8, "little"))
-
-    def f64(self, value: float) -> None:
-        self.raw(struct.pack("<d", value))
-
-    def string(self, text: str) -> None:
-        data = text.encode("utf-8")
-        self.u16(len(data))
-        self.raw(data)
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._chunks)
-
-
-class _Reader:
-    """Bounds-checked payload reader; overruns raise :class:`SnapshotError`."""
-
-    def __init__(self, payload: bytes) -> None:
-        self._payload = payload
-        self.pos = 0
-
-    def raw(self, count: int) -> bytes:
-        end = self.pos + count
-        if end > len(self._payload):
-            raise SnapshotError(
-                f"snapshot truncated: needed {count} bytes at payload offset "
-                f"{self.pos}, only {len(self._payload) - self.pos} remain"
-            )
-        data = self._payload[self.pos:end]
-        self.pos = end
-        return bytes(data)
-
-    def u8(self) -> int:
-        return int.from_bytes(self.raw(1), "little")
-
-    def u16(self) -> int:
-        return int.from_bytes(self.raw(2), "little")
-
-    def u32(self) -> int:
-        return int.from_bytes(self.raw(4), "little")
-
-    def u64(self) -> int:
-        return int.from_bytes(self.raw(8), "little")
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.raw(8))[0]
-
-    def string(self) -> str:
-        length = self.u16()
-        try:
-            return self.raw(length).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SnapshotError(f"snapshot holds undecodable text: {exc}") from exc
-
-    def expect_end(self) -> None:
-        if self.pos != len(self._payload):
-            raise SnapshotError(
-                f"snapshot payload has {len(self._payload) - self.pos} "
-                "trailing bytes after the last record"
-            )
-
-
-def _read_file(path: Path) -> bytes:
-    """Read a snapshot file, folding OS errors into :class:`SnapshotError`."""
-    try:
-        return path.read_bytes()
-    except OSError as exc:
-        raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
-
-
-def _write_file(path: Path, data: bytes) -> None:
-    """Write a snapshot file, folding OS errors into :class:`SnapshotError`."""
-    try:
-        path.write_bytes(data)
-    except OSError as exc:
-        raise SnapshotError(f"cannot write snapshot {path}: {exc}") from exc
-
-
-def _frame(payload: bytes) -> bytes:
-    """Wrap a payload in the versioned, checksummed container."""
-    checksum = hashlib.sha256(payload).digest()
-    header = _HEADER.pack(MAGIC, KIND_CLIENT, 0, FORMAT_VERSION, len(payload),
-                          checksum)
-    return header + payload
-
-
-def _read_frame(data: bytes, source: str) -> bytes:
-    """Validate the container of a client snapshot and return its payload.
-
-    Checks, in order: magic, format version, declared payload length
-    (truncation), checksum, and kind — each failure raises a
-    :class:`SnapshotError` naming what was expected and what was found.
-    """
-    if data.startswith(SQLITE_MAGIC):
-        raise SnapshotError(
-            f"{source}: expected a client snapshot, found a server one "
-            "(a SQLite storage file)"
-        )
-    if len(data) < _HEADER.size:
-        raise SnapshotError(
-            f"{source}: snapshot truncated — {len(data)} bytes is shorter "
-            f"than the {_HEADER.size}-byte header"
-        )
-    magic, kind, _, version, payload_length, checksum = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise SnapshotError(
-            f"{source}: not a snapshot file (expected magic {MAGIC!r}, "
-            f"found {magic!r})"
-        )
-    if version != FORMAT_VERSION:
-        raise SnapshotError(
-            f"{source}: unsupported snapshot format version {version}; "
-            f"this build reads version {FORMAT_VERSION}"
-        )
-    payload = data[_HEADER.size:_HEADER.size + payload_length]
-    if len(payload) != payload_length:
-        raise SnapshotError(
-            f"{source}: snapshot truncated — header declares a "
-            f"{payload_length}-byte payload, file holds {len(payload)}"
-        )
-    trailing = len(data) - _HEADER.size - payload_length
-    if trailing:
-        # A concatenated or partially overwritten file may still carry an
-        # intact leading frame; loading it silently would serve stale state.
-        raise SnapshotError(
-            f"{source}: {trailing} trailing bytes after the declared "
-            f"{payload_length}-byte payload — not a single intact snapshot"
-        )
-    if hashlib.sha256(payload).digest() != checksum:
-        raise SnapshotError(
-            f"{source}: checksum mismatch — the snapshot payload was "
-            "corrupted after it was written"
-        )
-    if kind == _BINARY_SERVER_KIND:
-        raise _retired_server_blob(source)
-    if kind != KIND_CLIENT:
-        raise SnapshotError(f"{source}: unknown snapshot kind {kind}")
-    return payload
-
-
-# ---------------------------------------------------------------------------
-# store sections
-# ---------------------------------------------------------------------------
-
-
-def _write_store(writer: _Writer, store: PrefixStore, bits: int) -> None:
-    """Serialize one client-side store.
-
-    Exact stores (raw, delta-coded, numpy) serialize as a sorted packed run
-    of raw prefix values — the layout a ``numpy`` store reads back with one
-    ``frombuffer``.  The Bloom filter, which cannot enumerate its members, serializes its
-    geometry plus the bit array verbatim.
-    """
+def _store_columns(store: PrefixStore) -> tuple:
+    """The ``(bloom_capacity, bloom_rate, bloom_size, store)`` columns of
+    one client store: NULL geometry and a sorted packed run of prefix values
+    for exact stores (a ``numpy`` store reads it with one ``frombuffer``),
+    or the geometry and bit array of a Bloom filter, which cannot enumerate
+    its members."""
     if isinstance(store, BloomPrefixStore):
         bloom = store.filter
-        writer.u8(_STORE_BLOOM)
-        writer.u64(bloom.capacity)
-        writer.f64(bloom.false_positive_rate)
-        writer.u64(len(store))
-        bit_bytes = bloom.bit_bytes()
-        writer.u32(len(bit_bytes))
-        writer.raw(bit_bytes)
-        return
-    values = sorted(prefix.value for prefix in store)  # type: ignore[attr-defined]
-    writer.u8(_STORE_PACKED)
-    writer.u64(len(values))
-    writer.raw(b"".join(values))
+        return (bloom.capacity, bloom.false_positive_rate, len(store),
+                bloom.bit_bytes())
+    return None, None, None, b"".join(sorted(p.value for p in store))  # type: ignore[attr-defined]
 
 
-def _read_store(reader: _Reader, bits: int
-                ) -> tuple[int, PrefixRun | tuple[int, float, int, bytes]]:
-    """Parse one store section.
-
-    Returns ``(encoding, state)``: the packed values as one
-    :class:`PrefixRun` for exact stores, or the Bloom filter's
-    ``(capacity, rate, size, bit_bytes)``.
-    """
-    encoding = reader.u8()
-    if encoding == _STORE_PACKED:
-        count = reader.u64()
-        return encoding, PrefixRun.from_packed(reader.raw(count * (bits // 8)),
-                                               bits)
-    if encoding == _STORE_BLOOM:
-        capacity = reader.u64()
-        rate = reader.f64()
-        size = reader.u64()
-        bit_length = reader.u32()
-        bit_bytes = reader.raw(bit_length)
-        return encoding, (capacity, rate, size, bit_bytes)
-    raise SnapshotError(f"unknown store encoding {encoding} in snapshot")
+def _build_store(backend: str, bits: int, capacity: int | None,
+                 rate: float | None, size: int | None, blob: bytes) -> PrefixStore:
+    """The store :func:`_store_columns` describes; a packed run reaches the
+    backend as one :class:`PrefixRun`."""
+    if capacity is None:
+        return STORE_FACTORIES[backend](PrefixRun.from_packed(blob, bits),
+                                        bits=bits)
+    return BloomPrefixStore.from_filter(
+        BloomFilter.from_state(capacity, rate, size, blob), bits, size=size)
 
 
-def _registered_backend(backend: str, source: object) -> str:
-    """``backend`` if it names a registered store, else :class:`SnapshotError`
-    (a snapshot written by a retired or unavailable backend)."""
+def _row_checksum(backend: str, bits: int, list_count: int, row: tuple) -> bytes:
+    """SHA-256 over one ``lists`` row, bound to the meta values that
+    interpret it (backend, width) and to the number of rows: the ``repr``
+    of the small fields (so a changed column type is a change), then the
+    store blob."""
+    *fields, store = row
+    digest = hashlib.sha256(
+        repr((backend, bits, list_count, *fields, type(store))).encode())
+    digest.update(store if isinstance(store, bytes) else repr(store).encode())
+    return digest.digest()
+
+
+def _write_client_file(path: Path, backend: str, bits: int,
+                       lists: list[tuple]) -> Path:
+    """Write a client file, replacing any file at ``path``; each of
+    ``lists`` is ``(name, add_numbers, sub_numbers, *store_columns)``."""
+    rows = []
+    for position, (name, adds, subs, *store) in enumerate(lists):
+        row = (position, name, struct.pack(f">{len(adds)}I", *sorted(adds)),
+               struct.pack(f">{len(subs)}I", *sorted(subs)), *store)
+        rows.append((*row, _row_checksum(backend, bits, len(lists), row)))
+    try:
+        path.unlink(missing_ok=True)
+        connection = sqlite3.connect(path)
+        try:
+            with connection:
+                connection.executescript(_CLIENT_SCHEMA)
+                connection.executemany("INSERT INTO meta VALUES (?, ?)", [
+                    ("kind", "client"), ("schema_version", str(FORMAT_VERSION)),
+                    ("backend", backend), ("prefix_bits", str(bits))])
+                connection.executemany(
+                    "INSERT INTO lists VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)", rows)
+        finally:
+            connection.close()
+    except (OSError, sqlite3.Error) as exc:
+        raise SnapshotError(f"cannot write snapshot {path}: {exc}") from exc
+    return path
+
+
+def _read_client_file(path: Path) -> tuple[str, int, list[tuple]]:
+    """``(backend, bits, rows)`` of the client file at ``path``, every
+    row's checksum verified; a row is ``(name, add_chunks, sub_chunks,
+    *store_columns)``."""
+    try:
+        connection, meta = open_sqlite_file(path, {"client": FORMAT_VERSION})
+        try:
+            rows = connection.execute(
+                "SELECT * FROM lists ORDER BY position").fetchall()
+        finally:
+            connection.close()
+    except StorageError as exc:
+        raise SnapshotError(str(exc)) from exc
+    except (sqlite3.DatabaseError, UnicodeDecodeError) as exc:
+        raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
+    backend, bits = meta.get("backend"), int(meta["prefix_bits"])
     if backend not in STORE_FACTORIES:
         raise SnapshotError(
-            f"{source}: snapshot was written by store backend {backend!r}, "
+            f"{path}: snapshot was written by store backend {backend!r}, "
             f"which this build does not provide; expected one of "
-            f"{sorted(STORE_FACTORIES)}"
-        )
-    return backend
+            f"{sorted(STORE_FACTORIES)}")
+    for *row, checksum in rows:
+        if _row_checksum(backend, bits, len(rows), tuple(row)) != checksum:
+            raise SnapshotError(
+                f"{path}: checksum mismatch in list row {row[0]!r} — the "
+                "snapshot was corrupted after it was written")
+    return backend, bits, [row[1:-1] for row in rows]
 
 
-# ---------------------------------------------------------------------------
-# client snapshots
-# ---------------------------------------------------------------------------
-
-
-def client_snapshot_bytes(client: "SafeBrowsingClient") -> bytes:
-    """Serialize ``client``'s durable database state to snapshot bytes.
+def save_client_snapshot(client: "SafeBrowsingClient",
+                         path: str | Path) -> Path:
+    """Write ``client``'s snapshot to ``path``; returns the path written.
 
     The snapshot carries what a deployed client persists across restarts:
     the store backend name, the prefix width, and — per subscribed list —
     the held add/sub chunk numbers plus the store contents.  Volatile state
     (full-hash cache, memos, scheduler backoff) is deliberately excluded.
     """
-    writer = _Writer()
-    writer.string(client.config.store_backend)
-    writer.u16(client.config.prefix_bits)
-    writer.u32(len(client.subscribed_lists))
-    for list_name in client.subscribed_lists:
-        state = client._lists[list_name]
-        writer.string(list_name)
-        for numbers in (sorted(state.add_chunks.numbers),
-                        sorted(state.sub_chunks.numbers)):
-            writer.u32(len(numbers))
-            for number in numbers:
-                writer.u32(number)
-        _write_store(writer, state.store, client.config.prefix_bits)
-    return _frame(writer.getvalue())
-
-
-def save_client_snapshot(client: "SafeBrowsingClient",
-                         path: str | Path) -> Path:
-    """Write ``client``'s snapshot to ``path``; returns the path written."""
-    path = Path(path)
-    _write_file(path, client_snapshot_bytes(client))
-    return path
+    lists = [(name, client._lists[name].add_chunks.numbers,
+              client._lists[name].sub_chunks.numbers,
+              *_store_columns(client._lists[name].store))
+             for name in client.subscribed_lists]
+    return _write_client_file(Path(path), client.config.store_backend,
+                              client.config.prefix_bits, lists)
 
 
 def restore_client_snapshot(client: "SafeBrowsingClient",
@@ -357,41 +209,24 @@ def restore_client_snapshot(client: "SafeBrowsingClient",
     the snapshot state, the store-derived memos are dropped, and the number
     of restored prefixes is returned — the client's next
     :meth:`~repro.safebrowsing.client.SafeBrowsingClient.update` then
-    fetches only the chunks committed after the snapshot.
-
-    The whole file is read and its checksum verified before any store is
-    built; each packed section then reaches the backend as one
-    :class:`PrefixRun`.  A snapshot written by a backend this build does
-    not register (a retired one, or ``numpy`` without numpy) raises
+    fetches only the chunks committed after the snapshot.  Every row's
+    checksum is verified before any store is built, and each packed run
+    reaches the backend as one :class:`PrefixRun`.  A backend this build
+    does not register (a retired one, or ``numpy`` without numpy) raises
     :class:`SnapshotError`.
     """
     path = Path(path)
-    data = _read_file(path)
-    payload = _read_frame(data, str(path))
-    reader = _Reader(payload)
-
-    backend = _registered_backend(reader.string(), path)
+    backend, bits, records = _read_client_file(path)
     if backend != client.config.store_backend:
         raise SnapshotError(
             f"{path}: snapshot was written by store backend {backend!r}, "
             f"this client uses {client.config.store_backend!r}"
         )
-    bits = reader.u16()
     if bits != client.config.prefix_bits:
         raise SnapshotError(
             f"{path}: snapshot holds {bits}-bit prefixes, this client uses "
             f"{client.config.prefix_bits}-bit ones"
         )
-    list_count = reader.u32()
-    records = []
-    for _ in range(list_count):
-        list_name = reader.string()
-        add_numbers = [reader.u32() for _ in range(reader.u32())]
-        sub_numbers = [reader.u32() for _ in range(reader.u32())]
-        encoding, state = _read_store(reader, bits)
-        records.append((list_name, add_numbers, sub_numbers, encoding, state))
-    reader.expect_end()
-
     snapshot_lists = {record[0] for record in records}
     subscribed = set(client.subscribed_lists)
     if snapshot_lists != subscribed:
@@ -402,65 +237,29 @@ def restore_client_snapshot(client: "SafeBrowsingClient",
 
     # Stage every store before touching the client, so a bad record can
     # never leave it half-restored.
-    backend_cls = STORE_FACTORIES[backend]
-    staged: dict[str, tuple[PrefixStore, list[int], list[int], int]] = {}
-    for list_name, add_numbers, sub_numbers, encoding, state in records:
-        store: PrefixStore
-        if encoding == _STORE_BLOOM:
-            if backend != "bloom":
-                raise SnapshotError(
-                    f"{path}: list {list_name!r} holds a Bloom payload but "
-                    f"the snapshot backend is {backend!r}"
-                )
-            capacity, rate, size, bit_bytes = state
-            store = BloomPrefixStore.from_filter(
-                BloomFilter.from_state(capacity, rate, size, bit_bytes),
-                bits, size=size,
+    staged: dict[str, tuple[PrefixStore, tuple, tuple]] = {}
+    for list_name, adds, subs, capacity, rate, size, blob in records:
+        if capacity is not None and backend != "bloom":
+            raise SnapshotError(
+                f"{path}: list {list_name!r} holds a Bloom payload but "
+                f"the snapshot backend is {backend!r}"
             )
-        else:
-            store = backend_cls(state, bits=bits)
-        staged[list_name] = (store, add_numbers, sub_numbers,
-                             len(store))
+        staged[list_name] = (
+            _build_store(backend, bits, capacity, rate, size, blob),
+            struct.unpack(f">{len(adds) // 4}I", adds),
+            struct.unpack(f">{len(subs) // 4}I", subs))
 
     restored_prefixes = 0
-    for list_name, (store, add_numbers, sub_numbers, size) in staged.items():
+    for list_name, (store, add_numbers, sub_numbers) in staged.items():
         state = client._lists[list_name]
         state.store = store
         state.add_chunks.numbers.clear()
         state.add_chunks.numbers.update(add_numbers)
         state.sub_chunks.numbers.clear()
         state.sub_chunks.numbers.update(sub_numbers)
-        restored_prefixes += size
+        restored_prefixes += len(store)
     client._invalidate_store_memos()
     return restored_prefixes
-
-
-# ---------------------------------------------------------------------------
-# server snapshots
-# ---------------------------------------------------------------------------
-
-
-def _retired_server_blob(source: object) -> SnapshotError:
-    """The error for a file in the retired binary server container."""
-    return SnapshotError(
-        f"{source}: this is a binary SBSNAP server snapshot; that container "
-        "is no longer read — server state is stored as SQLite, which "
-        "`snapshot save` writes"
-    )
-
-
-def _read_head(path: Path) -> bytes:
-    """The first header-sized bytes of ``path``, enough to tell the kinds
-    apart.  A retired binary server blob raises here, so no caller can
-    mistake it for a client snapshot or a foreign file."""
-    try:
-        with open(path, "rb") as handle:
-            head = handle.read(_HEADER.size)
-    except OSError as exc:
-        raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
-    if head.startswith(MAGIC + bytes([_BINARY_SERVER_KIND])):
-        raise _retired_server_blob(path)
-    return head
 
 
 def save_server_snapshot(server: "ServerCore | ServerDatabase",
@@ -491,23 +290,12 @@ def save_server_snapshot(server: "ServerCore | ServerDatabase",
 
 def load_server_database(path: str | Path, *,
                          writable: bool = False) -> ServerDatabase:
-    """Rebuild a :class:`ServerDatabase` from the SQLite file at ``path``.
-
-    Loads go through
-    :func:`~repro.safebrowsing.storage.load_sqlite_server_database`
-    (read-only attach by default; ``writable=True`` keeps the file as the
-    live storage of the result).  The restored content — membership,
-    versions, chunk history — is observationally identical to the database
-    that was saved, which the property suite pins.
-    Every unusable file raises :class:`SnapshotError`.
-    """
-    path = Path(path)
-    head = _read_head(path)
-    if not head.startswith(SQLITE_MAGIC):
-        found = "a client one" if head.startswith(MAGIC) else "no SQLite file"
-        raise SnapshotError(
-            f"{path}: expected a server snapshot (a SQLite storage file), "
-            f"found {found}")
+    """Rebuild a :class:`ServerDatabase` from the SQLite file at ``path``
+    with :func:`~repro.safebrowsing.storage.load_sqlite_server_database`
+    (read-only by default; ``writable=True`` keeps the file as the live
+    storage of the result); every unusable file raises
+    :class:`SnapshotError`.  The property suite pins the restored content
+    observationally identical to the database that was saved."""
     try:
         return load_sqlite_server_database(path, writable=writable)
     except StorageError as exc:
@@ -537,11 +325,6 @@ def load_server(path: str | Path, *, clock: "Clock | None" = None,
     return server
 
 
-# ---------------------------------------------------------------------------
-# inspection
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True, slots=True)
 class ListSummary:
     """Per-list summary inside a :class:`SnapshotInfo`.
@@ -565,11 +348,8 @@ class SnapshotInfo:
     ----------
     kind:
         ``"client"`` or ``"server"``.
-    container:
-        ``"binary"`` (SBSNAP client blob) or ``"sqlite"`` (server storage
-        file).
     format_version:
-        The client snapshot format version, or the SQLite schema version.
+        The SQLite schema version of the file.
     prefix_bits:
         Width of the stored prefixes.
     backend:
@@ -579,7 +359,7 @@ class SnapshotInfo:
         One :class:`ListSummary` per stored list — name, prefix count,
         and (server snapshots) full-hash count and mutation ``version``.
     payload_bytes:
-        Size of the checksummed payload (client) or the file (server).
+        Size of the file.
     """
 
     kind: str
@@ -588,7 +368,6 @@ class SnapshotInfo:
     backend: str
     lists: tuple[ListSummary, ...]
     payload_bytes: int
-    container: str = "binary"
 
     @property
     def total_prefixes(self) -> int:
@@ -607,44 +386,30 @@ def inspect_snapshot(path: str | Path) -> SnapshotInfo:
     """Validate the snapshot at ``path`` and summarize its contents.
 
     Both kinds are summarized without building any store, membership index
-    or database: a client snapshot costs one payload pass (full
-    magic/version/truncation/checksum checks included), a SQLite server
-    file a handful of SQL aggregates.  Server summaries report the per-list
-    mutation ``version`` and full-hash count alongside the prefix count, so
-    ``snapshot load --summary`` can answer "what state is this file?"
-    without a restore.
+    or database: a client file costs one read of its rows (every checksum
+    verified), a server file a handful of SQL aggregates.  Server summaries
+    report the per-list mutation ``version`` and full-hash count alongside
+    the prefix count, so ``snapshot load --summary`` can answer "what state
+    is this file?" without a restore.
     """
     path = Path(path)
-    if _read_head(path).startswith(SQLITE_MAGIC):
-        try:
+    try:
+        connection, meta = open_sqlite_file(
+            path, {"client": FORMAT_VERSION, "server": SQLITE_SCHEMA_VERSION})
+        connection.close()
+        if meta.get("kind", "server") == "server":
             meta, rows = sqlite_storage_summary(path)
-        except StorageError as exc:
-            raise SnapshotError(str(exc)) from exc
-        return SnapshotInfo(
-            kind="server",
-            format_version=int(meta.get("schema_version", 0)),
-            prefix_bits=int(meta["prefix_bits"]),
-            backend="raw",
-            lists=tuple(ListSummary(row["name"], row["prefixes"],
-                                    row["full_hashes"], row["version"])
-                        for row in rows),
-            payload_bytes=path.stat().st_size,
-            container="sqlite",
-        )
-    payload = _read_frame(_read_file(path), str(path))
-    reader = _Reader(payload)
-    backend = _registered_backend(reader.string(), path)
-    bits = reader.u16()
-    lists = []
-    for _ in range(reader.u32()):
-        name = reader.string()
-        for _ in range(reader.u32()):
-            reader.u32()
-        for _ in range(reader.u32()):
-            reader.u32()
-        encoding, state = _read_store(reader, bits)
-        count = len(state) if encoding == _STORE_PACKED else state[2]
-        lists.append(ListSummary(name, count))
-    reader.expect_end()
-    return SnapshotInfo("client", FORMAT_VERSION, bits, backend,
-                        tuple(lists), len(payload))
+            lists = tuple(ListSummary(row["name"], row["prefixes"],
+                                      row["full_hashes"], row["version"])
+                          for row in rows)
+            return SnapshotInfo("server", int(meta["schema_version"]),
+                                int(meta["prefix_bits"]), "raw", lists,
+                                path.stat().st_size)
+    except StorageError as exc:
+        raise SnapshotError(str(exc)) from exc
+    backend, bits, records = _read_client_file(path)
+    lists = tuple(
+        ListSummary(name, len(blob) // (bits // 8) if size is None else size)
+        for name, _, _, _, _, size, blob in records)
+    return SnapshotInfo("client", FORMAT_VERSION, bits, backend, lists,
+                        path.stat().st_size)

@@ -41,14 +41,15 @@ fleet traffic signatures invariant under the storage choice.
 from __future__ import annotations
 
 import sqlite3
+import struct
 from collections.abc import Iterable, Sequence
 from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.exceptions import PrefixError, StorageError
+from repro.exceptions import PrefixError, ProtocolError, StorageError
 from repro.hashing.digests import FULL_DIGEST_BITS, _valid_full_hash
-from repro.hashing.prefix import Prefix, PrefixRun
+from repro.hashing.prefix import Prefix, PrefixRun, _check_bits
 from repro.safebrowsing.chunks import Chunk, ChunkKind
 from repro.safebrowsing.lists import ListDescriptor, ListProvider, ThreatCategory
 
@@ -66,9 +67,18 @@ SQLITE_SCHEMA_VERSION = 2
 #: Length of the digest in every ``entries`` row.
 _DIGEST_BYTES = FULL_DIGEST_BITS // 8
 
-#: First bytes of every SQLite database file.  Snapshot loads check them to
-#: tell a server database from a client snapshot before opening the file.
+#: First bytes of every SQLite database file.
 SQLITE_MAGIC = b"SQLite format 3\x00"
+
+#: First bytes of a file in the retired binary snapshot container (either
+#: kind), recognized only to be rejected.
+RETIRED_MAGIC = b"SBSNAP"
+
+#: The start of SQLite's file header: the magic, the page size (1 standing
+#: for 65536) and, at offset 28, the page count.  SQLite loads a file with
+#: bytes appended without complaint, so the size the header declares is
+#: compared with the size on disk.
+_SQLITE_HEADER = struct.Struct(">16sH10xI")
 
 #: Journal op codes (first element of every recorded op tuple).  The
 #: database's mutators build these tuples (:meth:`ListDatabase._record`);
@@ -266,10 +276,20 @@ class SQLiteServerStorage(ServerStorage):
             raise StorageError(
                 f"cannot open SQLite storage at {path}: {exc}") from exc
         if not readonly:
+            # The schema goes only into an empty file; any other is checked
+            # first (a foreign one has no ``meta``) and left as it was.
             try:
                 with self._connection:
-                    self._connection.executescript(_SCHEMA)
-            except sqlite3.Error as exc:
+                    if self._connection.execute(
+                            "SELECT 1 FROM sqlite_master").fetchone() is None:
+                        self._connection.executescript(_SCHEMA)
+                    elif self._connection.execute(
+                            "SELECT 1 FROM meta").fetchone() is not None:
+                        self._read_meta()
+            except StorageError:
+                self._connection.close()
+                raise
+            except (sqlite3.Error, UnicodeDecodeError) as exc:
                 self._connection.close()
                 raise StorageError(
                     f"cannot initialize SQLite storage at {path}: {exc}"
@@ -304,7 +324,8 @@ class SQLiteServerStorage(ServerStorage):
         with self._connection:
             self._connection.executemany(
                 "INSERT INTO meta (key, value) VALUES (?, ?)",
-                [("schema_version", str(SQLITE_SCHEMA_VERSION)),
+                [("kind", "server"),
+                 ("schema_version", str(SQLITE_SCHEMA_VERSION)),
                  ("prefix_bits", str(database.prefix_bits))],
             )
             self._connection.executemany(
@@ -416,11 +437,12 @@ class SQLiteServerStorage(ServerStorage):
         from repro.safebrowsing.database import ServerDatabase
 
         try:
-            meta = self._read_meta()
-            bits = int(meta["prefix_bits"])
+            bits = int(self._read_meta()["prefix_bits"])
             lists = self._load_lists(bits)
-        except sqlite3.DatabaseError as exc:
-            raise self._unreadable(exc) from exc
+        except (sqlite3.DatabaseError, UnicodeDecodeError, PrefixError,
+                ProtocolError, TypeError, ValueError) as exc:
+            # SQLite's own, or a corrupt row's (a wrong type or value).
+            raise _unreadable(self.path or ":memory:", exc) from exc
 
         self._loading = True
         try:
@@ -434,29 +456,17 @@ class SQLiteServerStorage(ServerStorage):
         return database
 
     def _read_meta(self) -> dict[str, str]:
-        """The ``meta`` table, checked to describe a database this build
-        reads."""
-        meta = dict(self._connection.execute("SELECT key, value FROM meta"))
-        if not meta:
-            raise StorageError(
-                f"SQLite storage at {self.path or ':memory:'} holds no "
-                "server database (empty meta table)"
-            )
-        stored_version = int(meta.get("schema_version", "0"))
-        if stored_version != SQLITE_SCHEMA_VERSION:
-            raise StorageError(
-                f"SQLite storage at {self.path or ':memory:'} uses schema "
-                f"version {stored_version}; this build reads only version "
-                f"{SQLITE_SCHEMA_VERSION}: re-save the server with "
-                "`repro snapshot save`"
-            )
+        """The ``meta`` table, checked to describe a server database this
+        build reads, in a file whose b-trees SQLite finds intact: it keeps no
+        page checksums, but a flipped root page number or a lost page
+        shows."""
+        source = self.path or ":memory:"
+        meta = _checked_meta(self._connection, source,
+                             {"server": SQLITE_SCHEMA_VERSION})
+        (check,) = self._connection.execute("PRAGMA quick_check").fetchone()
+        if check != "ok":
+            raise StorageError(f"SQLite storage at {source} is corrupt: {check}")
         return meta
-
-    def _unreadable(self, exc: sqlite3.DatabaseError) -> StorageError:
-        """The typed error for a file SQLite itself rejects (truncated,
-        corrupted, or a foreign database without this schema)."""
-        return StorageError(
-            f"cannot read SQLite storage at {self.path or ':memory:'}: {exc}")
 
     def _load_lists(self, bits: int) -> dict[str, "ListDatabase"]:
         """Every stored list, rebuilt in its stored order."""
@@ -468,14 +478,12 @@ class SQLiteServerStorage(ServerStorage):
         self._list_ids = {row[0]: row[1] for row in rows}
         for (name, list_id, provider, category, description, paper_count,
              digest_format, version) in rows:
-            try:
-                descriptor = ListDescriptor(
-                    name, ListProvider(provider), ThreatCategory(category),
-                    description, paper_count, digest_format)
-            except ValueError as exc:
-                raise StorageError(
-                    f"SQLite storage names an unknown provider or category: "
-                    f"{exc}") from exc
+            if not all(isinstance(value, int) for value in (list_id, version)):
+                raise StorageError(f"corrupt lists row {name!r}: a position "
+                                   "or version that is not an integer")
+            descriptor = ListDescriptor(
+                name, ListProvider(provider), ThreatCategory(category),
+                description, paper_count, digest_format)
             entries = self._connection.execute(
                 "SELECT digest, expression FROM entries WHERE list_id = ? "
                 "ORDER BY digest", (list_id,))
@@ -573,13 +581,91 @@ def build_server_storage(spec: "str | ServerStorage",
         f"{STORAGE_KINDS}")
 
 
-def is_sqlite_file(path: str | Path) -> bool:
-    """Whether ``path`` starts with the SQLite file magic."""
+def _unreadable(source: object, exc: Exception) -> StorageError:
+    """The typed error for a file that cannot be read: an OS error, one
+    SQLite itself raises (a corrupted file, or a foreign database without
+    this schema), or a corrupt row's."""
+    return StorageError(f"cannot read SQLite storage at {source}: {exc}")
+
+
+def _check_sqlite_file(path: Path) -> None:
+    """Raise :class:`StorageError` unless ``path`` holds one whole SQLite
+    file: readable, not in the retired binary container, starting with the
+    SQLite magic, and exactly as long as its header declares (neither cut
+    short nor followed by trailing bytes)."""
     try:
         with open(path, "rb") as handle:
-            return handle.read(len(SQLITE_MAGIC)) == SQLITE_MAGIC
-    except OSError:
-        return False
+            head = handle.read(_SQLITE_HEADER.size)
+        size = path.stat().st_size
+    except OSError as exc:
+        raise _unreadable(path, exc) from exc
+    if head.startswith(RETIRED_MAGIC):
+        raise StorageError(
+            f"{path}: a binary SBSNAP snapshot, not a SQLite file; that "
+            "container is no longer read — snapshots are SQLite files, which "
+            "`snapshot save` (server) and save_client_snapshot (client) write")
+    if not (head.startswith(SQLITE_MAGIC) or SQLITE_MAGIC.startswith(head)):
+        raise StorageError(
+            f"{path}: not a snapshot file (expected the SQLite magic "
+            f"{SQLITE_MAGIC!r}, found {head[:len(SQLITE_MAGIC)]!r})")
+    if len(head) < _SQLITE_HEADER.size:
+        raise StorageError(f"{path}: snapshot truncated — {size} bytes is "
+                           "shorter than the SQLite header")
+    _, page_size, page_count = _SQLITE_HEADER.unpack_from(head)
+    declared = page_count * (65536 if page_size == 1 else page_size)
+    if size < declared:
+        raise StorageError(f"{path}: snapshot truncated — the header "
+                           f"declares {declared} bytes, the file holds {size}")
+    if size > declared:
+        raise StorageError(f"{path}: {size - declared} trailing bytes after "
+                           f"the {declared} bytes the header declares")
+
+
+def _checked_meta(connection: sqlite3.Connection, source: object,
+              kinds: dict[str, int]) -> dict[str, str]:
+    """The ``meta`` table of an open SQLite file, checked to name one of
+    ``kinds`` (kind -> the schema version this build reads; no ``kind`` row
+    means a server file) and a valid prefix width.  SQLite's own errors,
+    undecodable text and missing or non-integer values raise
+    :class:`StorageError`."""
+    try:
+        meta = dict(connection.execute("SELECT key, value FROM meta"))
+    except (sqlite3.DatabaseError, UnicodeDecodeError) as exc:
+        raise _unreadable(source, exc) from exc
+    expected = " or ".join(kinds)
+    if not meta:
+        raise StorageError(f"SQLite storage at {source} holds no {expected} "
+                           "database (empty meta table)")
+    kind = meta.get("kind", "server")
+    if kind not in kinds:
+        raise StorageError(
+            f"{source}: expected a {expected} snapshot, found a {kind} one")
+    try:
+        stored_version = int(meta.get("schema_version", "0"))
+        _check_bits(int(meta["prefix_bits"]))
+    except (KeyError, TypeError, ValueError, PrefixError) as exc:
+        raise StorageError(f"SQLite storage at {source} holds a corrupt "
+                           f"meta table: {exc!r}") from exc
+    if stored_version != kinds[kind]:
+        raise StorageError(
+            f"SQLite storage at {source} uses schema version "
+            f"{stored_version}; this build reads only version {kinds[kind]}: "
+            "re-save it (`repro snapshot save` writes a server file)")
+    return meta
+
+
+def open_sqlite_file(path: Path, kinds: dict[str, int]
+                     ) -> tuple[sqlite3.Connection, dict[str, str]]:
+    """Open the whole SQLite file at ``path`` read-only with its checked
+    ``meta`` (see :func:`_check_sqlite_file` and :func:`_checked_meta`)."""
+    _check_sqlite_file(path)
+    connection = sqlite3.connect(f"{path.resolve().as_uri()}?mode=ro",
+                                 uri=True)
+    try:
+        return connection, _checked_meta(connection, path, kinds)
+    except StorageError:
+        connection.close()
+        raise
 
 
 def load_sqlite_server_database(path: str | Path, *,
@@ -594,13 +680,11 @@ def load_sqlite_server_database(path: str | Path, *,
     of the committed state, holding no file handle across forks, whose
     further mutations stay local.  ``writable=True`` attaches read-write
     instead, so the returned database keeps persisting its mutations to
-    the same file (the resume-a-provider path).
+    the same file (the resume-a-provider path).  A file this build cannot
+    load raises :class:`StorageError` and is left as it was.
     """
     path = Path(path)
-    if not path.exists():
-        raise StorageError(f"no SQLite storage at {path}")
-    if not is_sqlite_file(path):
-        raise StorageError(f"{path} is not a SQLite storage file")
+    _check_sqlite_file(path)
     storage = SQLiteServerStorage(path, readonly=not writable)
     try:
         database = storage.load_database()
@@ -675,11 +759,10 @@ def sqlite_storage_summary(path: str | Path) -> tuple[dict, list[dict]]:
     runs as SQL aggregates; inspecting a paper-scale file costs one scan
     of each list's primary-key range, not a restore.
     """
-    storage = SQLiteServerStorage(path, readonly=True)
+    path = Path(path)
+    connection, meta = open_sqlite_file(path, {"server": SQLITE_SCHEMA_VERSION})
     try:
-        meta = storage._read_meta()
-        width = int(meta["prefix_bits"]) // 8
-        rows = storage._connection.execute(
+        rows = connection.execute(
             "SELECT l.name, l.version, "
             "  (SELECT COUNT(DISTINCT substr(e.digest, 1, ?)) FROM entries e "
             "     WHERE e.list_id = l.position) "
@@ -687,11 +770,12 @@ def sqlite_storage_summary(path: str | Path) -> tuple[dict, list[dict]]:
             "       WHERE o.list_id = l.position), "
             "  (SELECT COUNT(*) FROM entries e "
             "     WHERE e.list_id = l.position) "
-            "FROM lists l ORDER BY l.position", (width,)).fetchall()
-    except sqlite3.DatabaseError as exc:
-        raise storage._unreadable(exc) from exc
+            "FROM lists l ORDER BY l.position",
+            (int(meta["prefix_bits"]) // 8,)).fetchall()
+    except (sqlite3.DatabaseError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from exc
     finally:
-        storage.close()
+        connection.close()
     return meta, [
         {"name": name, "version": version, "prefixes": prefixes,
          "full_hashes": full_hashes}
@@ -712,7 +796,8 @@ def materialize_list_database(
     expression ``None`` for a digest added bare.  Each digest joins the
     bucket named by its first ``bits // 8`` bytes, so buckets fill already
     digest-sorted and no expression is hashed again.  The rows come from a
-    file, so a digest that is not 32 bytes raises :class:`StorageError`.
+    file, so a digest that is not 32 bytes, or an expression that is not
+    text, raises :class:`StorageError`.
     """
     from repro.safebrowsing.database import ListDatabase
 
@@ -721,10 +806,11 @@ def materialize_list_database(
     buckets = list_db._full_hashes
     expressions = list_db._expressions
     for digest, expression in entries:
-        if not isinstance(digest, bytes) or len(digest) != _DIGEST_BYTES:
+        if (not isinstance(digest, bytes) or len(digest) != _DIGEST_BYTES
+                or not isinstance(expression, (str, type(None)))):
             raise StorageError(
                 f"corrupt entry digest in {descriptor.name!r}: not a "
-                f"{_DIGEST_BYTES}-byte blob")
+                f"{_DIGEST_BYTES}-byte blob beside a text expression or NULL")
         full_hash = _valid_full_hash(digest)
         key = digest[:width]
         buckets[key] = (*buckets.get(key, ()), full_hash)

@@ -139,19 +139,14 @@ class TestClientDatabaseEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_store_section_round_trip_is_exact(self, members, probes, backend,
                                                tmp_path_factory):
-        """Randomized store contents survive the packed section byte-exactly."""
-        from repro.safebrowsing.snapshot import (
-            _STORE_PACKED, _Reader, _Writer, _read_store, _write_store,
-        )
+        """Randomized store contents survive the packed run byte-exactly."""
+        from repro.safebrowsing.snapshot import _build_store, _store_columns
 
         store = STORE_FACTORIES[backend](
             [Prefix.from_int(value, 32) for value in members], 32)
-        writer = _Writer()
-        _write_store(writer, store, 32)
-        payload = writer.getvalue()
-        encoding, run = _read_store(_Reader(payload), 32)
-        assert encoding == _STORE_PACKED
-        restored = STORE_FACTORIES[backend](run, 32)
+        columns = _store_columns(store)
+        assert columns[:3] == (None, None, None)  # exact: no Bloom geometry
+        restored = _build_store(backend, 32, *columns)
         assert len(restored) == len(store)
         probe_prefixes = [Prefix.from_int(value, 32)
                           for value in probes + members[:10]]

@@ -378,10 +378,16 @@ class TestSnapshotCommand:
         assert "goog-malware-shavar" in loaded
 
     def test_load_reports_malformed_file_as_cli_error(
-            self, capsys, malformed_server_file):
-        assert main(["snapshot", "load", str(malformed_server_file)]) == 2
+            self, capsys, malformed_snapshot):
+        code = main(["snapshot", "load", str(malformed_snapshot.path)])
         captured = capsys.readouterr()
+        if malformed_snapshot.case == "wrong-kind":
+            # `snapshot load` reads either kind: this file is a valid one.
+            assert code == 0 and not captured.err
+            return
+        assert code == 2
         assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
         assert not captured.out
 
     def test_load_client_snapshot_reports_its_checksum(self, capsys,
@@ -398,11 +404,11 @@ class TestSnapshotCommand:
         path = tmp_path / "google.sqlite"
         assert main(["snapshot", "save", str(path)]) == 0
         saved = capsys.readouterr().out
-        assert "sqlite container" in saved
+        assert f"wrote {path} ({path.stat().st_size} bytes)" in saved
 
         assert main(["snapshot", "load", str(path), "--summary"]) == 0
         loaded = capsys.readouterr().out
-        assert "container       : sqlite" in loaded
+        assert "container" not in loaded
         assert "version=" in loaded
         assert "full-hashes=" in loaded
         assert "goog-malware-shavar" in loaded

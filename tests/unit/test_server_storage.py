@@ -24,9 +24,9 @@ from repro.safebrowsing.storage import (
     MemoryServerStorage,
     SQLiteServerStorage,
     ServerStorage,
+    SQLITE_MAGIC,
     build_server_storage,
     dump_database_to_sqlite,
-    is_sqlite_file,
     load_sqlite_server_database,
     sqlite_storage_summary,
 )
@@ -244,7 +244,7 @@ class TestLoad:
                 == database[LIST].contains_many(members))
 
     def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(StorageError, match="no SQLite storage"):
+        with pytest.raises(StorageError, match="cannot read SQLite storage"):
             load_sqlite_server_database(tmp_path / "absent.sqlite")
 
     def test_non_sqlite_file_rejected(self, tmp_path):
@@ -325,15 +325,15 @@ class TestDumpAndSummary:
                            match=f"corrupt entry digest in '{LIST}'"):
             load_sqlite_server_database(path)
 
-    @pytest.mark.parametrize("malformed_server_file", ["schema-v1"],
+    @pytest.mark.parametrize("malformed_snapshot", ["server-old-schema"],
                              indirect=True)
     def test_schema_version_1_file_asks_for_a_resave(
-            self, malformed_server_file):
+            self, malformed_snapshot):
         for load in (load_sqlite_server_database, sqlite_storage_summary):
             with pytest.raises(StorageError,
                                match="schema version 1;.*`repro snapshot "
                                      "save`"):
-                load(malformed_server_file)
+                load(malformed_snapshot.path)
 
     def test_file_holds_one_row_per_entry(self, tmp_path):
         """One ``entries`` row per digest, the expression beside it (NULL
@@ -377,7 +377,7 @@ class TestSnapshotIntegration:
     def test_save_sqlite_from_memory_backed_server(self, tmp_path):
         server = self._server()
         path = save_server_snapshot(server, tmp_path / "s.sqlite")
-        assert is_sqlite_file(path)
+        assert path.read_bytes().startswith(SQLITE_MAGIC)
         restored = load_server_database(path)
         assert (restored[LIST].expressions()
                 == server.database[LIST].expressions())
@@ -387,7 +387,7 @@ class TestSnapshotIntegration:
         server = self._server(tmp_path / "live.sqlite")
         server.database[LIST].add_expression("late.example/x")
         saved = save_server_snapshot(server, tmp_path / "copy.sqlite")
-        assert is_sqlite_file(saved)
+        assert saved.read_bytes().startswith(SQLITE_MAGIC)
         restored = load_server_database(saved)
         assert "late.example/x" in restored[LIST].expressions()
         server.database.storage.close()
@@ -407,7 +407,7 @@ class TestSnapshotIntegration:
         server.insert_orphan_prefixes(LIST, [Prefix.from_int(0xDEADBEEF, 32)])
         info = inspect_snapshot(save_server_snapshot(server,
                                                      tmp_path / "s.sqlite"))
-        assert info.container == "sqlite"
+        assert info.kind == "server"
         assert [(s.name, s.prefixes, s.full_hashes, s.version)
                 for s in info.lists] == [
             (list_db.descriptor.name, list_db.prefix_count(),

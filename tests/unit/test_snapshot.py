@@ -1,10 +1,11 @@
 """Unit tests for the persistence layer, corruption paths included.
 
-The contract: a truncated file, a checksum mismatch, an unknown format
-version, a backend-name mismatch, a retired backend and a malformed or
-foreign SQLite server file all raise a typed
+The contract: every malformed file of either kind (the matrix of
+``tests/conftest.py``: truncated, bit-flipped, checksum mismatch, foreign,
+trailing bytes, wrong kind, old schema, the retired binary container), a
+backend-name mismatch and a retired backend raise a typed
 :class:`~repro.exceptions.SnapshotError` stating what was expected — never
-a silent partial load.
+a silent partial load, and never a change to the file.
 """
 
 from __future__ import annotations
@@ -22,10 +23,7 @@ from repro.safebrowsing.client import ClientConfig, SafeBrowsingClient
 from repro.safebrowsing.lists import GOOGLE_LISTS
 from repro.safebrowsing.server import SafeBrowsingServer
 from repro.safebrowsing.snapshot import (
-    FORMAT_VERSION,
-    _frame,
-    _Writer,
-    client_snapshot_bytes,
+    _write_client_file,
     inspect_snapshot,
     load_server,
     load_server_database,
@@ -38,24 +36,8 @@ from repro.safebrowsing.storage import load_sqlite_server_database
 EXPRESSIONS = ("evil.example.com/", "phishy.example.net/login.html",
                "bad.actor.org/payload/")
 
-#: A raw-backend client snapshot of the ``server`` fixture, written by the
-#: format-version-1 writer while seven store backends still existed.  The
-#: client format must keep reading (and writing) exactly these bytes.
-RAW_SNAPSHOT_V1 = bytes.fromhex(
-    "5342534e415001000100e30000000000000098eabd7dd73f0a832003a223240e"
-    "ad144dd100ff5d35efa1d534ca446a7a53ff0300726177200005000000130067"
-    "6f6f672d6d616c776172652d7368617661720100000001000000000000000102"
-    "000000000000002a6582eeb6b9984d1300676f6f672d726567746573742d7368"
-    "6176617200000000000000000100000000000000001400676f6f672d756e7761"
-    "6e7465642d73686176617200000000000000000100000000000000001700676f"
-    "6f672d7768697465646f6d61696e2d7368617661720000000000000000010000"
-    "0000000000001400676f6f677075622d70686973682d73686176617201000000"
-    "01000000000000000101000000000000005191742b"
-)
-
-#: The same snapshot written by the retired ``sorted-array`` backend (the
-#: format-version-1 writer, before the binary server container was
-#: retired).  Its checksum is intact; only the backend name is gone.
+#: A client snapshot written by the retired ``sorted-array`` backend in the
+#: retired binary container: it raises the retired-container error.
 SORTED_ARRAY_SNAPSHOT_V1 = bytes.fromhex(
     "5342534e415001000100ec00000000000000ebe9acf964f9b47c19bb447b957e"
     "227c5d04adc36bb8e0d27d2bd759f9f1aecf0c00736f727465642d6172726179"
@@ -101,16 +83,6 @@ class TestClientRoundTrip:
         # The warm-started client is already in sync: nothing to fetch.
         assert restored.update() == 0
 
-    def test_version_1_snapshot_still_restores_byte_for_byte(
-            self, server, clock, tmp_path):
-        path = tmp_path / "client-v1.snap"
-        path.write_bytes(RAW_SNAPSHOT_V1)
-        restored = _fresh_client(server, clock)
-        assert restore_client_snapshot(restored, path) == len(EXPRESSIONS)
-        assert restored.update() == 0
-        assert restored.lookup("http://evil.example.com/").is_malicious
-        assert client_snapshot_bytes(_client(server, clock)) == RAW_SNAPSHOT_V1
-
     def test_restore_then_incremental_update(self, server, clock, tmp_path):
         client = _client(server, clock)
         path = save_client_snapshot(client, tmp_path / "client.snap")
@@ -150,20 +122,13 @@ def _fresh_client(server, clock, backend="raw"):
                               config=ClientConfig(store_backend=backend))
 
 
-def _snapshot_with_run(backend: str, values: list[int]) -> bytes:
+def _snapshot_with_run(path, backend: str, values: list[int]):
     """A checksummed one-list client snapshot whose packed run is ``values``
     verbatim, in the given order (the writer itself always sorts)."""
-    writer = _Writer()
-    writer.string(backend)
-    writer.u16(32)
-    writer.u32(1)
-    writer.string("goog-malware-shavar")
-    writer.u32(0)
-    writer.u32(0)
-    writer.u8(1)  # packed run
-    writer.u64(len(values))
-    writer.raw(b"".join(value.to_bytes(4, "big") for value in values))
-    return _frame(writer.getvalue())
+    run = b"".join(value.to_bytes(4, "big") for value in values)
+    return _write_client_file(
+        path, backend, 32,
+        [("goog-malware-shavar", [], [], None, None, None, run)])
 
 
 class TestUnsortedPackedRun:
@@ -175,8 +140,8 @@ class TestUnsortedPackedRun:
     @pytest.mark.parametrize("backend", sorted(STORE_FACTORIES))
     def test_restores_the_deduplicated_set(self, server, clock, tmp_path,
                                            backend):
-        path = tmp_path / "unsorted.snap"
-        path.write_bytes(_snapshot_with_run(backend, self.MEMBERS))
+        path = _snapshot_with_run(tmp_path / "unsorted.snap", backend,
+                                  self.MEMBERS)
         client = SafeBrowsingClient(server, name="unsorted", clock=clock,
                                     lists=["goog-malware-shavar"],
                                     config=ClientConfig(store_backend=backend))
@@ -199,8 +164,8 @@ class TestRetiredBackends:
     @pytest.mark.parametrize("retired", ["sorted-array", "mmap", "numpy-mmap"])
     def test_restore_and_inspect_raise(self, server, clock, tmp_path,
                                        retired):
-        path = tmp_path / "retired.snap"
-        path.write_bytes(_snapshot_with_run(retired, [1, 2, 3]))
+        path = _snapshot_with_run(tmp_path / "retired.snap", retired,
+                                  [1, 2, 3])
         client = SafeBrowsingClient(server, name="retired", clock=clock,
                                     lists=["goog-malware-shavar"])
         with pytest.raises(SnapshotError, match=f"{retired!r}.*does not provide"):
@@ -211,16 +176,14 @@ class TestRetiredBackends:
     def test_sorted_array_v1_fixture_raises(self, server, clock, tmp_path):
         path = tmp_path / "sorted-array-v1.snap"
         path.write_bytes(SORTED_ARRAY_SNAPSHOT_V1)
-        with pytest.raises(SnapshotError, match="'sorted-array'") as excinfo:
+        with pytest.raises(SnapshotError, match="no longer read"):
             restore_client_snapshot(_fresh_client(server, clock), path)
-        for name in STORE_FACTORIES:
-            assert name in str(excinfo.value)
 
     @pytest.mark.parametrize("retired", ["sorted-array", "mmap", "numpy-mmap"])
     def test_snapshot_load_of_any_retired_backend_exits_2(self, capsys,
                                                           tmp_path, retired):
-        path = tmp_path / "retired.snap"
-        path.write_bytes(_snapshot_with_run(retired, [1, 2, 3]))
+        path = _snapshot_with_run(tmp_path / "retired.snap", retired,
+                                  [1, 2, 3])
         assert main(["snapshot", "load", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
@@ -233,53 +196,11 @@ class TestRetiredBackends:
         assert main(["snapshot", "load", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
-        assert "sorted-array" in captured.err
+        assert "SBSNAP" in captured.err and "no longer read" in captured.err
         assert not captured.out
 
 
 class TestCorruptionPaths:
-    def test_truncated_header(self, server, clock, tmp_path):
-        client = _client(server, clock)
-        path = save_client_snapshot(client, tmp_path / "c.snap")
-        path.write_bytes(path.read_bytes()[:10])
-        with pytest.raises(SnapshotError, match="truncated"):
-            restore_client_snapshot(_fresh_client(server, clock), path)
-
-    def test_truncated_payload(self, server, clock, tmp_path):
-        client = _client(server, clock)
-        path = save_client_snapshot(client, tmp_path / "c.snap")
-        data = path.read_bytes()
-        path.write_bytes(data[:len(data) - 7])
-        with pytest.raises(SnapshotError, match="truncated"):
-            restore_client_snapshot(_fresh_client(server, clock), path)
-
-    def test_checksum_mismatch(self, server, clock, tmp_path):
-        client = _client(server, clock)
-        path = save_client_snapshot(client, tmp_path / "c.snap")
-        data = bytearray(path.read_bytes())
-        data[-1] ^= 0xFF  # flip one payload byte
-        path.write_bytes(bytes(data))
-        with pytest.raises(SnapshotError, match="checksum"):
-            restore_client_snapshot(_fresh_client(server, clock), path)
-
-    def test_unknown_format_version(self, server, clock, tmp_path):
-        client = _client(server, clock)
-        path = save_client_snapshot(client, tmp_path / "c.snap")
-        data = bytearray(path.read_bytes())
-        # The u16 format version sits after magic(6) + kind(1) + reserved(1).
-        data[8:10] = (FORMAT_VERSION + 41).to_bytes(2, "little")
-        path.write_bytes(bytes(data))
-        with pytest.raises(SnapshotError, match="format version"):
-            restore_client_snapshot(_fresh_client(server, clock), path)
-
-    def test_trailing_bytes_rejected(self, server, clock, tmp_path):
-        """A concatenated/partially-overwritten file must not load silently."""
-        client = _client(server, clock)
-        path = save_client_snapshot(client, tmp_path / "c.snap")
-        path.write_bytes(path.read_bytes() + b"garbage-from-a-second-frame")
-        with pytest.raises(SnapshotError, match="trailing"):
-            restore_client_snapshot(_fresh_client(server, clock), path)
-
     def test_missing_file_is_a_snapshot_error(self, server, clock, tmp_path):
         """OS errors fold into SnapshotError so the CLI reports, not tracebacks."""
         missing = tmp_path / "never-written.snap"
@@ -290,12 +211,6 @@ class TestCorruptionPaths:
         with pytest.raises(SnapshotError, match="cannot read"):
             inspect_snapshot(missing)
 
-    def test_bad_magic(self, server, clock, tmp_path):
-        path = tmp_path / "c.snap"
-        path.write_bytes(b"NOTASNAP" + b"\x00" * 64)
-        with pytest.raises(SnapshotError, match="not a snapshot"):
-            restore_client_snapshot(_fresh_client(server, clock), path)
-
     def test_backend_name_mismatch_lists_both_names(self, server, clock,
                                                     tmp_path):
         client = _client(server, clock, backend="raw")
@@ -305,15 +220,6 @@ class TestCorruptionPaths:
             restore_client_snapshot(target, path)
         message = str(excinfo.value)
         assert "'raw'" in message and "delta-coded" in message
-
-    def test_kind_mismatch(self, server, clock, tmp_path):
-        path = save_server_snapshot(server, tmp_path / "server.sqlite")
-        with pytest.raises(SnapshotError, match="expected a client snapshot"):
-            restore_client_snapshot(_fresh_client(server, clock), path)
-        client_path = save_client_snapshot(_client(server, clock),
-                                           tmp_path / "c.snap")
-        with pytest.raises(SnapshotError, match="expected a server snapshot"):
-            load_server_database(client_path)
 
     def test_prefix_width_mismatch(self, server, clock, tmp_path):
         client = _client(server, clock)
@@ -462,20 +368,29 @@ class TestInspect:
             list_db.prefix_count() for list_db in server.database)
 
 
-class TestMalformedServerFiles:
-    def test_malformed_file_is_a_typed_error(self, malformed_server_file):
-        with pytest.raises(SnapshotError):
-            inspect_snapshot(malformed_server_file)
-        with pytest.raises(SnapshotError):
-            load_server_database(malformed_server_file)
-        with pytest.raises(StorageError):
-            load_sqlite_server_database(malformed_server_file)
+class TestMalformedSnapshots:
+    """The corruption matrix of ``tests/conftest.py``, for both kinds."""
 
-    @pytest.mark.parametrize("malformed_server_file",
-                             ["retired-binary-server"], indirect=True)
-    def test_retired_binary_server_blob_points_at_sqlite(
-            self, malformed_server_file):
-        for load in (load_server_database, inspect_snapshot):
-            with pytest.raises(SnapshotError,
-                               match="no longer read.*`snapshot save`"):
-                load(malformed_server_file)
+    def test_malformed_file_is_a_typed_error(self, malformed_snapshot):
+        expected = malformed_snapshot.expected
+        with pytest.raises(SnapshotError, match=expected):
+            malformed_snapshot.load()
+        if malformed_snapshot.kind == "server":
+            with pytest.raises(StorageError, match=expected):
+                load_sqlite_server_database(malformed_snapshot.path)
+        if malformed_snapshot.case != "wrong-kind":  # else a valid file
+            with pytest.raises(SnapshotError, match=expected):
+                inspect_snapshot(malformed_snapshot.path)
+
+    def test_failed_loads_leave_the_file_alone(self, malformed_snapshot):
+        """No load of either kind, read-only or writable, changes a file it
+        rejects."""
+        path = malformed_snapshot.path
+        before = path.read_bytes()
+        with pytest.raises(SnapshotError):
+            malformed_snapshot.load()
+        if (malformed_snapshot.kind, malformed_snapshot.case) != (
+                "client", "wrong-kind"):  # else a valid server file
+            with pytest.raises(SnapshotError):
+                load_server_database(path, writable=True)
+        assert path.read_bytes() == before
