@@ -269,7 +269,7 @@ class SQLiteServerStorage(ServerStorage):
                 self._connection = sqlite3.connect(":memory:")
             elif readonly:
                 self._connection = sqlite3.connect(
-                    f"file:{self.path}?mode=ro", uri=True)
+                    f"{self.path.resolve().as_uri()}?mode=ro", uri=True)
             else:
                 self._connection = sqlite3.connect(self.path)
         except sqlite3.Error as exc:

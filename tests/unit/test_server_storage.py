@@ -247,6 +247,17 @@ class TestLoad:
         with pytest.raises(StorageError, match="cannot read SQLite storage"):
             load_sqlite_server_database(tmp_path / "absent.sqlite")
 
+    def test_path_with_uri_characters_loads(self, tmp_path):
+        """A read-only open escapes the path: ``#``, ``?`` and ``%`` are
+        file-name characters, not URI syntax."""
+        path = tmp_path / "s#1?x%20.sqlite"
+        database = _sqlite_database(path)
+        _populate(database)
+        database.commit()
+        database.storage.close()
+        restored = load_sqlite_server_database(path)
+        assert restored[LIST].expressions() == database[LIST].expressions()
+
     def test_non_sqlite_file_rejected(self, tmp_path):
         path = tmp_path / "not.sqlite"
         path.write_bytes(b"SBSNAP__definitely not sqlite")
